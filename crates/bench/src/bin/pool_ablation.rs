@@ -1,34 +1,34 @@
-//! **Pool ablation**: the persistent worker pool behind the rayon shim
-//! vs the legacy spawn-per-call dispatch it replaced.
+//! **Pool ablation**: what the persistent worker pool behind the rayon
+//! shim costs per dispatch and how sweeps scale under it. (The
+//! spawn-per-call baseline this harness used to compare against is gone;
+//! `perf_suite`'s `pool.dispatch_ns` / `pool.speedup_nt` rows carry the
+//! trajectory now.)
 //!
 //! Usage: `cargo run -p qcemu-bench --release --bin pool_ablation
 //!         [-- --min-n 16 --max-n 22 --e2e-n 20 --quick --json]`
 //!
 //! `--json` additionally writes `BENCH_pool_ablation.json`; `--quick`
-//! shrinks every leg to CI-friendly sizes (the CI step runs
-//! `--quick --json` under `QCEMU_THREADS=4`).
+//! shrinks every leg to CI-friendly sizes.
 //!
 //! Four legs, one table each:
 //!
 //! 1. **dispatch** — a minimal parallel region (two indices, empty body)
-//!    timed back-to-back: pure per-call overhead. The pool hands the job
-//!    to already-parked workers over a condvar; the baseline pays thread
-//!    creation + join every call. The ratio is the headline number the
-//!    calibrated `CostModel::dispatch_overhead` feeds on.
+//!    timed back-to-back: pure per-call overhead of handing a job to
+//!    already-parked workers over a condvar — the number the calibrated
+//!    `CostModel::dispatch_overhead` feeds on.
 //! 2. **scaling** — butterfly-sweep rate (one H per qubit) at n in
 //!    `--min-n ..= --max-n` under 1/2/4-thread installs. On a machine
 //!    with that many cores the rate curve is the thread-scaling factor;
 //!    on an oversubscribed runner it documents that oversubscription is
 //!    at worst neutral.
 //! 3. **e2e** — deep above-threshold circuits (QFT and the GHZ ladder
-//!    at `--e2e-n`) wall-to-wall, pool vs spawn-per-call.
+//!    at `--e2e-n`) wall-to-wall.
 //! 4. **serve** — an in-process daemon serving a concurrent sweep (the
-//!    `serve_demo` workload), pool vs spawn-per-call, since the daemon
-//!    is the one consumer that dispatches from several OS threads into
-//!    the single process-wide pool.
+//!    `serve_demo` workload), since the daemon is the one consumer that
+//!    dispatches from several OS threads into the single process-wide
+//!    pool.
 //!
-//! All numbers are host-dependent; the committed `BENCH_pool_ablation.json`
-//! records the trend on the CI runner, not an absolute claim. Ends by
+//! All numbers are host-dependent. Ends by
 //! printing the pool counters (`rayon::pool::stats()`), and honours
 //! `QCEMU_POOL_DEBUG` like every other consumer.
 
@@ -52,10 +52,8 @@ fn butterfly_circuit(n: usize) -> Circuit {
 }
 
 /// Seconds per dispatch of a minimal parallel region, amortised over
-/// `batch` back-to-back calls. With `spawn` the legacy scoped-spawn
-/// path is forced; otherwise the persistent pool serves the calls.
-fn dispatch_seconds(reps: usize, batch: usize, spawn: bool) -> f64 {
-    rayon::pool::force_spawn_per_call(spawn);
+/// `batch` back-to-back calls.
+fn dispatch_seconds(reps: usize, batch: usize) -> f64 {
     let t = time_median(reps, || {
         for _ in 0..batch {
             (0..2usize).into_par_iter().for_each(|i| {
@@ -63,22 +61,17 @@ fn dispatch_seconds(reps: usize, batch: usize, spawn: bool) -> f64 {
             });
         }
     });
-    rayon::pool::force_spawn_per_call(false);
     t / batch as f64
 }
 
-/// Wall time of one full state-vector run of `circuit`, with the
-/// dispatch mode forced for the duration.
-fn e2e_seconds(reps: usize, circuit: &Circuit, spawn: bool) -> f64 {
-    rayon::pool::force_spawn_per_call(spawn);
+/// Wall time of one full state-vector run of `circuit`.
+fn e2e_seconds(reps: usize, circuit: &Circuit) -> f64 {
     let n = circuit.n_qubits();
-    let t = time_median(reps, || {
+    time_median(reps, || {
         let mut sv = StateVector::uniform_superposition(n);
         sv.apply_circuit(circuit);
         std::hint::black_box(sv.amplitudes()[0]);
-    });
-    rayon::pool::force_spawn_per_call(false);
-    t
+    })
 }
 
 /// The serve_demo sweep body widened to the admission limit: identical
@@ -111,20 +104,16 @@ fn sweep_program(slope: f64) -> WireProgram {
 }
 
 /// Median wall time (over `reps` fresh daemons) for `clients`
-/// concurrent tenants sweeping the rotation slope, with the dispatch
-/// mode forced for each server's whole lifetime. Medianed because one
+/// concurrent tenants sweeping the rotation slope. Medianed because one
 /// run is a couple of milliseconds — connection setup noise is real.
-fn serve_seconds(reps: usize, clients: usize, spawn: bool) -> f64 {
-    let mut times: Vec<f64> = (0..reps.max(1))
-        .map(|_| serve_once(clients, spawn))
-        .collect();
+fn serve_seconds(reps: usize, clients: usize) -> f64 {
+    let mut times: Vec<f64> = (0..reps.max(1)).map(|_| serve_once(clients)).collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     times[times.len() / 2]
 }
 
 /// One daemon lifetime: bind, serve the sweep, shut down.
-fn serve_once(clients: usize, spawn: bool) -> f64 {
-    rayon::pool::force_spawn_per_call(spawn);
+fn serve_once(clients: usize) -> f64 {
     // The sweep states are small (2^10 amplitudes), so the kernel
     // parallel threshold is forced to 1: every sweep becomes a real
     // dispatch from the daemon's worker threads — the per-call-overhead
@@ -163,7 +152,6 @@ fn serve_once(clients: usize, spawn: bool) -> f64 {
     });
     let elapsed = t0.elapsed().as_secs_f64();
     handle.shutdown();
-    rayon::pool::force_spawn_per_call(false);
     elapsed
 }
 
@@ -189,34 +177,22 @@ fn main() {
     );
 
     header(
-        "Pool ablation — persistent worker pool vs spawn-per-call dispatch",
-        "same rayon-compatible surface, same disjoint-block contract, different engine",
+        "Pool ablation — persistent worker pool behind the rayon shim",
+        "dispatch latency, thread scaling, end-to-end circuits, daemon sweep",
     );
 
     // ---- leg 1: dispatch latency -------------------------------------
     rayon::pool::warm_up();
-    let t_pool = dispatch_seconds(reps, batch, false);
-    let t_spawn = dispatch_seconds(reps, batch, true);
-    let ratio = t_spawn / t_pool.max(1e-12);
+    let t_pool = dispatch_seconds(reps, batch);
     println!("\ndispatch latency (minimal region, {batch}-call batches):");
-    println!(
-        "  {:<16} {:>12}\n  {:<16} {:>12}\n  {:<16} {:>11.1}x",
-        "pool",
-        fmt_secs(t_pool),
-        "spawn-per-call",
-        fmt_secs(t_spawn),
-        "overhead ratio",
-        ratio
-    );
+    println!("  {:<16} {:>12}", "pool", fmt_secs(t_pool));
     if rayon::pool::stats().threads <= 1 {
-        println!("  (single-thread pool: both paths run inline; ratio is ~1 by design)");
+        println!("  (single-thread pool: the region runs inline on the caller)");
     }
     report.push(
         JsonObj::new()
             .str("section", "dispatch")
-            .num("ns_per_op", t_pool * 1e9)
-            .num("spawn_ns_per_op", t_spawn * 1e9)
-            .num("overhead_ratio", ratio),
+            .num("ns_per_op", t_pool * 1e9),
     );
 
     // ---- leg 2: thread-scaling curves --------------------------------
@@ -234,7 +210,7 @@ fn main() {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let t = pool.install(|| e2e_seconds(reps.min(3), &circuit, false));
+            let t = pool.install(|| e2e_seconds(reps.min(3), &circuit));
             if threads == 1 {
                 t_serial = t;
             }
@@ -260,25 +236,18 @@ fn main() {
     }
 
     // ---- leg 3: end-to-end circuits ----------------------------------
-    println!("\nend-to-end deep circuits at n = {e2e_n} (pool vs spawn-per-call):");
-    println!(
-        "  {:<10} {:>6} {:>12} {:>12} {:>9}",
-        "circuit", "depth", "pool", "spawn", "speedup"
-    );
+    println!("\nend-to-end deep circuits at n = {e2e_n}:");
+    println!("  {:<10} {:>6} {:>12}", "circuit", "depth", "time");
     for (name, circuit) in [
         ("fig5-qft", qft_circuit(e2e_n)),
         ("fig6-ghz", entangle_circuit(e2e_n)),
     ] {
-        let t_pool = e2e_seconds(reps.min(3), &circuit, false);
-        let t_spawn = e2e_seconds(reps.min(3), &circuit, true);
-        let speedup = t_spawn / t_pool.max(1e-12);
+        let t_pool = e2e_seconds(reps.min(3), &circuit);
         println!(
-            "  {:<10} {:>6} {:>12} {:>12} {:>8.2}x",
+            "  {:<10} {:>6} {:>12}",
             name,
             circuit.depth(),
-            fmt_secs(t_pool),
-            fmt_secs(t_spawn),
-            speedup
+            fmt_secs(t_pool)
         );
         report.push(
             JsonObj::new()
@@ -286,33 +255,19 @@ fn main() {
                 .str("circuit", name)
                 .int("n", e2e_n as u64)
                 .int("depth", circuit.depth() as u64)
-                .num("ns_per_op", t_pool * 1e9)
-                .num("spawn_ns_per_op", t_spawn * 1e9)
-                .num("speedup", speedup),
+                .num("ns_per_op", t_pool * 1e9),
         );
     }
 
     // ---- leg 4: serve workload ---------------------------------------
     println!("\nserve workload ({clients} concurrent tenants, one sweep each):");
-    let s_pool = serve_seconds(reps.min(3), clients, false);
-    let s_spawn = serve_seconds(reps.min(3), clients, true);
-    let s_speedup = s_spawn / s_pool.max(1e-12);
-    println!(
-        "  {:<16} {:>12}\n  {:<16} {:>12}\n  {:<16} {:>11.2}x",
-        "pool",
-        fmt_secs(s_pool),
-        "spawn-per-call",
-        fmt_secs(s_spawn),
-        "speedup",
-        s_speedup
-    );
+    let s_pool = serve_seconds(reps.min(3), clients);
+    println!("  {:<16} {:>12}", "pool", fmt_secs(s_pool));
     report.push(
         JsonObj::new()
             .str("section", "serve")
             .int("clients", clients as u64)
-            .num("ns_per_op", s_pool * 1e9)
-            .num("spawn_ns_per_op", s_spawn * 1e9)
-            .num("speedup", s_speedup),
+            .num("ns_per_op", s_pool * 1e9),
     );
 
     // ---- pool counters -----------------------------------------------

@@ -21,7 +21,7 @@
 use qcemu_bench::{fmt_secs, header, time_median, time_once, Args, BenchReport, JsonObj};
 use qcemu_sim::{
     entangle_circuit, qft_circuit, segment_circuit, Circuit, FusionPolicy, Gate, StateVector,
-    DEFAULT_BLOCK_BITS,
+    DEFAULT_BLOCK_BITS, PAR_THRESHOLD,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,7 +162,7 @@ fn main() {
             let (t_seg_compile, seg) = time_once(|| segment_circuit(&circuit, block_bits, &policy));
             let t_seg = time_median(reps, || {
                 let mut sv = StateVector::uniform_superposition(n);
-                seg.apply_slice(sv.amplitudes_mut());
+                seg.apply(sv.amplitudes_mut(), 1, PAR_THRESHOLD);
                 std::hint::black_box(sv.amplitudes()[0]);
             });
             println!(

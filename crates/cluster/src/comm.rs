@@ -1,15 +1,15 @@
 //! The virtual cluster: rank threads plus a message-passing fabric.
 //!
 //! Stands in for MPI on Stampede. Each rank is an OS thread; point-to-point
-//! messages travel over crossbeam channels. Every communication operation
-//! also advances a per-rank *simulated clock* using the α–β model
+//! messages travel over `std::sync::mpsc` channels. Every communication
+//! operation also advances a per-rank *simulated clock* using the α–β model
 //! (latency + bytes/bandwidth) of a [`crate::model::MachineModel`], so an
 //! executed run reports both real wall time and the time the same traffic
 //! would have cost on the modelled interconnect.
 
 use crate::model::MachineModel;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use qcemu_linalg::C64;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A message: a tagged amplitude payload.
 struct Msg {
@@ -192,7 +192,7 @@ where
     let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(p);
     let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(p);
     for _ in 0..p {
-        let (s, r) = unbounded();
+        let (s, r) = channel();
         senders.push(s);
         receivers.push(Some(r));
     }

@@ -21,7 +21,7 @@
 use crate::comm::Comm;
 use crate::plan::{DistPlan, PlanStep, QubitMap};
 use qcemu_linalg::C64;
-use qcemu_sim::kernels::{self, apply_fused_diagonal, expand_index};
+use qcemu_sim::kernels::{self, apply_fused_diagonal, expand_index, PAR_THRESHOLD};
 use qcemu_sim::{
     Circuit, FusedCircuit, FusedGate, FusedOp, FusionPolicy, Gate, GateOp, GateStructure,
     StateVector,
@@ -184,7 +184,7 @@ impl DistributedState {
         let all_local =
             self.is_local(a) && self.is_local(b) && controls.iter().all(|&c| self.is_local(c));
         if all_local {
-            kernels::apply_swap(&mut self.local, a, b, controls);
+            kernels::apply_swap(&mut self.local, 1, a, b, controls, PAR_THRESHOLD);
         } else {
             let mut cnot = |c: usize, t: usize| {
                 let mut ctl = controls.to_vec();
@@ -227,7 +227,14 @@ impl DistributedState {
                 }
                 CommPolicy::Generic => {
                     // Dense 2×2 kernel regardless of structure.
-                    kernels::apply_general(&mut self.local, target, &local_controls, &op.matrix());
+                    kernels::apply_general(
+                        &mut self.local,
+                        1,
+                        target,
+                        &local_controls,
+                        &op.matrix(),
+                        PAR_THRESHOLD,
+                    );
                 }
             }
             return;
@@ -442,7 +449,7 @@ impl DistributedState {
                 factors[v]
             })
             .collect();
-        apply_fused_diagonal(&mut self.local, &positions, &reduced);
+        apply_fused_diagonal(&mut self.local, 1, &positions, &reduced, PAR_THRESHOLD);
     }
 
     /// Executes one batched slot permutation: every `(a, b)` pair swaps
@@ -459,7 +466,7 @@ impl DistributedState {
         for &(a, b) in pairs {
             let (l, g) = if a <= b { (a, b) } else { (b, a) };
             if g < self.n_local {
-                kernels::apply_swap(&mut self.local, l, g, &[]);
+                kernels::apply_swap(&mut self.local, 1, l, g, &[], PAR_THRESHOLD);
                 self.map.swap_slots(l, g);
             } else {
                 assert!(
@@ -602,7 +609,7 @@ fn apply_block_at(slice: &mut [C64], block: &FusedGate, phys: &[usize]) {
         for (v, &off) in offs.iter().enumerate() {
             buf[v] = slice[base | off];
         }
-        block.apply_buffer(&mut buf);
+        block.apply_buffer(&mut buf, 1);
         for (v, &off) in offs.iter().enumerate() {
             slice[base | off] = buf[v];
         }

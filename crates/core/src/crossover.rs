@@ -567,7 +567,7 @@ mod calibrate {
         let seg_entries = seg.incache_entries(seg_n).max(1);
         let mut state = StateVector::uniform_superposition(seg_n);
         let t_cache = time(3, || {
-            seg.apply_slice_with(state.amplitudes_mut(), usize::MAX);
+            seg.apply(state.amplitudes_mut(), 1, usize::MAX);
             std::hint::black_box(state.amplitudes()[1]);
         });
 
@@ -628,7 +628,7 @@ mod calibrate {
             .map(|bb| {
                 let seg = segment_circuit(&probe, bb, &FusionPolicy::Disabled);
                 let t = time(1, || {
-                    seg.apply_slice_with(probe_state.amplitudes_mut(), usize::MAX);
+                    seg.apply(probe_state.amplitudes_mut(), 1, usize::MAX);
                     std::hint::black_box(probe_state.amplitudes()[1]);
                 });
                 (t, bb)

@@ -18,7 +18,8 @@
 //!   contract the state-vector kernels rely on for unsynchronised
 //!   writes.
 //! * **Budget semantics are unchanged**: participants run under a
-//!   thread-count override of `outer / participants`, so nested
+//!   thread-count override of `budget / participants` (the budget being
+//!   the caller's thread count clamped to the pool size), so nested
 //!   parallel calls divide the budget exactly as before, and a
 //!   [`ThreadPool::install`](crate::ThreadPool::install) bound caps how
 //!   many pool workers may join a job. Nested parallel calls *from a
@@ -44,7 +45,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::{current_num_threads, inner_threads, set_thread_count};
@@ -171,17 +172,6 @@ pub fn default_threads() -> usize {
                     .unwrap_or(1)
             })
     })
-}
-
-/// Benchmark baseline switch: when set, every parallel call routes
-/// through the legacy spawn-per-call path instead of the pool, so the
-/// `pool_ablation` harness can measure exactly what the pool buys
-/// end-to-end within one process. Not for production use.
-static SPAWN_PER_CALL: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or unforces) the legacy spawn-per-call dispatch path.
-pub fn force_spawn_per_call(on: bool) {
-    SPAWN_PER_CALL.store(on, Ordering::Relaxed);
 }
 
 /// One parallel job: a type-erased block body plus the atomic range
@@ -440,7 +430,7 @@ pub fn warm_up() {
 /// The legacy dispatch: split `0..len` into `min(outer, len)` contiguous
 /// blocks and run them on `std::thread::scope` threads, paying spawn +
 /// join per call. Retained as the nested-call fallback (a pool worker
-/// cannot block on its own pool) and as the `pool_ablation` baseline.
+/// cannot block on its own pool).
 pub(crate) fn spawn_for_each_block(len: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
     let outer = current_num_threads();
     let workers = outer.min(len.max(1));
@@ -474,7 +464,7 @@ pub(crate) fn run_indexed(len: usize, body: impl Fn(Range<usize>) + Sync) {
         body(0..len);
         return;
     }
-    if SPAWN_PER_CALL.load(Ordering::Relaxed) || in_pool_worker() || default_threads() <= 1 {
+    if in_pool_worker() || default_threads() <= 1 {
         spawn_for_each_block(len, &body);
         return;
     }
@@ -487,7 +477,11 @@ pub(crate) fn run_indexed(len: usize, body: impl Fn(Range<usize>) + Sync) {
 }
 
 fn dispatch(p: &'static Pool, len: usize, outer: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-    let participants = outer.min(p.workers + 1).min(len);
+    // Clamp the budget to pool capacity *before* dividing it: an
+    // `install(4)` on a 2-thread pool has 2 participants, and each must
+    // inherit 2/2 = 1 thread, not 4/2 = 2 (nested calls would oversubscribe).
+    let budget = outer.min(p.workers + 1);
+    let participants = budget.min(len);
     if participants <= 1 {
         body(0..len);
         return;
@@ -501,7 +495,7 @@ fn dispatch(p: &'static Pool, len: usize, outer: usize, body: &(dyn Fn(Range<usi
         chunk: len.div_ceil(CHUNKS_PER_PARTICIPANT * participants).max(1),
         pending: AtomicUsize::new(len),
         helper_slots: AtomicIsize::new(participants as isize - 1),
-        inner_budget: inner_threads(outer, participants),
+        inner_budget: inner_threads(budget, participants),
         panic: Mutex::new(None),
         done_m: Mutex::new(()),
         done_cv: Condvar::new(),

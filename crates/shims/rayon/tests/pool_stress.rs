@@ -207,16 +207,3 @@ fn serial_equivalence_any_thread_count() {
     });
     assert_eq!(total.load(Ordering::Relaxed), serial);
 }
-
-#[test]
-fn forced_spawn_per_call_still_covers_everything() {
-    // The legacy scoped-spawn path stays available as the bench
-    // baseline and the nested-call fallback; it must remain correct.
-    rayon::pool::force_spawn_per_call(true);
-    let count = AtomicUsize::new(0);
-    (0..10_000).into_par_iter().for_each(|_| {
-        count.fetch_add(1, Ordering::Relaxed);
-    });
-    rayon::pool::force_spawn_per_call(false);
-    assert_eq!(count.load(Ordering::Relaxed), 10_000);
-}

@@ -2,51 +2,41 @@
 //!
 //! Production emulation traffic is ensembles — parameter sweeps, shot
 //! batches, many users on one circuit shape — and the per-gate kernels are
-//! bandwidth-bound, so the batch axis is a throughput lever the single-state
-//! drivers cannot reach:
+//! bandwidth-bound, so the batch axis is a throughput lever a single
+//! state cannot reach:
 //!
 //! * **Layout**: [`BatchStateVector`] stores amplitude `i` of member `j` at
-//!   `amps[i·batch + j]` (batch-major per amplitude). Every amplitude index
-//!   is a *contiguous run of `batch` complex numbers*, so the SIMD slice
-//!   primitives ([`simd::butterfly_slices`], [`simd::scale_slice`]) apply at
-//!   **every** qubit position: a gate on qubit 0, which the per-state run
-//!   drivers must execute scalar (run length 1), vectorises across the
-//!   batch dimension whenever `batch ≥ simd::LANES`. Ragged batch sizes are
-//!   fine — the primitives handle arbitrary slice lengths with a scalar
-//!   tail.
+//!   `amps[i·batch + j]` (batch-major per amplitude) — the one layout every
+//!   kernel in [`crate::kernels`] is written for; a single state is its
+//!   `batch = 1` case. Every amplitude index is a *contiguous run of
+//!   `batch` complex numbers*, so the SIMD slice primitives apply at
+//!   **every** qubit position: a gate on qubit 0, which a lone state must
+//!   execute scalar (run length 1), vectorises across the batch dimension
+//!   whenever `batch ≥ simd::LANES`. Ragged batch sizes are fine — the
+//!   primitives handle arbitrary slice lengths with a scalar tail.
 //! * **Amortisation**: one pair enumeration, one rayon dispatch, and one
 //!   fused-block precompute serve all members, so the per-gate fixed costs
 //!   (thread handoff, cycle decomposition, gather bookkeeping) are paid
 //!   once per gate instead of once per gate per member.
 //!
-//! Parallelism follows [`SimConfig::par_threshold`] like the per-state
-//! kernels, but counts the whole ensemble: a batch of 8 small states
-//! crosses the threshold 8× earlier than one of its members would alone.
+//! Parallelism follows [`SimConfig::par_threshold`] and counts the whole
+//! buffer: a batch of 8 small states crosses the threshold 8× earlier than
+//! one of its members would alone.
 //!
-//! The drivers below mirror `crate::kernels` one-to-one (pair / one-bit /
-//! swap enumeration with controls folded into the index space); the fused
-//! batched appliers mirror the blocked kernels. *Dense* blocks run a
-//! batch-major mat-mat product against the composed block unitary
-//! (`out[r·batch+j] = Σ_c M[r,c]·in[c·batch+j]`), so a block fused from
-//! thousands of gates costs one `2^k × 2^k` GEMM per group regardless of
-//! its original depth; *general* blocks (fewer gates than `2^k`) replay
-//! their precompiled `LocalOp`s on the gathered runs instead.
+//! This module is only the container — constructors, the tiled
+//! interleave/de-interleave transposes and accessors. Execution is the
+//! shared kernel drivers at this buffer's `batch`.
 //!
 //! Equivalence with N independent sequential runs (≤1e-12, every gate
 //! class × fusion policy × SIMD/scalar × ragged batch sizes) is pinned by
 //! the `batch_equivalence` suite at the workspace root.
 
 use crate::circuit::Circuit;
-use crate::fusion::{fuse_circuit, FusedCircuit, FusionPolicy, SimConfig};
-use crate::gate::{Gate, GateStructure, Mat2};
-use crate::kernels::{
-    check_fused_qubits, control_layout, expand_index, parallel_ok, scatter_index, LocalOp,
-    StatePtr, PAR_THRESHOLD,
-};
-use crate::segment::SegmentPolicy;
-use crate::statevector::StateVector;
-use qcemu_linalg::{simd, CMatrix, C64};
-use rayon::prelude::*;
+use crate::fusion::{FusedCircuit, SimConfig};
+use crate::gate::Gate;
+use crate::kernels::{apply_gate_batch, PAR_THRESHOLD};
+use crate::statevector::{run_dense, StateVector};
+use qcemu_linalg::C64;
 
 /// Index-tile width for the interleave/de-interleave transposes. A tile of
 /// 512 amplitudes × 16 bytes is 8 KiB per member — small enough that the
@@ -259,36 +249,16 @@ impl BatchStateVector {
         Ok(())
     }
 
-    /// Runs a circuit on every member under an execution configuration —
-    /// the batched twin of [`StateVector::run`]: gate-by-gate through the
-    /// batched structural kernels when fusion is disabled, fused blocked
-    /// sweeps otherwise, cache-blocked segments first when
-    /// [`SegmentPolicy::Blocked`] is set (see [`crate::segment`]). Fusion,
-    /// segmentation, and every other per-gate precompute are paid once
-    /// for the whole ensemble.
+    /// Runs a circuit on every member under an execution configuration,
+    /// through the same dense ladder as [`StateVector::run`] (segments,
+    /// then per-gate or fused sweeps). Fusion, segmentation, and every
+    /// other per-gate precompute are paid once for the whole ensemble.
+    ///
+    /// `config.mps` is **ignored**: there is no batched MPS form, and a
+    /// forced-MPS solo run only ever keeps a truncation-free (i.e. exact)
+    /// result, so the dense answer here agrees with it.
     pub fn run(&mut self, circuit: &Circuit, config: &SimConfig) {
-        assert!(
-            circuit.n_qubits() <= self.n_qubits,
-            "circuit needs {} qubits, state has {}",
-            circuit.n_qubits(),
-            self.n_qubits
-        );
-        if let SegmentPolicy::Blocked { block_bits } = config.segments {
-            let seg = crate::segment::segment_circuit(circuit, block_bits, &config.fusion);
-            seg.apply_batched_with(&mut self.amps, self.batch, config.par_threshold);
-            return;
-        }
-        match config.fusion {
-            FusionPolicy::Disabled => {
-                for gate in circuit.gates() {
-                    apply_gate_batch(&mut self.amps, self.batch, gate, config.par_threshold);
-                }
-            }
-            FusionPolicy::Greedy { .. } => {
-                let fused = fuse_circuit(circuit, &config.fusion);
-                fused.apply_batched_with(&mut self.amps, self.batch, config.par_threshold);
-            }
-        }
+        run_dense(&mut self.amps, self.batch, circuit, config);
     }
 
     /// Applies an already-fused circuit to every member (fusion cost is
@@ -300,7 +270,7 @@ impl BatchStateVector {
             fused.n_qubits(),
             self.n_qubits
         );
-        fused.apply_batched_with(&mut self.amps, self.batch, PAR_THRESHOLD);
+        fused.apply(&mut self.amps, self.batch, PAR_THRESHOLD);
     }
 
     /// `‖ψ_j‖₂` of member `j`.
@@ -322,519 +292,6 @@ impl BatchStateVector {
             .enumerate()
             .map(|(i, &a)| (self.amplitude(i, j) - a).abs())
             .fold(0.0f64, f64::max)
-    }
-}
-
-/// Per-member qubit count of an interleaved buffer, validating the layout.
-#[inline]
-fn batch_bits(len: usize, batch: usize) -> usize {
-    assert!(batch > 0 && len % batch == 0, "buffer not a whole batch");
-    let dim = len / batch;
-    assert!(dim.is_power_of_two(), "per-member length must be 2^n");
-    dim.trailing_zeros() as usize
-}
-
-// --- batched pair / one-bit / swap drivers --------------------------------
-//
-// Mirrors of the `kernels` enumeration: controls fold into the compressed
-// index space, `expand_index` is injective, and each compressed index now
-// owns a contiguous run of `batch` elements per amplitude — so every driver
-// hands out whole runs and there is no scalar fallback tier.
-
-/// Runs `f(lo_run, hi_run)` over the batch runs of every amplitude pair
-/// selected by (`target`, `controls`), on an interleaved buffer.
-fn for_each_pair_batch<F>(
-    state: &mut [C64],
-    batch: usize,
-    target: usize,
-    controls: &[usize],
-    par_threshold: usize,
-    f: F,
-) where
-    F: Fn(&mut [C64], &mut [C64]) + Sync + Send,
-{
-    let n_bits = batch_bits(state.len(), batch);
-    let (positions, cmask) = control_layout(&[target], controls);
-    debug_assert!(positions.len() <= n_bits);
-    let count = 1usize << (n_bits - positions.len());
-    let tbit = 1usize << target;
-    let ptr = StatePtr(state.as_mut_ptr());
-    let body = |k: usize| {
-        let i0 = expand_index(k, &positions) | cmask;
-        // SAFETY: `expand_index` is injective in k and leaves the target
-        // bit clear, so the runs at i0·batch and (i0|tbit)·batch are
-        // pairwise disjoint across the loop and in bounds by construction.
-        unsafe {
-            let p = ptr;
-            let lo = std::slice::from_raw_parts_mut(p.0.add(i0 * batch), batch);
-            let hi = std::slice::from_raw_parts_mut(p.0.add((i0 | tbit) * batch), batch);
-            f(lo, hi);
-        }
-    };
-    if parallel_ok(count.saturating_mul(batch), par_threshold) && count > 1 {
-        (0..count).into_par_iter().for_each(body);
-    } else {
-        (0..count).for_each(body);
-    }
-}
-
-/// Runs `f(run)` over the batch runs of every amplitude whose target bit
-/// is 1 and whose control bits are all 1.
-fn for_each_one_batch<F>(
-    state: &mut [C64],
-    batch: usize,
-    target: usize,
-    controls: &[usize],
-    par_threshold: usize,
-    f: F,
-) where
-    F: Fn(&mut [C64]) + Sync + Send,
-{
-    let n_bits = batch_bits(state.len(), batch);
-    let (positions, cmask) = control_layout(&[target], controls);
-    let count = 1usize << (n_bits - positions.len());
-    let tbit = 1usize << target;
-    let ptr = StatePtr(state.as_mut_ptr());
-    let body = |k: usize| {
-        let i = expand_index(k, &positions) | cmask | tbit;
-        // SAFETY: injective expansion ⇒ disjoint runs (see module doc).
-        unsafe {
-            let p = ptr;
-            f(std::slice::from_raw_parts_mut(p.0.add(i * batch), batch));
-        }
-    };
-    if parallel_ok(count.saturating_mul(batch), par_threshold) && count > 1 {
-        (0..count).into_par_iter().for_each(body);
-    } else {
-        (0..count).for_each(body);
-    }
-}
-
-/// General (controlled) single-qubit unitary on every member: one
-/// butterfly per pair run, vectorised across the batch dimension at any
-/// qubit position.
-pub fn apply_general_batch(
-    state: &mut [C64],
-    batch: usize,
-    target: usize,
-    controls: &[usize],
-    m: &Mat2,
-    par_threshold: usize,
-) {
-    let m = *m;
-    for_each_pair_batch(
-        state,
-        batch,
-        target,
-        controls,
-        par_threshold,
-        move |lo, hi| simd::butterfly_slices(lo, hi, &m),
-    );
-}
-
-/// Diagonal (controlled) gate `diag(d0, d1)` on every member; `d0 = 1`
-/// keeps the quarter-touch access pattern of the per-state kernel.
-pub fn apply_diagonal_batch(
-    state: &mut [C64],
-    batch: usize,
-    target: usize,
-    controls: &[usize],
-    d0: C64,
-    d1: C64,
-    par_threshold: usize,
-) {
-    if d0 == C64::ONE {
-        if d1 == C64::ONE {
-            return; // identity
-        }
-        for_each_one_batch(state, batch, target, controls, par_threshold, move |xs| {
-            simd::scale_slice(xs, d1)
-        });
-    } else {
-        for_each_pair_batch(
-            state,
-            batch,
-            target,
-            controls,
-            par_threshold,
-            move |lo, hi| {
-                simd::scale_slice(lo, d0);
-                simd::scale_slice(hi, d1);
-            },
-        );
-    }
-}
-
-/// (Controlled) X on every member: swaps pair runs, no arithmetic.
-pub fn apply_perm_x_batch(
-    state: &mut [C64],
-    batch: usize,
-    target: usize,
-    controls: &[usize],
-    par_threshold: usize,
-) {
-    for_each_pair_batch(state, batch, target, controls, par_threshold, |lo, hi| {
-        simd::swap_slices(lo, hi)
-    });
-}
-
-/// (Controlled) SWAP of qubits `qa`/`qb` on every member.
-pub fn apply_swap_batch(
-    state: &mut [C64],
-    batch: usize,
-    qa: usize,
-    qb: usize,
-    controls: &[usize],
-    par_threshold: usize,
-) {
-    let n_bits = batch_bits(state.len(), batch);
-    let (positions, cmask) = control_layout(&[qa, qb], controls);
-    let count = 1usize << (n_bits - positions.len());
-    let abit = 1usize << qa;
-    let bbit = 1usize << qb;
-    let ptr = StatePtr(state.as_mut_ptr());
-    let body = |k: usize| {
-        let base = expand_index(k, &positions) | cmask;
-        // SAFETY: injective expansion and a ≠ b ⇒ the two runs are
-        // disjoint from each other and across k, in bounds by construction.
-        unsafe {
-            let p = ptr;
-            let lo = std::slice::from_raw_parts_mut(p.0.add((base | abit) * batch), batch);
-            let hi = std::slice::from_raw_parts_mut(p.0.add((base | bbit) * batch), batch);
-            simd::swap_slices(lo, hi);
-        }
-    };
-    if parallel_ok(count.saturating_mul(batch), par_threshold) && count > 1 {
-        (0..count).into_par_iter().for_each(body);
-    } else {
-        (0..count).for_each(body);
-    }
-}
-
-/// Applies one [`Gate`] to every member of an interleaved buffer,
-/// dispatching on structure — the batched twin of
-/// [`crate::kernels::apply_gate_slice_with`].
-pub fn apply_gate_batch(state: &mut [C64], batch: usize, gate: &Gate, par_threshold: usize) {
-    match gate {
-        Gate::Unary {
-            op,
-            target,
-            controls,
-        } => match op.structure() {
-            GateStructure::Diagonal(d0, d1) => {
-                apply_diagonal_batch(state, batch, *target, controls, d0, d1, par_threshold)
-            }
-            GateStructure::PermutationX => {
-                apply_perm_x_batch(state, batch, *target, controls, par_threshold)
-            }
-            GateStructure::General(m) => {
-                apply_general_batch(state, batch, *target, controls, &m, par_threshold)
-            }
-        },
-        Gate::Swap { a, b, controls } => {
-            apply_swap_batch(state, batch, *a, *b, controls, par_threshold)
-        }
-    }
-}
-
-// --- batched fused (blocked) kernels --------------------------------------
-
-/// Group enumeration over an interleaved buffer: `f(ptr, base)` runs for
-/// every group base (amplitude index with the block's qubit bits clear).
-/// Parallelism counts the whole ensemble buffer against the threshold.
-fn for_each_group_batch<F>(
-    state: &mut [C64],
-    batch: usize,
-    qubits: &[usize],
-    par_threshold: usize,
-    f: F,
-) where
-    F: Fn(StatePtr, usize) + Sync + Send,
-{
-    let n_bits = batch_bits(state.len(), batch);
-    check_fused_qubits(n_bits, qubits);
-    let count = 1usize << (n_bits - qubits.len());
-    let ptr = StatePtr(state.as_mut_ptr());
-    if state.len() >= par_threshold && count > 1 && rayon::current_num_threads() > 1 {
-        // SAFETY: injective group expansion; `f` only touches runs at
-        // `(base | off)·batch` with `off` confined to the block's qubit
-        // bits, so distinct groups own disjoint buffer ranges.
-        (0..count)
-            .into_par_iter()
-            .for_each(|g| f(ptr, expand_index(g, qubits)));
-    } else {
-        for g in 0..count {
-            f(ptr, expand_index(g, qubits));
-        }
-    }
-}
-
-/// Fused **diagonal** block on every member: scales only the batch runs
-/// whose local factor differs from 1 — the batched twin of
-/// [`crate::kernels::apply_fused_diagonal_with`].
-pub fn apply_fused_diagonal_batch(
-    state: &mut [C64],
-    batch: usize,
-    qubits: &[usize],
-    factors: &[C64],
-    par_threshold: usize,
-) {
-    let dim = 1usize << qubits.len();
-    assert_eq!(factors.len(), dim, "diagonal block needs 2^k factors");
-    let touched: Vec<(usize, C64)> = factors
-        .iter()
-        .enumerate()
-        .filter(|&(_, &f)| f != C64::ONE)
-        .map(|(v, &f)| (scatter_index(v, qubits), f))
-        .collect();
-    if touched.is_empty() {
-        return; // identity block
-    }
-    for_each_group_batch(state, batch, qubits, par_threshold, |p, base| {
-        // SAFETY: disjoint groups as in `for_each_group_batch`.
-        unsafe {
-            for &(off, f) in &touched {
-                let run = std::slice::from_raw_parts_mut(p.0.add((base | off) * batch), batch);
-                simd::scale_slice(run, f);
-            }
-        }
-    });
-}
-
-/// Fused **monomial** (permutation-with-phases) block on every member.
-///
-/// The per-state kernel walks each cycle backwards with one saved
-/// amplitude; a saved *run* would need per-group scratch, so the batched
-/// walk instead rotates the runs in place with `cycle_len − 1` pairwise
-/// run swaps and then applies the phase factors in a second pass over the
-/// moved runs — still allocation-free in the group loop.
-pub fn apply_fused_permutation_batch(
-    state: &mut [C64],
-    batch: usize,
-    qubits: &[usize],
-    target: &[usize],
-    factor: &[C64],
-    par_threshold: usize,
-) {
-    let dim = 1usize << qubits.len();
-    assert_eq!(target.len(), dim, "permutation block needs 2^k targets");
-    assert_eq!(factor.len(), dim, "permutation block needs 2^k factors");
-
-    // Cycle decomposition over the non-identity support, precomputed once
-    // for the whole ensemble (same scheme as the per-state kernel).
-    let mut cycles: Vec<Vec<(usize, C64)>> = Vec::new();
-    let mut seen = vec![false; dim];
-    for start in 0..dim {
-        if seen[start] {
-            continue;
-        }
-        let mut cyc = Vec::new();
-        let mut v = start;
-        loop {
-            seen[v] = true;
-            cyc.push(v);
-            v = target[v];
-            assert!(v < dim, "permutation target {v} out of range");
-            if v == start {
-                break;
-            }
-            assert!(!seen[v], "targets do not form a permutation");
-        }
-        if cyc.len() == 1 && factor[start] == C64::ONE {
-            continue; // untouched fixed point
-        }
-        cycles.push(
-            cyc.into_iter()
-                .map(|v| (scatter_index(v, qubits), factor[v]))
-                .collect(),
-        );
-    }
-    if cycles.is_empty() {
-        return; // identity block
-    }
-
-    for_each_group_batch(state, batch, qubits, par_threshold, |p, base| {
-        // SAFETY: disjoint groups; within a group all runs live at
-        // `(base | off)·batch` with distinct offsets along each cycle.
-        unsafe {
-            for cyc in &cycles {
-                let run = |off: usize| {
-                    std::slice::from_raw_parts_mut(p.0.add((base | off) * batch), batch)
-                };
-                let last = cyc.len() - 1;
-                // Rotate: after the backwards swaps, run(cyc[i]) holds the
-                // old run(cyc[i−1]) for i ≥ 1 and run(cyc[0]) the old last.
-                for i in (1..=last).rev() {
-                    simd::swap_slices(run(cyc[i].0), run(cyc[i - 1].0));
-                }
-                // Phases: new[target[v]] = factor[v]·old[v].
-                for i in (1..=last).rev() {
-                    let f = cyc[i - 1].1;
-                    if f != C64::ONE {
-                        simd::scale_slice(run(cyc[i].0), f);
-                    }
-                }
-                if cyc[last].1 != C64::ONE {
-                    simd::scale_slice(run(cyc[0].0), cyc[last].1);
-                }
-            }
-        }
-    });
-}
-
-/// Fused general/dense block on every member: gathers each group's
-/// `2^k` batch runs into a worker-local scratch buffer, replays the
-/// block's precompiled `LocalOp`s on it (batched, in cache), and
-/// scatters back. Workers allocate their `2^k·batch` scratch **once**
-/// and sweep a contiguous range of groups, so the hot loop is
-/// allocation-free.
-pub(crate) fn apply_fused_local_batch(
-    state: &mut [C64],
-    batch: usize,
-    qubits: &[usize],
-    ops: &[LocalOp],
-    par_threshold: usize,
-) {
-    let n_bits = batch_bits(state.len(), batch);
-    check_fused_qubits(n_bits, qubits);
-    let dim = 1usize << qubits.len();
-    let offs: Vec<usize> = (0..dim).map(|v| scatter_index(v, qubits)).collect();
-    let count = 1usize << (n_bits - qubits.len());
-    let parallel = state.len() >= par_threshold && count > 1 && rayon::current_num_threads() > 1;
-    let workers = if parallel {
-        rayon::current_num_threads().min(count)
-    } else {
-        1
-    };
-    let chunk = count.div_ceil(workers);
-    let ptr = StatePtr(state.as_mut_ptr());
-    let body = |w: usize| {
-        let mut scratch = vec![C64::ZERO; dim * batch];
-        for g in (w * chunk)..((w + 1) * chunk).min(count) {
-            let base = expand_index(g, qubits);
-            // SAFETY: disjoint groups (injective expansion, offsets
-            // confined to the block's qubit bits); scratch is worker-local.
-            unsafe {
-                let p = ptr;
-                for (v, &off) in offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        p.0.add((base | off) * batch) as *const C64,
-                        scratch.as_mut_ptr().add(v * batch),
-                        batch,
-                    );
-                }
-                for op in ops {
-                    op.apply_batch(&mut scratch, batch);
-                }
-                for (v, &off) in offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        scratch.as_ptr().add(v * batch),
-                        p.0.add((base | off) * batch),
-                        batch,
-                    );
-                }
-            }
-        }
-    };
-    if parallel {
-        (0..workers).into_par_iter().for_each(body);
-    } else {
-        body(0);
-    }
-}
-
-/// Fused **dense** block on every member: gathers each group's `2^k`
-/// batch runs and multiplies them through the block's composed unitary
-/// batch-major — `out[r·batch+j] = Σ_c M[r,c]·in[c·batch+j]`, a
-/// `(2^k × 2^k) × (2^k × batch)` mat-mat product whose inner loop runs
-/// along the contiguous batch axis. This is the batched twin of the
-/// per-state dense mat-vec: cost per group is `4^k·batch` multiply-adds
-/// *independent of the block's original gate depth*, where replaying the
-/// `LocalOp` list (as [`apply_fused_local_batch`] does) scales with every
-/// fused gate. Zero matrix entries are skipped, so block-sparse unitaries
-/// (e.g. controlled sub-blocks) pay only their live columns. Workers
-/// allocate gather + accumulator scratch once and sweep contiguous group
-/// ranges, keeping the hot loop allocation-free.
-pub(crate) fn apply_fused_dense_batch(
-    state: &mut [C64],
-    batch: usize,
-    qubits: &[usize],
-    matrix: &CMatrix,
-    par_threshold: usize,
-) {
-    let n_bits = batch_bits(state.len(), batch);
-    check_fused_qubits(n_bits, qubits);
-    let dim = 1usize << qubits.len();
-    assert_eq!(matrix.nrows(), dim, "dense block needs a 2^k x 2^k unitary");
-    let offs: Vec<usize> = (0..dim).map(|v| scatter_index(v, qubits)).collect();
-    let count = 1usize << (n_bits - qubits.len());
-    let parallel = state.len() >= par_threshold && count > 1 && rayon::current_num_threads() > 1;
-    let workers = if parallel {
-        rayon::current_num_threads().min(count)
-    } else {
-        1
-    };
-    let chunk = count.div_ceil(workers);
-    let ptr = StatePtr(state.as_mut_ptr());
-    let body = |w: usize| {
-        let mut gathered = vec![C64::ZERO; dim * batch];
-        let mut out = vec![C64::ZERO; dim * batch];
-        for g in (w * chunk)..((w + 1) * chunk).min(count) {
-            let base = expand_index(g, qubits);
-            // SAFETY: disjoint groups (injective expansion, offsets
-            // confined to the block's qubit bits); scratch is worker-local.
-            unsafe {
-                let p = ptr;
-                for (v, &off) in offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        p.0.add((base | off) * batch) as *const C64,
-                        gathered.as_mut_ptr().add(v * batch),
-                        batch,
-                    );
-                }
-                dense_mat_runs(matrix, dim, &gathered, &mut out, batch);
-                for (v, &off) in offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        out.as_ptr().add(v * batch),
-                        p.0.add((base | off) * batch),
-                        batch,
-                    );
-                }
-            }
-        }
-    };
-    if parallel {
-        (0..workers).into_par_iter().for_each(body);
-    } else {
-        body(0);
-    }
-}
-
-/// The batch-major mat-mat core shared by [`apply_fused_dense_batch`] and
-/// [`crate::fusion::FusedGate::apply_buffer_batch`]:
-/// `out[r·batch+j] = Σ_c M[r,c]·input[c·batch+j]`. Accumulates column by
-/// column (axpy along the contiguous batch runs, auto-vectorised),
-/// skipping zero entries.
-pub(crate) fn dense_mat_runs(
-    matrix: &CMatrix,
-    dim: usize,
-    input: &[C64],
-    out: &mut [C64],
-    batch: usize,
-) {
-    out.fill(C64::ZERO);
-    for col in 0..dim {
-        let src = &input[col * batch..(col + 1) * batch];
-        for row in 0..dim {
-            let m = matrix[(row, col)];
-            if m == C64::ZERO {
-                continue;
-            }
-            let dst = &mut out[row * batch..(row + 1) * batch];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += m * s;
-            }
-        }
     }
 }
 

@@ -40,13 +40,13 @@
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 use crate::kernels::{
-    apply_fused_diagonal_with, apply_fused_local, apply_fused_permutation_with, apply_fused_with,
-    apply_gate_slice_with, fused_touched_entries, touched_entries, LocalOp, MAX_FUSED_QUBITS,
+    apply_fused, apply_fused_diagonal, apply_fused_local, apply_fused_permutation,
+    apply_gate_batch, fused_touched_entries, touched_entries, LocalOp, MAX_FUSED_QUBITS,
     PAR_THRESHOLD,
 };
 use crate::mps::MpsPolicy;
 use crate::segment::SegmentPolicy;
-use qcemu_linalg::{simd, CMatrix, C64};
+use qcemu_linalg::{CMatrix, C64};
 
 /// Default fusion window: 4 qubits (16-amplitude groups) balances sweep
 /// reduction against gather/scatter overhead on current cache hierarchies;
@@ -104,11 +104,12 @@ pub struct SimConfig {
     /// pass and only the leftover runs go through `fusion` (see
     /// [`crate::segment`]).
     pub segments: SegmentPolicy,
-    /// State size (in amplitudes) from which kernels parallelise —
-    /// defaults to [`PAR_THRESHOLD`]. Overridable so calibration
-    /// harnesses can sweep the handoff point on the host instead of
-    /// trusting the hard-coded constant; respected by the per-gate *and*
-    /// fused drivers.
+    /// Buffer length (amplitudes × batch members; one state's dimension
+    /// when solo) from which kernels parallelise — defaults to
+    /// [`PAR_THRESHOLD`]. Overridable so calibration harnesses can sweep
+    /// the handoff point on the host instead of trusting the hard-coded
+    /// constant; every driver (per-gate, fused, segmented) compares the
+    /// same quantity against it.
     pub par_threshold: usize,
     /// Compressed (MPS) execution policy: whether the planner may (or
     /// must) run gate-level ops in bond-truncated matrix-product form,
@@ -253,7 +254,7 @@ impl FusedGate {
             let mut col = vec![C64::ZERO; dim];
             col[v] = C64::ONE;
             for op in &local_ops {
-                op.apply(&mut col);
+                op.apply(&mut col, 1);
             }
             for (r, &e) in col.iter().enumerate() {
                 matrix[(r, v)] = e;
@@ -295,212 +296,59 @@ impl FusedGate {
         }
     }
 
-    /// Applies the block to a raw state slice in one blocked pass,
-    /// dispatching on [`FusedGate::structure`].
-    pub fn apply_slice(&self, state: &mut [C64]) {
-        self.apply_slice_with(state, PAR_THRESHOLD)
-    }
-
-    /// [`FusedGate::apply_slice`] with an explicit parallelism threshold
-    /// (see [`SimConfig::par_threshold`]).
-    pub fn apply_slice_with(&self, state: &mut [C64], par_threshold: usize) {
-        match &self.kind {
-            BlockKind::Diagonal { factors } => {
-                apply_fused_diagonal_with(state, &self.qubits, factors, par_threshold)
-            }
-            BlockKind::Permutation { target, factor } => {
-                apply_fused_permutation_with(state, &self.qubits, target, factor, par_threshold)
-            }
-            BlockKind::General => {
-                apply_fused_local(state, &self.qubits, &self.local_ops, par_threshold)
-            }
-            BlockKind::Dense => apply_fused_with(state, &self.qubits, &self.matrix, par_threshold),
-        }
+    /// Applies the block to every member of a batch-major buffer
+    /// (amplitude `i` of member `j` at `state[i·batch + j]`; a single
+    /// state is `batch = 1`) in one blocked pass, dispatching on
+    /// [`FusedGate::structure`]:
+    ///
+    /// * diagonal blocks scale only the non-unit runs;
+    /// * permutation blocks move runs along the cycles;
+    /// * dense blocks gather each group and multiply it through the
+    ///   composed unitary, so a block fused from thousands of gates costs
+    ///   one `2^k × 2^k` product per group regardless of its depth;
+    /// * general blocks (fewer gates than `2^k`) gather and replay the
+    ///   precompiled ops — cheaper than the product at their depth.
+    pub fn apply(&self, state: &mut [C64], batch: usize, par_threshold: usize) {
+        self.apply_at(state, batch, &self.qubits, par_threshold)
     }
 
     /// Applies the block to **one gathered group buffer** of `2^k`
-    /// amplitudes, where local bit `j` of the buffer index is block qubit
-    /// `qubits[j]`. This is the block's action with the state-sweep
-    /// factored out: callers that own their own gather/scatter loop — the
-    /// distributed executor applying blocks to node-local slices at
-    /// remapped (possibly non-ascending) physical positions — drive this
-    /// per group instead of [`FusedGate::apply_slice`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != 2^k`.
-    pub fn apply_buffer(&self, buf: &mut [C64]) {
-        let dim = 1usize << self.qubits.len();
-        assert_eq!(buf.len(), dim, "group buffer must hold 2^k amplitudes");
-        match &self.kind {
-            BlockKind::Diagonal { factors } => {
-                for (z, &f) in buf.iter_mut().zip(factors.iter()) {
-                    *z *= f;
-                }
-            }
-            BlockKind::Permutation { target, factor } => {
-                // Stack scratch: callers invoke this once per amplitude
-                // group, so a heap Vec here would allocate in the hot
-                // loop (dim ≤ 2^MAX_FUSED_QUBITS is guaranteed above).
-                let mut old = [C64::ZERO; 1 << MAX_FUSED_QUBITS];
-                old[..dim].copy_from_slice(buf);
-                for (v, (&t, &f)) in target.iter().zip(factor.iter()).enumerate() {
-                    buf[t] = f * old[v];
-                }
-            }
-            BlockKind::General => {
-                for op in &self.local_ops {
-                    op.apply(buf);
-                }
-            }
-            BlockKind::Dense => {
-                let mut out = [C64::ZERO; 1 << MAX_FUSED_QUBITS];
-                for (r, slot) in out[..dim].iter_mut().enumerate() {
-                    *slot = simd::cdot(self.matrix.row(r), buf);
-                }
-                buf.copy_from_slice(&out[..dim]);
-            }
-        }
-    }
-
-    /// Applies the block to every member of a batch-major interleaved
-    /// buffer (amplitude `i` of member `j` at `state[i·batch + j]`, see
-    /// [`crate::batch`]) in one blocked pass, dispatching on structure
-    /// like [`FusedGate::apply_slice_with`]:
-    ///
-    /// * diagonal blocks scale only the non-unit batch runs;
-    /// * permutation blocks rotate batch runs along the cycles in place;
-    /// * dense blocks gather each group and run a batch-major mat-mat
-    ///   product against the composed unitary, so a block fused from
-    ///   thousands of gates costs one `2^k × 2^k` GEMM per group
-    ///   regardless of its original depth;
-    /// * general blocks (fewer gates than `2^k`) gather and replay the
-    ///   precompiled ops batched — cheaper than the GEMM at their depth.
-    pub fn apply_batched_with(&self, state: &mut [C64], batch: usize, par_threshold: usize) {
-        match &self.kind {
-            BlockKind::Diagonal { factors } => crate::batch::apply_fused_diagonal_batch(
-                state,
-                batch,
-                &self.qubits,
-                factors,
-                par_threshold,
-            ),
-            BlockKind::Permutation { target, factor } => {
-                crate::batch::apply_fused_permutation_batch(
-                    state,
-                    batch,
-                    &self.qubits,
-                    target,
-                    factor,
-                    par_threshold,
-                )
-            }
-            BlockKind::Dense => crate::batch::apply_fused_dense_batch(
-                state,
-                batch,
-                &self.qubits,
-                &self.matrix,
-                par_threshold,
-            ),
-            BlockKind::General => crate::batch::apply_fused_local_batch(
-                state,
-                batch,
-                &self.qubits,
-                &self.local_ops,
-                par_threshold,
-            ),
-        }
-    }
-
-    /// [`FusedGate::apply_batched_with`] at the default threshold.
-    pub fn apply_batched(&self, state: &mut [C64], batch: usize) {
-        self.apply_batched_with(state, batch, PAR_THRESHOLD)
-    }
-
-    /// Batched twin of [`FusedGate::apply_buffer`]: one gathered group of
-    /// `2^k` amplitudes for `batch` members, interleaved batch-major
-    /// (local index `v` of member `j` at `buf[v·batch + j]`). Permutation
-    /// blocks rotate the runs in place (no scratch — the buffer size is
-    /// `2^k·batch`, too large for the stack copy `apply_buffer` uses);
-    /// dense blocks run the batch-major mat-mat product against the
-    /// composed unitary and general blocks replay their ops, as in
-    /// [`FusedGate::apply_batched_with`].
+    /// amplitudes per member (batch-major: local index `v` of member `j`
+    /// at `buf[v·batch + j]`), where local bit `j` of the index is block
+    /// qubit `qubits[j]`. This is the block's action with the state-sweep
+    /// factored out — the block relocated onto qubits `0..k` of a
+    /// `k`-qubit state: callers that own their own gather/scatter loop
+    /// (the distributed executor applying blocks to node-local slices at
+    /// remapped, possibly non-ascending physical positions) drive this
+    /// per group instead of [`FusedGate::apply`].
     ///
     /// # Panics
     ///
     /// Panics if `buf.len() != 2^k · batch`.
-    pub fn apply_buffer_batch(&self, buf: &mut [C64], batch: usize) {
-        let dim = 1usize << self.qubits.len();
+    pub fn apply_buffer(&self, buf: &mut [C64], batch: usize) {
+        const LOCAL: [usize; MAX_FUSED_QUBITS] = [0, 1, 2, 3, 4, 5];
+        let k = self.qubits.len();
         assert_eq!(
             buf.len(),
-            dim * batch,
+            batch << k,
             "group buffer must hold 2^k·batch amplitudes"
         );
+        self.apply_at(buf, batch, &LOCAL[..k], usize::MAX)
+    }
+
+    /// The block's action with its local bits placed on `qubits`.
+    fn apply_at(&self, state: &mut [C64], batch: usize, qubits: &[usize], par_threshold: usize) {
         match &self.kind {
             BlockKind::Diagonal { factors } => {
-                for (v, &f) in factors.iter().enumerate() {
-                    if f != C64::ONE {
-                        simd::scale_slice(&mut buf[v * batch..(v + 1) * batch], f);
-                    }
-                }
+                apply_fused_diagonal(state, batch, qubits, factors, par_threshold)
             }
             BlockKind::Permutation { target, factor } => {
-                // In-place cycle walk (dim ≤ 64, so a u64 bitmask tracks
-                // visited indices): rotate the cycle's runs with pairwise
-                // swaps, then apply the phases to the moved runs.
-                let mut seen = 0u64;
-                let mut cyc = [0usize; 1 << MAX_FUSED_QUBITS];
-                for start in 0..dim {
-                    if seen >> start & 1 == 1 {
-                        continue;
-                    }
-                    let mut len = 0;
-                    let mut v = start;
-                    loop {
-                        seen |= 1 << v;
-                        cyc[len] = v;
-                        len += 1;
-                        v = target[v];
-                        if v == start {
-                            break;
-                        }
-                    }
-                    if len == 1 {
-                        if factor[start] != C64::ONE {
-                            simd::scale_slice(
-                                &mut buf[start * batch..(start + 1) * batch],
-                                factor[start],
-                            );
-                        }
-                        continue;
-                    }
-                    for i in (1..len).rev() {
-                        let (a, b) = crate::kernels::run_pair_mut(buf, cyc[i], cyc[i - 1], batch);
-                        simd::swap_slices(a, b);
-                    }
-                    // new[target[v]] = factor[v]·old[v]: run(cyc[i]) now
-                    // holds old cyc[i−1], run(cyc[0]) holds the old last.
-                    for i in (1..len).rev() {
-                        let f = factor[cyc[i - 1]];
-                        if f != C64::ONE {
-                            simd::scale_slice(&mut buf[cyc[i] * batch..(cyc[i] + 1) * batch], f);
-                        }
-                    }
-                    let f = factor[cyc[len - 1]];
-                    if f != C64::ONE {
-                        simd::scale_slice(&mut buf[cyc[0] * batch..(cyc[0] + 1) * batch], f);
-                    }
-                }
-            }
-            BlockKind::Dense => {
-                let gathered = buf.to_vec();
-                crate::batch::dense_mat_runs(&self.matrix, dim, &gathered, buf, batch);
+                apply_fused_permutation(state, batch, qubits, target, factor, par_threshold)
             }
             BlockKind::General => {
-                for op in &self.local_ops {
-                    op.apply_batch(buf, batch);
-                }
+                apply_fused_local(state, batch, qubits, &self.local_ops, par_threshold)
             }
+            BlockKind::Dense => apply_fused(state, batch, qubits, &self.matrix, par_threshold),
         }
     }
 
@@ -634,39 +482,17 @@ impl FusedCircuit {
         &self.ops
     }
 
-    /// Applies every op to a raw state slice.
-    pub fn apply_slice(&self, state: &mut [C64]) {
-        self.apply_slice_with(state, PAR_THRESHOLD)
-    }
-
-    /// [`FusedCircuit::apply_slice`] with an explicit parallelism
-    /// threshold (see [`SimConfig::par_threshold`]).
-    pub fn apply_slice_with(&self, state: &mut [C64], par_threshold: usize) {
+    /// Applies every op to all members of a batch-major buffer (a single
+    /// state is `batch = 1`): single gates go through the structural
+    /// kernels, blocks through [`FusedGate::apply`]. Fusion cost was paid
+    /// once; this pass pays one sweep per op for the whole ensemble.
+    pub fn apply(&self, state: &mut [C64], batch: usize, par_threshold: usize) {
         for op in &self.ops {
             match op {
-                FusedOp::Gate(g) => apply_gate_slice_with(state, g, par_threshold),
-                FusedOp::Block(b) => b.apply_slice_with(state, par_threshold),
+                FusedOp::Gate(g) => apply_gate_batch(state, batch, g, par_threshold),
+                FusedOp::Block(b) => b.apply(state, batch, par_threshold),
             }
         }
-    }
-
-    /// Applies every op to all members of a batch-major interleaved
-    /// buffer (see [`crate::batch`]): single gates go through the batched
-    /// structural kernels, blocks through
-    /// [`FusedGate::apply_batched_with`]. Fusion cost was paid once; this
-    /// pass pays one sweep per op for the whole ensemble.
-    pub fn apply_batched_with(&self, state: &mut [C64], batch: usize, par_threshold: usize) {
-        for op in &self.ops {
-            match op {
-                FusedOp::Gate(g) => crate::batch::apply_gate_batch(state, batch, g, par_threshold),
-                FusedOp::Block(b) => b.apply_batched_with(state, batch, par_threshold),
-            }
-        }
-    }
-
-    /// [`FusedCircuit::apply_batched_with`] at the default threshold.
-    pub fn apply_batched(&self, state: &mut [C64], batch: usize) {
-        self.apply_batched_with(state, batch, PAR_THRESHOLD)
     }
 
     /// Total state-vector entries written by one execution on an
@@ -874,7 +700,7 @@ mod tests {
             },
         );
         let mut blocked = input;
-        fused.apply_slice(&mut blocked);
+        fused.apply(&mut blocked, 1, PAR_THRESHOLD);
         assert!(
             max_abs_diff(&plain, &blocked) < 1e-12,
             "fused(k={kmax}) diverges on {} gates: {}",
@@ -1024,8 +850,9 @@ mod tests {
     #[test]
     fn apply_buffer_matches_apply_slice_per_group() {
         // For a block on qubits 0..k of a 2^k state, one "group" is the
-        // whole state: apply_buffer must reproduce apply_slice for every
-        // structural class (diagonal, permutation, general, dense).
+        // whole state: apply_buffer must reproduce gate-by-gate
+        // application for every structural class (diagonal, permutation,
+        // general, dense), solo and on a batch-major group buffer.
         let blocks: Vec<Circuit> = vec![
             {
                 let mut c = Circuit::new(3);
@@ -1060,15 +887,19 @@ mod tests {
                 panic!("expected a block");
             };
             let mut rng = StdRng::seed_from_u64(760 + i as u64);
-            let input = random_state(1usize << c.n_qubits(), &mut rng);
-            let mut via_buffer = input.clone();
-            b.apply_buffer(&mut via_buffer);
-            let mut via_slice = input;
-            b.apply_slice(&mut via_slice);
-            assert!(
-                max_abs_diff(&via_buffer, &via_slice) < 1e-13,
-                "block {i}: buffer/slice mismatch"
-            );
+            for batch in [1usize, 3] {
+                let input = random_state(batch << c.n_qubits(), &mut rng);
+                let mut via_buffer = input.clone();
+                b.apply_buffer(&mut via_buffer, batch);
+                let mut via_gates = input;
+                for g in c.gates() {
+                    apply_gate_batch(&mut via_gates, batch, g, PAR_THRESHOLD);
+                }
+                assert!(
+                    max_abs_diff(&via_buffer, &via_gates) < 1e-13,
+                    "block {i}, batch {batch}: buffer/gate mismatch"
+                );
+            }
         }
     }
 

@@ -23,59 +23,91 @@
 //! so memory traffic is paid once per block instead of once per gate (the
 //! qHiPSTER-style optimisation layered on the paper's §4.5 kernels).
 //!
-//! All kernels operate on raw `&mut [C64]` slices so that the distributed
-//! simulator (`qcemu-cluster`) can run them unchanged on node-local slabs.
+//! ## One layout
+//!
+//! Every kernel takes `(state, batch, …)`: a **batch-major buffer** of
+//! `batch` state vectors, amplitude `i` of member `j` at
+//! `state[i·batch + j]`. A single state is the `batch = 1` buffer — the
+//! plain amplitude vector — so [`StateVector`](crate::StateVector),
+//! [`BatchStateVector`](crate::BatchStateVector) and the distributed
+//! simulator's node-local slabs (`qcemu-cluster`) all run the same code.
 //!
 //! ## Vectorisation
 //!
-//! The arithmetic kernels (butterfly, diagonal sweep, fused dense
-//! product) run on the complex-SIMD primitives of
-//! [`qcemu_linalg::simd`] whenever their index space decomposes into
-//! contiguous runs of at least [`simd::LANES`]
-//! amplitude (pairs): with the lowest gate qubit at position `p`, both
-//! halves of every pair group are contiguous runs of `2^p` amplitudes, so
-//! any gate whose target *and* controls all sit at qubit `≥ log2(LANES)`
-//! takes the vector path. Gates on the lowest qubits (runs shorter than a
-//! vector) keep the per-pair scalar path. The primitives themselves
-//! dispatch at runtime (AVX2+FMA under the `simd` cargo feature, scalar
-//! everywhere else), so this module is layout- and feature-agnostic.
+//! With the lowest gate qubit (target or control) at position `p`, the
+//! selected index set decomposes into contiguous runs of `batch · 2^p`
+//! buffer elements, and the drivers ([`for_each_pair_run`],
+//! [`for_each_one_run`]) hand out whole runs as slices — the shape the
+//! complex-SIMD primitives of [`qcemu_linalg::simd`] consume. Runs shorter
+//! than [`simd::LANES`] (a single state with the gate on its lowest
+//! qubits) take an inline scalar loop instead of the SIMD dispatch. The
+//! primitives themselves dispatch at runtime (AVX2+FMA under the `simd`
+//! cargo feature, scalar everywhere else), so this module is
+//! feature-agnostic.
 
 use crate::gate::{Gate, GateStructure, Mat2};
 use qcemu_linalg::{simd, CMatrix, C64};
 use rayon::prelude::*;
 
-/// Default state size below which kernels run serially: thread handoff
-/// would dominate. Overridable per execution via
-/// [`SimConfig::par_threshold`](crate::SimConfig) — the `_with` kernel
-/// variants thread the override through; the plain entry points use this
-/// constant.
+/// Default **buffer length** (`2^n · batch` amplitudes — one state's
+/// dimension when `batch = 1`) below which kernels run serially: thread
+/// handoff would dominate. Every driver — per-gate, fused, segmented —
+/// compares the length of the buffer it sweeps against this, not the
+/// fraction of it a gate's controls select (only a sweep selecting under
+/// 1/64 of the threshold stays serial regardless). Overridable per
+/// execution via [`SimConfig::par_threshold`](crate::SimConfig).
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
-/// `true` when a kernel over `count` independent tasks should go parallel.
+/// `true` when a sweep over a `len`-element buffer should go parallel.
 #[inline]
-pub(crate) fn parallel_ok(count: usize, par_threshold: usize) -> bool {
-    count >= par_threshold && rayon::current_num_threads() > 1
+pub(crate) fn parallel_ok(len: usize, par_threshold: usize) -> bool {
+    len >= par_threshold && rayon::current_num_threads() > 1
 }
 
-/// Widest block the fused kernels accept. The gather/scatter buffers are
-/// stack-allocated at `2^MAX_FUSED_QUBITS` amplitudes (1 KiB), keeping the
-/// per-group working set L1-resident — the whole point of fusion.
+/// Widest block the fused kernels accept: `2^MAX_FUSED_QUBITS` amplitudes
+/// per member (1 KiB) keeps the per-group working set L1-resident — the
+/// whole point of fusion.
 pub const MAX_FUSED_QUBITS: usize = 6;
 
-/// Stack-buffer dimension backing the fused kernels.
-const MAX_FUSED_DIM: usize = 1 << MAX_FUSED_QUBITS;
+/// Longest run (in buffer elements, 64 KiB) the pair/one drivers hand
+/// out. Longer natural runs — a gate whose lowest qubit sits high — are
+/// cut into aligned pieces so that every sweep has many tasks to split
+/// across the pool (a top-qubit gate is otherwise one single run).
+const MAX_RUN: usize = 1 << 12;
 
-/// Pointer wrapper that lets rayon tasks write to provably disjoint indices
+/// A sweep whose controls select fewer than `par_threshold / MIN_PAR_SHARE`
+/// elements stays serial however long the buffer is: a gate with a dozen
+/// controls touches a few dozen amplitudes, and a pool dispatch costs more
+/// than that (`sim.pergate_s` on `batch_sweep`).
+const MIN_PAR_SHARE: usize = 64;
+
+/// Tasks per thread the group driver cuts a sweep into, so a straggler's
+/// tail is picked up by whoever finishes first.
+const GROUP_TASKS_PER_THREAD: usize = 4;
+
+/// Pointer wrapper that lets rayon tasks write to provably disjoint ranges
 /// of one buffer.
 #[derive(Copy, Clone)]
-pub(crate) struct StatePtr(pub(crate) *mut C64);
-// SAFETY: `StatePtr` is only used by the pair/single drivers in this module
-// and the batched drivers in `crate::batch`, all of which guarantee that
-// distinct loop indices expand to disjoint state-vector indices (the
-// expansion is injective and the target bit separates the two elements of
-// each pair). No two tasks ever alias.
+struct StatePtr(*mut C64);
+// SAFETY: `StatePtr` is only used by the run and group drivers in this
+// module, all of which guarantee that distinct loop indices expand to
+// disjoint buffer ranges (the expansion is injective and the gate bits
+// separate the runs of each pair / group). No two tasks ever alias.
 unsafe impl Send for StatePtr {}
 unsafe impl Sync for StatePtr {}
+
+impl StatePtr {
+    /// The `len` elements starting at `start`, as a slice.
+    ///
+    /// # Safety
+    ///
+    /// The range must lie inside the buffer and no other live reference
+    /// may overlap it.
+    #[inline(always)]
+    unsafe fn run<'a>(self, start: usize, len: usize) -> &'a mut [C64] {
+        std::slice::from_raw_parts_mut(self.0.add(start), len)
+    }
+}
 
 /// Inserts zero bits into `k` at each of the (ascending) `positions`,
 /// producing the state index whose "free" bits are `k` and whose bits at
@@ -90,281 +122,257 @@ pub fn expand_index(k: usize, positions: &[usize]) -> usize {
     x
 }
 
-/// Sorted gate-qubit positions plus the OR-mask of the control bits.
-pub(crate) fn control_layout(target_bits: &[usize], controls: &[usize]) -> (Vec<usize>, usize) {
-    let mut positions: Vec<usize> = controls.iter().chain(target_bits.iter()).copied().collect();
-    positions.sort_unstable();
-    let cmask = controls.iter().fold(0usize, |m, &c| m | (1usize << c));
-    (positions, cmask)
-}
-
+/// OR-mask of a list of bit positions.
 #[inline]
-fn log2_len(state: &[C64]) -> u32 {
-    debug_assert!(state.len().is_power_of_two(), "state length must be 2^n");
-    state.len().trailing_zeros()
+pub(crate) fn mask_of(bits: &[usize]) -> usize {
+    bits.iter().fold(0usize, |m, &b| m | (1usize << b))
 }
 
-/// Runs `f(&mut amp0, &mut amp1)` over every amplitude pair selected by
-/// (`target`, `controls`): indices with all control bits 1, differing only
-/// in the target bit.
+/// The set bits of `mask`, ascending.
+fn bit_positions(mut mask: usize) -> Vec<usize> {
+    let mut positions = Vec::with_capacity(mask.count_ones() as usize);
+    while mask != 0 {
+        positions.push(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+    positions
+}
+
+/// Per-member qubit count of a batch-major buffer, validating the layout.
+#[inline]
+pub(crate) fn batch_bits(len: usize, batch: usize) -> usize {
+    assert!(batch > 0 && len % batch == 0, "buffer not a whole batch");
+    let dim = len / batch;
+    assert!(dim.is_power_of_two(), "per-member length must be 2^n");
+    dim.trailing_zeros() as usize
+}
+
+// --- run primitives -------------------------------------------------------
+//
+// The arithmetic on one contiguous run. Runs of at least a vector go to
+// the `simd` slice primitives; shorter ones (a single state with the gate
+// on qubit 0 or 1) stay on an inline scalar loop, which costs a fraction
+// of the primitives' dispatch (`sim.kernels.h_q0_gbps` in `perf_suite`).
+
+/// `xs[j] ← f · xs[j]`.
+#[inline(always)]
+fn scale_run(xs: &mut [C64], f: C64) {
+    if xs.len() < simd::LANES {
+        for z in xs {
+            *z *= f;
+        }
+    } else {
+        simd::scale_slice(xs, f);
+    }
+}
+
+/// `lo[j] ↔ hi[j]`.
+#[inline(always)]
+fn swap_run(lo: &mut [C64], hi: &mut [C64]) {
+    if lo.len() < simd::LANES {
+        for (a, b) in lo.iter_mut().zip(hi) {
+            std::mem::swap(a, b);
+        }
+    } else {
+        simd::swap_slices(lo, hi);
+    }
+}
+
+/// `(lo[j], hi[j]) ← m · (lo[j], hi[j])`.
+#[inline(always)]
+fn butterfly_run(lo: &mut [C64], hi: &mut [C64], m: &Mat2) {
+    if lo.len() < simd::LANES {
+        simd::butterfly_slices_scalar(lo, hi, m);
+    } else {
+        simd::butterfly_slices(lo, hi, m);
+    }
+}
+
+// --- run drivers ----------------------------------------------------------
+//
+// With the lowest gate-qubit position at `p0`, the bits below `p0` are all
+// free and expansion leaves them in place, so the selected index set is a
+// union of contiguous runs of `batch << p0` buffer elements. The drivers
+// below enumerate the runs (cut to `MAX_RUN`) and hand them out as slices.
+
+/// Calls `body(start, run)` for every run of the index set whose gate
+/// qubits are the ascending `positions`: `start` is the buffer offset of
+/// the run's first amplitude with all gate bits clear (the gate-bit
+/// patterns a kernel selects sit at `start + bits·batch`), `run` its
+/// length in buffer elements. Parallel when the buffer is at least
+/// `par_threshold` long.
+fn for_each_run<F>(len: usize, batch: usize, positions: &[usize], par_threshold: usize, body: F)
+where
+    F: Fn(usize, usize) + Sync + Send,
+{
+    let n_bits = batch_bits(len, batch);
+    debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
+    assert!(
+        positions.last().is_some_and(|&p| p < n_bits),
+        "gate qubits {positions:?} do not fit a {n_bits}-qubit state"
+    );
+    let mut run_bits = positions[0].min((MAX_RUN / batch).max(1).ilog2() as usize);
+    if batch << run_bits < simd::LANES {
+        run_bits = 0; // shorter than a vector: not worth forming
+    }
+    let outer = 1usize << (n_bits - positions.len() - run_bits);
+    let selected = outer * (batch << run_bits);
+    let parallel =
+        parallel_ok(len, par_threshold) && outer > 1 && selected >= par_threshold / MIN_PAR_SHARE;
+    if batch << run_bits == 1 {
+        // A lone state (`batch = 1`) with the gate on qubit 0:
+        // single-element runs. The literal length lets the inlined run
+        // primitives collapse to the bare per-element arithmetic
+        // (`sim.kernels.h_q0_gbps`).
+        drive(outer, parallel, |o| body(expand_index(o, positions), 1));
+    } else {
+        drive(outer, parallel, |o| {
+            body(
+                expand_index(o << run_bits, positions) * batch,
+                batch << run_bits,
+            )
+        });
+    }
+}
+
+/// `body(o)` for every `o < outer`, through the pool when `parallel`.
+#[inline(always)]
+fn drive(outer: usize, parallel: bool, body: impl Fn(usize) + Sync + Send) {
+    if parallel {
+        (0..outer).into_par_iter().for_each(body);
+    } else {
+        (0..outer).for_each(body);
+    }
+}
+
+/// Runs `f(lo_run, hi_run)` over the contiguous runs of every amplitude
+/// pair of a batch-major buffer whose control bits are all 1: `lo_run`
+/// holds the amplitudes with the bits of `lo_mask` set (and those of
+/// `hi_mask` clear), `hi_run` the converse. A single-qubit gate on
+/// `target` pairs `(0, 1 << target)`; a SWAP of `a`/`b` pairs
+/// `(1 << a, 1 << b)`.
 ///
 /// # Examples
 ///
 /// ```
 /// use qcemu_linalg::C64;
-/// use qcemu_sim::kernels::for_each_pair;
+/// use qcemu_sim::kernels::{for_each_pair_run, PAR_THRESHOLD};
 ///
-/// // An X gate on qubit 0 of |00⟩, written as a raw pair swap.
+/// // An X gate on qubit 0 of |00⟩, written as a raw run swap.
 /// let mut state = vec![C64::ONE, C64::ZERO, C64::ZERO, C64::ZERO];
-/// for_each_pair(&mut state, 0, &[], |a, b| std::mem::swap(a, b));
+/// for_each_pair_run(&mut state, 1, 0, 1, &[], PAR_THRESHOLD, |lo, hi| {
+///     lo.swap_with_slice(hi)
+/// });
 /// assert_eq!(state[1], C64::ONE);
 /// ```
-pub fn for_each_pair<F>(state: &mut [C64], target: usize, controls: &[usize], f: F)
-where
-    F: Fn(&mut C64, &mut C64) + Sync + Send,
-{
-    for_each_pair_with(state, target, controls, PAR_THRESHOLD, f)
-}
-
-/// [`for_each_pair`] with an explicit parallelism threshold (see
-/// [`SimConfig::par_threshold`](crate::SimConfig)).
-pub fn for_each_pair_with<F>(
+pub fn for_each_pair_run<F>(
     state: &mut [C64],
-    target: usize,
+    batch: usize,
+    lo_mask: usize,
+    hi_mask: usize,
     controls: &[usize],
     par_threshold: usize,
     f: F,
 ) where
-    F: Fn(&mut C64, &mut C64) + Sync + Send,
+    F: Fn(&mut [C64], &mut [C64]) + Sync + Send,
 {
-    let n_bits = log2_len(state) as usize;
-    let (positions, cmask) = control_layout(&[target], controls);
-    debug_assert!(
-        positions.len() <= n_bits,
-        "gate uses more qubits than the state has"
+    let cmask = mask_of(controls);
+    assert!(
+        lo_mask != hi_mask && (lo_mask | hi_mask) & cmask == 0,
+        "pair masks must differ and avoid the controls"
     );
-    let free_bits = n_bits - positions.len();
-    let count = 1usize << free_bits;
-    let tbit = 1usize << target;
-
-    if parallel_ok(count, par_threshold) {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..count).into_par_iter().for_each(|k| {
-            let i0 = expand_index(k, &positions) | cmask;
-            // SAFETY: `expand_index` is injective in k and leaves the target
-            // bit clear, so (i0, i0|tbit) pairs are pairwise disjoint across
-            // the loop; both indices are < state.len() by construction.
-            unsafe {
-                let p = ptr;
-                f(&mut *p.0.add(i0), &mut *p.0.add(i0 | tbit));
-            }
-        });
-    } else {
-        for k in 0..count {
-            let i0 = expand_index(k, &positions) | cmask;
-            let (a, b) = pair_mut(state, i0, i0 | tbit);
-            f(a, b);
-        }
-    }
+    let positions = bit_positions(lo_mask | hi_mask | cmask);
+    let (lo_off, hi_off) = ((cmask | lo_mask) * batch, (cmask | hi_mask) * batch);
+    let ptr = StatePtr(state.as_mut_ptr());
+    for_each_run(
+        state.len(),
+        batch,
+        &positions,
+        par_threshold,
+        |start, run| {
+            // SAFETY: expansion is injective and leaves every gate bit
+            // clear, and a run only varies bits below positions[0] — so
+            // the lo/hi runs (which differ in a gate bit) are disjoint
+            // from each other and across starts, and all indices are
+            // inside the buffer (`for_each_run` checked the positions).
+            unsafe { f(ptr.run(start + lo_off, run), ptr.run(start + hi_off, run)) }
+        },
+    );
 }
 
-/// Runs `f(&mut amp)` over every amplitude whose target bit is 1 and whose
-/// control bits are all 1 — the quarter-touch access pattern of the
-/// controlled phase shift.
+/// Runs `f(run)` over the contiguous runs of every amplitude whose target
+/// bit is 1 and whose control bits are all 1 — the quarter-touch access
+/// pattern of the controlled phase shift.
 ///
 /// # Examples
 ///
 /// ```
 /// use qcemu_linalg::C64;
-/// use qcemu_sim::kernels::for_each_one;
+/// use qcemu_sim::kernels::{for_each_one_run, PAR_THRESHOLD};
 ///
 /// // A controlled phase on (control 1, target 0) touches only |11⟩.
 /// let mut state = vec![C64::ONE; 4];
-/// for_each_one(&mut state, 0, &[1], |z| *z *= C64::cis(0.5));
+/// for_each_one_run(&mut state, 1, 0, &[1], PAR_THRESHOLD, |run| {
+///     run[0] *= C64::cis(0.5)
+/// });
 /// assert_eq!(state[0], C64::ONE);
 /// assert!(state[3].approx_eq(C64::cis(0.5), 1e-15));
 /// ```
-pub fn for_each_one<F>(state: &mut [C64], target: usize, controls: &[usize], f: F)
-where
-    F: Fn(&mut C64) + Sync + Send,
-{
-    for_each_one_with(state, target, controls, PAR_THRESHOLD, f)
-}
-
-/// [`for_each_one`] with an explicit parallelism threshold.
-pub fn for_each_one_with<F>(
+pub fn for_each_one_run<F>(
     state: &mut [C64],
+    batch: usize,
     target: usize,
     controls: &[usize],
     par_threshold: usize,
     f: F,
 ) where
-    F: Fn(&mut C64) + Sync + Send,
-{
-    let n_bits = log2_len(state) as usize;
-    let (positions, cmask) = control_layout(&[target], controls);
-    let free_bits = n_bits - positions.len();
-    let count = 1usize << free_bits;
-    let tbit = 1usize << target;
-
-    if parallel_ok(count, par_threshold) {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..count).into_par_iter().for_each(|k| {
-            let i = expand_index(k, &positions) | cmask | tbit;
-            // SAFETY: injective expansion ⇒ disjoint indices (see module doc).
-            unsafe {
-                let p = ptr;
-                f(&mut *p.0.add(i));
-            }
-        });
-    } else {
-        for k in 0..count {
-            let i = expand_index(k, &positions) | cmask | tbit;
-            f(&mut state[i]);
-        }
-    }
-}
-
-/// Two disjoint mutable references into one slice.
-#[inline(always)]
-fn pair_mut(state: &mut [C64], i: usize, j: usize) -> (&mut C64, &mut C64) {
-    debug_assert!(i < j);
-    let (lo, hi) = state.split_at_mut(j);
-    (&mut lo[i], &mut hi[0])
-}
-
-// --- contiguous-run drivers (the vector fast path) -----------------------
-//
-// With the lowest gate-qubit position at `p0`, the compressed index space
-// of `for_each_pair` / `for_each_one` decomposes into contiguous runs of
-// `2^p0` state indices (the bits below p0 are all free, and expansion
-// leaves them in place). When `2^p0 ≥ simd::LANES` the drivers below hand
-// out whole runs as slices — the shape the SIMD primitives consume — and
-// the callers fall back to the per-element drivers otherwise.
-
-/// Runs `f(lo_run, hi_run)` over contiguous pair runs, or returns `false`
-/// when the runs are shorter than a vector (lowest gate qubit below
-/// `log2(LANES)`) and the caller must use [`for_each_pair_with`].
-fn for_each_pair_runs_with<F>(
-    state: &mut [C64],
-    target: usize,
-    controls: &[usize],
-    par_threshold: usize,
-    f: F,
-) -> bool
-where
-    F: Fn(&mut [C64], &mut [C64]) + Sync + Send,
-{
-    let n_bits = log2_len(state) as usize;
-    let (positions, cmask) = control_layout(&[target], controls);
-    let run = 1usize << positions[0];
-    if run < simd::LANES {
-        return false;
-    }
-    let count = 1usize << (n_bits - positions.len());
-    let outer = count / run;
-    let tbit = 1usize << target;
-    let ptr = StatePtr(state.as_mut_ptr());
-    let body = |o: usize| {
-        let i0 = expand_index(o * run, &positions) | cmask;
-        // SAFETY: expansion is injective and leaves the target bit clear,
-        // and both runs only vary bits below positions[0] ≤ target — so
-        // lo/hi runs are disjoint from each other and across `o`, and all
-        // indices are < state.len() by construction.
-        unsafe {
-            let p = ptr;
-            let lo = std::slice::from_raw_parts_mut(p.0.add(i0), run);
-            let hi = std::slice::from_raw_parts_mut(p.0.add(i0 | tbit), run);
-            f(lo, hi);
-        }
-    };
-    if parallel_ok(count, par_threshold) && outer > 1 {
-        (0..outer).into_par_iter().for_each(body);
-    } else {
-        (0..outer).for_each(body);
-    }
-    true
-}
-
-/// Runs `f(run)` over the contiguous runs of the one-bit (target = 1,
-/// controls = 1) index set, or returns `false` when runs are shorter
-/// than a vector.
-fn for_each_one_runs_with<F>(
-    state: &mut [C64],
-    target: usize,
-    controls: &[usize],
-    par_threshold: usize,
-    f: F,
-) -> bool
-where
     F: Fn(&mut [C64]) + Sync + Send,
 {
-    let n_bits = log2_len(state) as usize;
-    let (positions, cmask) = control_layout(&[target], controls);
-    let run = 1usize << positions[0];
-    if run < simd::LANES {
-        return false;
-    }
-    let count = 1usize << (n_bits - positions.len());
-    let outer = count / run;
-    let tbit = 1usize << target;
+    let ones = mask_of(controls) | (1usize << target);
+    let positions = bit_positions(ones);
+    let off = ones * batch;
     let ptr = StatePtr(state.as_mut_ptr());
-    let body = |o: usize| {
-        let i0 = expand_index(o * run, &positions) | cmask | tbit;
-        // SAFETY: disjoint contiguous runs, as in `for_each_pair_runs_with`.
-        unsafe {
-            let p = ptr;
-            f(std::slice::from_raw_parts_mut(p.0.add(i0), run));
-        }
-    };
-    if parallel_ok(count, par_threshold) && outer > 1 {
-        (0..outer).into_par_iter().for_each(body);
-    } else {
-        (0..outer).for_each(body);
-    }
-    true
+    for_each_run(
+        state.len(),
+        batch,
+        &positions,
+        par_threshold,
+        |start, run| {
+            // SAFETY: disjoint in-bounds runs, as in `for_each_pair_run`.
+            unsafe { f(ptr.run(start + off, run)) }
+        },
+    );
 }
 
-/// General (controlled) single-qubit unitary: one butterfly per pair.
-/// Contiguous pair runs go through the vectorised
-/// [`simd::butterfly_slices`]; gates on the lowest qubits stay scalar.
-pub fn apply_general(state: &mut [C64], target: usize, controls: &[usize], m: &Mat2) {
-    apply_general_with(state, target, controls, m, PAR_THRESHOLD)
-}
+// --- per-gate kernels -----------------------------------------------------
 
-/// [`apply_general`] with an explicit parallelism threshold.
-pub fn apply_general_with(
+/// General (controlled) single-qubit unitary: one butterfly per pair run.
+pub fn apply_general(
     state: &mut [C64],
+    batch: usize,
     target: usize,
     controls: &[usize],
     m: &Mat2,
     par_threshold: usize,
 ) {
     let m = *m;
-    if for_each_pair_runs_with(state, target, controls, par_threshold, move |lo, hi| {
-        simd::butterfly_slices(lo, hi, &m)
-    }) {
-        return;
-    }
-    for_each_pair_with(state, target, controls, par_threshold, move |a, b| {
-        let x = *a;
-        let y = *b;
-        *a = m[0][0] * x + m[0][1] * y;
-        *b = m[1][0] * x + m[1][1] * y;
-    });
+    for_each_pair_run(
+        state,
+        batch,
+        0,
+        1 << target,
+        controls,
+        par_threshold,
+        move |lo, hi| butterfly_run(lo, hi, &m),
+    );
 }
 
 /// Diagonal (controlled) gate `diag(d0, d1)`. When `d0 = 1` (phase-type
 /// gates: Z, S, T, Rθ…) only the `|1⟩` half of the selected subspace is
-/// read and written. Contiguous runs are scaled through
-/// [`simd::scale_slice`].
-pub fn apply_diagonal(state: &mut [C64], target: usize, controls: &[usize], d0: C64, d1: C64) {
-    apply_diagonal_with(state, target, controls, d0, d1, PAR_THRESHOLD)
-}
-
-/// [`apply_diagonal`] with an explicit parallelism threshold.
-pub fn apply_diagonal_with(
+/// read and written.
+pub fn apply_diagonal(
     state: &mut [C64],
+    batch: usize,
     target: usize,
     controls: &[usize],
     d0: C64,
@@ -375,113 +383,93 @@ pub fn apply_diagonal_with(
         if d1 == C64::ONE {
             return; // identity
         }
-        if for_each_one_runs_with(state, target, controls, par_threshold, move |xs| {
-            simd::scale_slice(xs, d1)
-        }) {
-            return;
-        }
-        for_each_one_with(state, target, controls, par_threshold, move |z| *z *= d1);
-    } else {
-        if for_each_pair_runs_with(state, target, controls, par_threshold, move |lo, hi| {
-            simd::scale_slice(lo, d0);
-            simd::scale_slice(hi, d1);
-        }) {
-            return;
-        }
-        for_each_pair_with(state, target, controls, par_threshold, move |a, b| {
-            *a *= d0;
-            *b *= d1;
+        for_each_one_run(state, batch, target, controls, par_threshold, move |xs| {
+            scale_run(xs, d1)
         });
+    } else {
+        for_each_pair_run(
+            state,
+            batch,
+            0,
+            1 << target,
+            controls,
+            par_threshold,
+            move |lo, hi| {
+                scale_run(lo, d0);
+                scale_run(hi, d1);
+            },
+        );
     }
 }
 
-/// (Controlled) X: swaps amplitude pairs, no arithmetic. Contiguous runs
-/// swap as whole slices (one `memcpy`-class move per run).
-pub fn apply_perm_x(state: &mut [C64], target: usize, controls: &[usize]) {
-    apply_perm_x_with(state, target, controls, PAR_THRESHOLD)
-}
-
-/// [`apply_perm_x`] with an explicit parallelism threshold.
-pub fn apply_perm_x_with(
+/// (Controlled) X: swaps pair runs as whole slices (one `memcpy`-class
+/// move per run), no arithmetic.
+pub fn apply_perm_x(
     state: &mut [C64],
+    batch: usize,
     target: usize,
     controls: &[usize],
     par_threshold: usize,
 ) {
-    if for_each_pair_runs_with(state, target, controls, par_threshold, |lo, hi| {
-        lo.swap_with_slice(hi)
-    }) {
-        return;
-    }
-    for_each_pair_with(state, target, controls, par_threshold, |a, b| {
-        std::mem::swap(a, b)
-    });
+    for_each_pair_run(
+        state,
+        batch,
+        0,
+        1 << target,
+        controls,
+        par_threshold,
+        swap_run,
+    );
 }
 
-/// (Controlled) SWAP of qubits `a` and `b`: exchanges amplitudes whose two
-/// bits differ, touching half (uncontrolled) of the selected subspace.
-pub fn apply_swap(state: &mut [C64], qa: usize, qb: usize, controls: &[usize]) {
-    apply_swap_with(state, qa, qb, controls, PAR_THRESHOLD)
-}
-
-/// [`apply_swap`] with an explicit parallelism threshold. Contiguous runs
-/// (lowest gate qubit at `≥ log2(LANES)`) exchange as whole slices.
-pub fn apply_swap_with(
+/// (Controlled) SWAP of qubits `qa` and `qb`: exchanges amplitudes whose
+/// two bits differ, touching half (uncontrolled) of the selected subspace.
+pub fn apply_swap(
     state: &mut [C64],
+    batch: usize,
     qa: usize,
     qb: usize,
     controls: &[usize],
     par_threshold: usize,
 ) {
-    let n_bits = log2_len(state) as usize;
-    let (positions, cmask) = control_layout(&[qa, qb], controls);
-    let free_bits = n_bits - positions.len();
-    let count = 1usize << free_bits;
-    let abit = 1usize << qa;
-    let bbit = 1usize << qb;
-    let run = 1usize << positions[0];
+    for_each_pair_run(
+        state,
+        batch,
+        1 << qa,
+        1 << qb,
+        controls,
+        par_threshold,
+        swap_run,
+    );
+}
 
-    if run >= simd::LANES {
-        let outer = count / run;
-        let ptr = StatePtr(state.as_mut_ptr());
-        let body = |o: usize| {
-            let base = expand_index(o * run, &positions) | cmask;
-            // SAFETY: the runs at base|abit and base|bbit only vary bits
-            // below positions[0] < min(qa, qb), so they are disjoint from
-            // each other and across `o` (injective expansion).
-            unsafe {
-                let p = ptr;
-                let lo = std::slice::from_raw_parts_mut(p.0.add(base | abit), run);
-                let hi = std::slice::from_raw_parts_mut(p.0.add(base | bbit), run);
-                lo.swap_with_slice(hi);
+/// Applies one [`Gate`] to every member of a batch-major buffer,
+/// dispatching on structure.
+pub fn apply_gate_batch(state: &mut [C64], batch: usize, gate: &Gate, par_threshold: usize) {
+    match gate {
+        Gate::Unary {
+            op,
+            target,
+            controls,
+        } => match op.structure() {
+            GateStructure::Diagonal(d0, d1) => {
+                apply_diagonal(state, batch, *target, controls, d0, d1, par_threshold)
             }
-        };
-        if parallel_ok(count, par_threshold) && outer > 1 {
-            (0..outer).into_par_iter().for_each(body);
-        } else {
-            (0..outer).for_each(body);
-        }
-        return;
+            GateStructure::PermutationX => {
+                apply_perm_x(state, batch, *target, controls, par_threshold)
+            }
+            GateStructure::General(m) => {
+                apply_general(state, batch, *target, controls, &m, par_threshold)
+            }
+        },
+        Gate::Swap { a, b, controls } => apply_swap(state, batch, *a, *b, controls, par_threshold),
     }
+}
 
-    if parallel_ok(count, par_threshold) {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..count).into_par_iter().for_each(|k| {
-            let base = expand_index(k, &positions) | cmask;
-            let i = base | abit;
-            let j = base | bbit;
-            // SAFETY: disjointness as in `for_each_pair`; i ≠ j since a ≠ b.
-            unsafe {
-                let p = ptr;
-                std::ptr::swap(p.0.add(i), p.0.add(j));
-            }
-        });
-    } else {
-        for k in 0..count {
-            let base = expand_index(k, &positions) | cmask;
-            state.swap(base | abit, base | bbit);
-        }
-    }
+/// Applies one [`Gate`] to a single raw state slice — [`apply_gate_batch`]
+/// at `batch = 1` and the default [`PAR_THRESHOLD`].
+pub fn apply_gate_slice(state: &mut [C64], gate: &Gate) {
+    apply_gate_batch(state, 1, gate, PAR_THRESHOLD)
 }
 
 // --- fused (blocked) kernels --------------------------------------------
@@ -506,7 +494,7 @@ pub fn scatter_index(v: usize, positions: &[usize]) -> usize {
 }
 
 /// Validates a fused-kernel qubit list against the state size.
-pub(crate) fn check_fused_qubits(n_bits: usize, qubits: &[usize]) {
+fn check_fused_qubits(n_bits: usize, qubits: &[usize]) {
     assert!(
         !qubits.is_empty() && qubits.len() <= MAX_FUSED_QUBITS,
         "fused block must use 1..={MAX_FUSED_QUBITS} qubits, got {}",
@@ -523,34 +511,114 @@ pub(crate) fn check_fused_qubits(n_bits: usize, qubits: &[usize]) {
     );
 }
 
-/// Runs `f(ptr, base)` for every group base index (an index with all the
-/// block's qubit bits clear), in parallel for large states.
-fn for_each_group<F>(state: &mut [C64], qubits: &[usize], par_threshold: usize, f: F)
-where
-    F: Fn(StatePtr, usize) + Sync + Send,
+/// Validates a fused block's layout and returns its local dimension `2^k`.
+fn fused_dim(len: usize, batch: usize, qubits: &[usize]) -> usize {
+    check_fused_qubits(batch_bits(len, batch), qubits);
+    1usize << qubits.len()
+}
+
+/// Runs `f(ptr, base, scratch)` for every group of a (validated) fused
+/// block, `base` being the buffer offset of the group's amplitude with all
+/// block bits clear. The sweep is cut into contiguous ranges of groups,
+/// each with its own `scratch_len`-element scratch allocated **once**, so
+/// the hot loop is allocation-free; the ranges run in parallel when the
+/// buffer is at least `par_threshold` long.
+fn for_each_group<F>(
+    state: &mut [C64],
+    batch: usize,
+    qubits: &[usize],
+    scratch_len: usize,
+    par_threshold: usize,
+    f: F,
+) where
+    F: Fn(StatePtr, usize, &mut [C64]) + Sync + Send,
 {
-    let n_bits = log2_len(state) as usize;
-    check_fused_qubits(n_bits, qubits);
-    let count = 1usize << (n_bits - qubits.len());
-    let ptr = StatePtr(state.as_mut_ptr());
-    if state.len() >= par_threshold && count > 1 && rayon::current_num_threads() > 1 {
-        // SAFETY: `expand_index` is injective in the group index and `f`
-        // only touches `base | off` with `off` confined to the block's
-        // qubit bits, so distinct groups own disjoint state indices.
-        (0..count)
-            .into_par_iter()
-            .for_each(|g| f(ptr, expand_index(g, qubits)));
+    let count = (state.len() / batch) >> qubits.len();
+    let tasks = if parallel_ok(state.len(), par_threshold) {
+        (GROUP_TASKS_PER_THREAD * rayon::current_num_threads()).min(count)
     } else {
-        for g in 0..count {
-            f(ptr, expand_index(g, qubits));
+        1
+    };
+    let chunk = count.div_ceil(tasks);
+    let ptr = StatePtr(state.as_mut_ptr());
+    // Distinct groups own disjoint buffer ranges: `expand_index` is
+    // injective in the group index and `f` only touches runs at
+    // `base + off·batch` with `off` confined to the block's qubit bits.
+    let body = |t: usize| {
+        let mut scratch = vec![C64::ZERO; scratch_len];
+        for g in t * chunk..((t + 1) * chunk).min(count) {
+            f(ptr, expand_index(g, qubits) * batch, &mut scratch);
         }
+    };
+    if tasks > 1 {
+        (0..tasks).into_par_iter().for_each(body);
+    } else {
+        body(0);
     }
 }
 
+/// Gathers every group of a fused block into the first `2^k·batch`
+/// elements of a scratch buffer (`spare` more follow), runs `f(scratch)`
+/// on it in cache, and scatters those elements back. Local index `v` of
+/// member `j` lands at `v·batch + j` — the gathered group is itself
+/// batch-major. The block's low qubits `0..r` (those equal to their own
+/// position) address a contiguous `2^r`-amplitude prefix of every group,
+/// so gather/scatter moves `batch · 2^r`-element memcpy-class runs and
+/// only the remaining high qubits pay a strided offset.
+fn for_each_gathered_group<F>(
+    state: &mut [C64],
+    batch: usize,
+    qubits: &[usize],
+    spare: usize,
+    par_threshold: usize,
+    f: F,
+) where
+    F: Fn(&mut [C64]) + Sync + Send,
+{
+    let run_bits = qubits
+        .iter()
+        .enumerate()
+        .take_while(|&(i, &q)| q == i)
+        .count();
+    let run = batch << run_bits;
+    let offs: Vec<usize> = (0..1usize << (qubits.len() - run_bits))
+        .map(|w| scatter_index(w, &qubits[run_bits..]) * batch)
+        .collect();
+    let scratch_len = offs.len() * run + spare;
+    for_each_group(
+        state,
+        batch,
+        qubits,
+        scratch_len,
+        par_threshold,
+        |p, base, scratch| {
+            // SAFETY: distinct groups own disjoint buffer ranges (see
+            // `for_each_group`), every run `base + off .. + run` stays
+            // confined to this group's qubit-bit offsets, and `scratch`
+            // holds `offs.len()` runs.
+            unsafe {
+                for (w, &off) in offs.iter().enumerate() {
+                    let src = p.0.add(base + off) as *const C64;
+                    std::ptr::copy_nonoverlapping(src, scratch.as_mut_ptr().add(w * run), run);
+                }
+                f(scratch);
+                for (w, &off) in offs.iter().enumerate() {
+                    let dst = p.0.add(base + off);
+                    std::ptr::copy_nonoverlapping(scratch.as_ptr().add(w * run), dst, run);
+                }
+            }
+        },
+    );
+}
+
 /// Applies a dense `2^k × 2^k` matrix to the register formed by the `k`
-/// ascending `qubits` — every amplitude group gets one gather / mat-vec /
+/// ascending `qubits` — every amplitude group gets one gather / product /
 /// scatter, so the whole block costs a single blocked pass over the state
-/// regardless of how many gates were fused into the matrix.
+/// regardless of how many gates were fused into the matrix. The product
+/// `out[r·batch+j] = Σ_c M[r,c]·in[c·batch+j]` is the FLOP-dense loop of
+/// the whole fusion engine: member by member, each (contiguous) matrix row
+/// is reduced against the member's `2^k` gathered amplitudes through the
+/// vectorised [`simd::cdot`].
 ///
 /// Prefer [`crate::fusion`]'s structure-aware dispatch over calling this
 /// directly: diagonal and permutation blocks have far cheaper appliers.
@@ -565,7 +633,7 @@ where
 ///
 /// ```
 /// use qcemu_linalg::{CMatrix, C64};
-/// use qcemu_sim::kernels::apply_fused;
+/// use qcemu_sim::kernels::{apply_fused, PAR_THRESHOLD};
 ///
 /// // SWAP(0, 1) as a fused 2-qubit block: |01⟩ ↦ |10⟩.
 /// let mut state = vec![C64::ZERO; 4];
@@ -574,83 +642,36 @@ where
 /// for (row, col) in [(0, 0), (2, 1), (1, 2), (3, 3)] {
 ///     swap[(row, col)] = C64::ONE;
 /// }
-/// apply_fused(&mut state, &[0, 1], &swap);
+/// apply_fused(&mut state, 1, &[0, 1], &swap, PAR_THRESHOLD);
 /// assert_eq!(state[0b10], C64::ONE);
 /// ```
-pub fn apply_fused(state: &mut [C64], qubits: &[usize], m: &CMatrix) {
-    apply_fused_with(state, qubits, m, PAR_THRESHOLD)
-}
-
-/// [`apply_fused`] with an explicit parallelism threshold. The per-group
-/// mat-vec — the FLOP-dense loop of the whole fusion engine — reduces
-/// each (contiguous) matrix row against the gathered block through the
-/// vectorised [`simd::cdot`], and the gather/scatter itself moves
-/// memcpy-class runs: the block's low qubits `0..run_bits` (those equal
-/// to their own position) address a contiguous `2^run_bits`-amplitude
-/// prefix of every group, so only the remaining high qubits pay a
-/// strided offset.
-pub fn apply_fused_with(state: &mut [C64], qubits: &[usize], m: &CMatrix, par_threshold: usize) {
-    let n_bits = log2_len(state) as usize;
-    check_fused_qubits(n_bits, qubits);
-    let dim = 1usize << qubits.len();
+pub fn apply_fused(
+    state: &mut [C64],
+    batch: usize,
+    qubits: &[usize],
+    m: &CMatrix,
+    par_threshold: usize,
+) {
+    let dim = fused_dim(state.len(), batch, qubits);
     assert_eq!(
         m.shape(),
         (dim, dim),
         "fused matrix must be 2^k x 2^k for k = {}",
         qubits.len()
     );
-    let run_bits = qubits
-        .iter()
-        .enumerate()
-        .take_while(|&(i, &q)| q == i)
-        .count();
-    let run = 1usize << run_bits;
-    let hi_offs: Vec<usize> = (0..dim >> run_bits)
-        .map(|w| scatter_index(w, &qubits[run_bits..]))
-        .collect();
-    let count = 1usize << (n_bits - qubits.len());
-    if state.len() >= par_threshold && count > 1 && rayon::current_num_threads() > 1 {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..count).into_par_iter().for_each(|g| {
-            let p = ptr;
-            let base = expand_index(g, qubits);
-            let mut x = [C64::ZERO; MAX_FUSED_DIM];
-            let mut out = [C64::ZERO; MAX_FUSED_DIM];
-            // SAFETY: distinct groups own disjoint state indices (see
-            // `for_each_group`), and every run `base + off .. + run` stays
-            // confined to this group's qubit-bit offsets.
-            unsafe {
-                for (w, &off) in hi_offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        p.0.add(base + off),
-                        x.as_mut_ptr().add(w * run),
-                        run,
-                    );
-                }
-                for (r, o) in out[..dim].iter_mut().enumerate() {
-                    *o = simd::cdot(m.row(r), &x[..dim]);
-                }
-                for (w, &off) in hi_offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        out.as_ptr().add(w * run),
-                        p.0.add(base + off),
-                        run,
-                    );
-                }
+    for_each_gathered_group(state, batch, qubits, dim, par_threshold, |scratch| {
+        let (x, member) = scratch.split_at_mut(dim * batch);
+        for j in 0..batch {
+            for (c, z) in member.iter_mut().enumerate() {
+                *z = x[c * batch + j];
             }
-        });
-    } else {
-        let mut x = [C64::ZERO; MAX_FUSED_DIM];
-        let mut out = [C64::ZERO; MAX_FUSED_DIM];
-        for g in 0..count {
-            let base = expand_index(g, qubits);
-            simd::gather_runs(state, base, &hi_offs, run, &mut x[..dim]);
-            for (r, o) in out[..dim].iter_mut().enumerate() {
-                *o = simd::cdot(m.row(r), &x[..dim]);
+            // Member `j`'s inputs are all in `member` now, so its outputs
+            // can overwrite them in place.
+            for r in 0..dim {
+                x[r * batch + j] = simd::cdot(m.row(r), member);
             }
-            simd::scatter_runs(&out[..dim], state, base, &hi_offs, run);
         }
-    }
+    });
 }
 
 /// Applies a fused **diagonal** block `diag(factors)` over `qubits`: only
@@ -662,54 +683,61 @@ pub fn apply_fused_with(state: &mut [C64], qubits: &[usize], m: &CMatrix, par_th
 ///
 /// ```
 /// use qcemu_linalg::{c64, C64};
-/// use qcemu_sim::kernels::apply_fused_diagonal;
+/// use qcemu_sim::kernels::{apply_fused_diagonal, PAR_THRESHOLD};
 ///
 /// // CZ(0, 1) as a fused diagonal block: only |11⟩ changes.
 /// let mut state = vec![C64::ONE; 4];
 /// let factors = [C64::ONE, C64::ONE, C64::ONE, c64(-1.0, 0.0)];
-/// apply_fused_diagonal(&mut state, &[0, 1], &factors);
+/// apply_fused_diagonal(&mut state, 1, &[0, 1], &factors, PAR_THRESHOLD);
 /// assert_eq!(state[0b11], c64(-1.0, 0.0));
 /// assert_eq!(state[0b01], C64::ONE);
 /// ```
-pub fn apply_fused_diagonal(state: &mut [C64], qubits: &[usize], factors: &[C64]) {
-    apply_fused_diagonal_with(state, qubits, factors, PAR_THRESHOLD)
-}
-
-/// [`apply_fused_diagonal`] with an explicit parallelism threshold.
-pub fn apply_fused_diagonal_with(
+pub fn apply_fused_diagonal(
     state: &mut [C64],
+    batch: usize,
     qubits: &[usize],
     factors: &[C64],
     par_threshold: usize,
 ) {
-    let n_bits = log2_len(state) as usize;
-    check_fused_qubits(n_bits, qubits);
-    let dim = 1usize << qubits.len();
+    let dim = fused_dim(state.len(), batch, qubits);
     assert_eq!(factors.len(), dim, "diagonal block needs 2^k factors");
     let touched: Vec<(usize, C64)> = factors
         .iter()
         .enumerate()
         .filter(|&(_, &f)| f != C64::ONE)
-        .map(|(v, &f)| (scatter_index(v, qubits), f))
+        .map(|(v, &f)| (scatter_index(v, qubits) * batch, f))
         .collect();
     if touched.is_empty() {
         return; // identity block
     }
-    for_each_group(state, qubits, par_threshold, |p, base| {
+    // A lone state gets the literal-`1` instantiation, so its
+    // one-amplitude runs collapse to bare multiplies (`sim.fused_s`).
+    if batch == 1 {
+        for_each_group(state, 1, qubits, 0, par_threshold, |p, base, _| {
+            scale_touched(p, base, 1, &touched)
+        });
+    } else {
+        for_each_group(state, batch, qubits, 0, par_threshold, |p, base, _| {
+            scale_touched(p, base, batch, &touched)
+        });
+    }
+}
+
+/// Scales one group's non-unit runs: `touched` holds (offset, factor).
+#[inline(always)]
+fn scale_touched(p: StatePtr, base: usize, batch: usize, touched: &[(usize, C64)]) {
+    for &(off, f) in touched {
         // SAFETY: disjoint groups as in `for_each_group`.
-        unsafe {
-            for &(off, f) in &touched {
-                *p.0.add(base | off) *= f;
-            }
-        }
-    });
+        scale_run(unsafe { p.run(base + off, batch) }, f);
+    }
 }
 
 /// Applies a fused **monomial** (permutation-with-phases) block: column
 /// `v` of the block's matrix has its single non-zero `factor[v]` in row
 /// `target[v]`. Amplitudes move along the permutation's cycles with one
-/// temporary per cycle; fixed points with factor 1 are never touched, so
-/// e.g. a run of CNOTs sharing a control sweeps only the control-on half.
+/// saved run (`batch` amplitudes) per cycle; fixed points with factor 1
+/// are never touched, so e.g. a run of CNOTs sharing a control sweeps only
+/// the control-on half.
 ///
 /// # Panics
 ///
@@ -717,29 +745,18 @@ pub fn apply_fused_diagonal_with(
 /// lengths disagree with `qubits`.
 pub fn apply_fused_permutation(
     state: &mut [C64],
-    qubits: &[usize],
-    target: &[usize],
-    factor: &[C64],
-) {
-    apply_fused_permutation_with(state, qubits, target, factor, PAR_THRESHOLD)
-}
-
-/// [`apply_fused_permutation`] with an explicit parallelism threshold.
-pub fn apply_fused_permutation_with(
-    state: &mut [C64],
+    batch: usize,
     qubits: &[usize],
     target: &[usize],
     factor: &[C64],
     par_threshold: usize,
 ) {
-    let n_bits = log2_len(state) as usize;
-    check_fused_qubits(n_bits, qubits);
-    let dim = 1usize << qubits.len();
+    let dim = fused_dim(state.len(), batch, qubits);
     assert_eq!(target.len(), dim, "permutation block needs 2^k targets");
     assert_eq!(factor.len(), dim, "permutation block needs 2^k factors");
 
     // Cycle decomposition over the non-identity support, precomputed once:
-    // each cycle stores (state offset, factor) per element, in cycle order.
+    // each cycle stores (buffer offset, factor) per element, in cycle order.
     let mut cycles: Vec<Vec<(usize, C64)>> = Vec::new();
     let mut seen = vec![false; dim];
     for start in 0..dim {
@@ -763,7 +780,7 @@ pub fn apply_fused_permutation_with(
         }
         cycles.push(
             cyc.into_iter()
-                .map(|v| (scatter_index(v, qubits), factor[v]))
+                .map(|v| (scatter_index(v, qubits) * batch, factor[v]))
                 .collect(),
         );
     }
@@ -771,26 +788,59 @@ pub fn apply_fused_permutation_with(
         return; // identity block
     }
 
-    for_each_group(state, qubits, par_threshold, |p, base| {
-        // SAFETY: disjoint groups as in `for_each_group`.
-        unsafe {
-            for cyc in &cycles {
-                // new[target[v]] = factor[v] · old[v]; walking the cycle
-                // backwards needs only one saved amplitude.
-                let last = cyc.len() - 1;
-                let saved = *p.0.add(base | cyc[last].0);
-                for i in (1..=last).rev() {
-                    *p.0.add(base | cyc[i].0) = cyc[i - 1].1 * *p.0.add(base | cyc[i - 1].0);
-                }
-                *p.0.add(base | cyc[0].0) = cyc[last].1 * saved;
-            }
+    // Literal-`1` instantiation for a lone state, as in
+    // `apply_fused_diagonal`: bare loads and stores along the cycles.
+    if batch == 1 {
+        for_each_group(state, 1, qubits, 1, par_threshold, |p, base, saved| {
+            rotate_cycles(p, base, saved, 1, &cycles)
+        });
+    } else {
+        for_each_group(
+            state,
+            batch,
+            qubits,
+            batch,
+            par_threshold,
+            |p, base, saved| rotate_cycles(p, base, saved, batch, &cycles),
+        );
+    }
+}
+
+/// Moves one group's runs along the `cycles` of a monomial block:
+/// `new[target[v]] = factor[v] · old[v]`. Walking a cycle backwards needs
+/// only one saved run (`saved`, `batch` long).
+#[inline(always)]
+fn rotate_cycles(
+    p: StatePtr,
+    base: usize,
+    saved: &mut [C64],
+    batch: usize,
+    cycles: &[Vec<(usize, C64)>],
+) {
+    // SAFETY: disjoint groups as in `for_each_group`; within a group the
+    // runs of one cycle sit at distinct offsets.
+    let run = |off: usize| unsafe { p.run(base + off, batch) };
+    // dst ← f · src
+    let carry = |dst: &mut [C64], src: &[C64], f: C64| {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = f * s;
         }
-    });
+    };
+    for cyc in cycles {
+        let last = cyc.len() - 1;
+        saved.copy_from_slice(run(cyc[last].0));
+        for i in (1..=last).rev() {
+            carry(run(cyc[i].0), run(cyc[i - 1].0), cyc[i - 1].1);
+        }
+        carry(run(cyc[0].0), saved, cyc[last].1);
+    }
 }
 
 /// A gate precompiled for in-cache application to a gathered block:
 /// control masks and matrix entries are resolved once at fusion time so
 /// the per-group loops do no trigonometry, dispatch, or allocation.
+/// (Kept compact — a blocked segment streams its whole op list once per
+/// block, so the variants carry only what their class needs.)
 #[derive(Clone, Debug)]
 pub(crate) enum LocalOp {
     /// `diag(d0, d1)` on `tbit`, gated on all bits of `cmask`.
@@ -815,14 +865,13 @@ pub(crate) enum LocalOp {
 impl LocalOp {
     /// Compiles a (local-index) gate into its block form.
     pub(crate) fn from_gate(gate: &Gate) -> LocalOp {
-        let cmask = |controls: &[usize]| controls.iter().fold(0usize, |m, &c| m | (1usize << c));
         match gate {
             Gate::Unary {
                 op,
                 target,
                 controls,
             } => {
-                let cmask = cmask(controls);
+                let cmask = mask_of(controls);
                 let tbit = 1usize << *target;
                 match op.structure() {
                     GateStructure::Diagonal(d0, d1) => LocalOp::Diag {
@@ -836,297 +885,196 @@ impl LocalOp {
                 }
             }
             Gate::Swap { a, b, controls } => LocalOp::Swap {
-                cmask: cmask(controls),
+                cmask: mask_of(controls),
                 abit: 1usize << *a,
                 bbit: 1usize << *b,
             },
         }
     }
 
-    /// Applies the op to a gathered block (`buf.len() = 2^k`).
+    /// Applies the op to a gathered block: `buf` holds `2^k` local
+    /// amplitudes for `batch` members, batch-major (local index `v` of
+    /// member `j` at `v·batch + j`).
     ///
-    /// The index space decomposes into contiguous runs of `2^p`
-    /// elements, where `p` is the lowest bit the op's masks constrain
-    /// (controls *and* targets — every mask bit is constant within such
-    /// a run). Runs of at least [`simd::LANES`] go through the SIMD
-    /// slice primitives — including *controlled* ops, which PR 5 left on
-    /// the scalar per-entry loop: a control on a high local bit merely
-    /// deselects whole runs, it does not break them up. Ops whose lowest
-    /// constrained bit sits under the vector width keep the scalar
-    /// per-entry loops.
-    pub(crate) fn apply(&self, buf: &mut [C64]) {
-        match *self {
-            LocalOp::Diag {
-                cmask,
-                tbit,
-                d0,
-                d1,
-            } => {
-                let lowest = (cmask | tbit) & (cmask | tbit).wrapping_neg();
-                if lowest >= simd::LANES {
-                    let run = lowest;
-                    let mut base = 0;
-                    while base < buf.len() {
-                        if base & cmask == cmask {
-                            let f = if base & tbit != 0 { d1 } else { d0 };
-                            if f != C64::ONE {
-                                simd::scale_slice(&mut buf[base..base + run], f);
-                            }
-                        }
-                        base += run;
-                    }
-                    return;
-                }
-                for (i, z) in buf.iter_mut().enumerate() {
-                    if i & cmask == cmask {
-                        *z *= if i & tbit != 0 { d1 } else { d0 };
-                    }
-                }
-            }
-            LocalOp::Flip { cmask, tbit } => {
-                let lowest = (cmask | tbit) & (cmask | tbit).wrapping_neg();
-                if lowest >= simd::LANES {
-                    let run = lowest;
-                    let mut base = 0;
-                    while base < buf.len() {
-                        if base & cmask == cmask && base & tbit == 0 {
-                            // Both runs are run-aligned and fully inside
-                            // the buffer; tbit ≥ run keeps them disjoint.
-                            let (lo_half, hi_half) = buf.split_at_mut(base + tbit);
-                            simd::swap_slices(&mut lo_half[base..base + run], &mut hi_half[..run]);
-                        }
-                        base += run;
-                    }
-                    return;
-                }
-                for i in 0..buf.len() {
-                    if i & cmask == cmask && i & tbit == 0 {
-                        buf.swap(i, i | tbit);
-                    }
-                }
-            }
-            LocalOp::Rot { cmask, tbit, m } => {
-                let lowest = (cmask | tbit) & (cmask | tbit).wrapping_neg();
-                if lowest >= simd::LANES {
-                    let run = lowest;
-                    let mut base = 0;
-                    while base < buf.len() {
-                        if base & cmask == cmask && base & tbit == 0 {
-                            let (lo_half, hi_half) = buf.split_at_mut(base + tbit);
-                            simd::butterfly_slices(
-                                &mut lo_half[base..base + run],
-                                &mut hi_half[..run],
-                                &m,
-                            );
-                        }
-                        base += run;
-                    }
-                    return;
-                }
-                for i in 0..buf.len() {
-                    if i & cmask == cmask && i & tbit == 0 {
-                        let x = buf[i];
-                        let y = buf[i | tbit];
-                        buf[i] = m[0][0] * x + m[0][1] * y;
-                        buf[i | tbit] = m[1][0] * x + m[1][1] * y;
-                    }
-                }
-            }
-            LocalOp::Swap { cmask, abit, bbit } => {
-                let mask = cmask | abit | bbit;
-                let lowest = mask & mask.wrapping_neg();
-                if lowest >= simd::LANES {
-                    let run = lowest;
-                    let mut base = 0;
-                    while base < buf.len() {
-                        if base & cmask == cmask && base & abit != 0 && base & bbit == 0 {
-                            let j = (base & !abit) | bbit;
-                            let (x, y) = (base.min(j), base.max(j));
-                            // |base − j| = |abit − bbit| ≥ run: disjoint.
-                            let (lo_half, hi_half) = buf.split_at_mut(y);
-                            simd::swap_slices(&mut lo_half[x..x + run], &mut hi_half[..run]);
-                        }
-                        base += run;
-                    }
-                    return;
-                }
-                for i in 0..buf.len() {
-                    if i & cmask == cmask && i & abit != 0 && i & bbit == 0 {
-                        buf.swap(i, (i & !abit) | bbit);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched twin of [`LocalOp::apply`]: `buf` holds `2^k` local
-    /// amplitudes for `batch` ensemble members in batch-major interleaved
-    /// layout — local index `v` of member `j` lives at `v·batch + j`, so
-    /// every local index is a contiguous run of `batch` elements. The op
-    /// acts on whole runs, which keeps the arithmetic on the SIMD slice
-    /// primitives at **any** local bit position (the per-state fast paths
-    /// above need `tbit ≥ LANES`; here the run is the batch itself).
-    pub(crate) fn apply_batch(&self, buf: &mut [C64], batch: usize) {
+    /// X, general and SWAP ops are all *pairings*: every local amplitude
+    /// `v` with `v & mask == bits` meets its partner `v + delta` in a 2×2
+    /// butterfly or — no matrix — an exchange. (X and general gates select
+    /// the target-0 side of the control-on subspace; a SWAP, being
+    /// symmetric, pairs from its lower bit's side.)
+    pub(crate) fn apply(&self, buf: &mut [C64], batch: usize) {
         debug_assert!(batch > 0 && buf.len() % batch == 0);
-        let dim = buf.len() / batch;
         match *self {
             LocalOp::Diag {
                 cmask,
                 tbit,
                 d0,
                 d1,
-            } => {
-                for v in 0..dim {
-                    if v & cmask == cmask {
-                        let f = if v & tbit != 0 { d1 } else { d0 };
-                        if f != C64::ONE {
-                            simd::scale_slice(&mut buf[v * batch..(v + 1) * batch], f);
-                        }
-                    }
-                }
-            }
+            } => apply_local_diag(buf, batch, cmask, tbit, d0, d1),
             LocalOp::Flip { cmask, tbit } => {
-                for v in 0..dim {
-                    if v & cmask == cmask && v & tbit == 0 {
-                        let (lo, hi) = run_pair_mut(buf, v, v | tbit, batch);
-                        simd::swap_slices(lo, hi);
-                    }
-                }
+                apply_local_pair(buf, batch, cmask | tbit, cmask, tbit, None)
             }
-            LocalOp::Rot { cmask, tbit, m } => {
-                for v in 0..dim {
-                    if v & cmask == cmask && v & tbit == 0 {
-                        let (lo, hi) = run_pair_mut(buf, v, v | tbit, batch);
-                        simd::butterfly_slices(lo, hi, &m);
-                    }
-                }
+            LocalOp::Rot { cmask, tbit, ref m } => {
+                apply_local_pair(buf, batch, cmask | tbit, cmask, tbit, Some(m))
             }
             LocalOp::Swap { cmask, abit, bbit } => {
-                for v in 0..dim {
-                    if v & cmask == cmask && v & abit != 0 && v & bbit == 0 {
-                        let (a, b) = run_pair_mut(buf, v, (v & !abit) | bbit, batch);
-                        simd::swap_slices(a, b);
-                    }
-                }
+                let (lbit, hbit) = (abit.min(bbit), abit.max(bbit));
+                let mask = cmask | lbit | hbit;
+                apply_local_pair(buf, batch, mask, cmask | lbit, hbit - lbit, None)
             }
         }
     }
 }
 
-/// Two disjoint batch-length runs (`i·batch..` and `j·batch..`, `i ≠ j`)
-/// of one interleaved buffer, in either index order.
+/// How a [`LocalOp`] walks its block. The index space decomposes into
+/// contiguous runs of `2^p` local indices — `batch · 2^p` buffer elements
+/// — where `p` is the lowest bit the op's `mask` constrains (controls
+/// *and* targets: every mask bit is constant within such a run; a control
+/// on a high local bit merely deselects whole runs, it does not break them
+/// up). Runs of at least a vector go through the SIMD slice primitives
+/// (`Some(step)`: walk aligned runs of `step` local indices); shorter ones
+/// (a lone state with the op on local bit 0 or 1, a batch of 2–3 on bit 0)
+/// take the scalar per-element walk (`None`), which is instantiated with
+/// the literal `batch = 1` for a lone state (`sim.segmented_s`,
+/// `sim.fused_s` in `perf_suite`).
 #[inline(always)]
-pub(crate) fn run_pair_mut(
-    buf: &mut [C64],
-    i: usize,
-    j: usize,
-    batch: usize,
-) -> (&mut [C64], &mut [C64]) {
-    debug_assert!(i != j);
-    let (a, b) = (i.min(j), i.max(j));
-    let (lo, hi) = buf.split_at_mut(b * batch);
-    let lo_run = &mut lo[a * batch..(a + 1) * batch];
-    let hi_run = &mut hi[..batch];
-    if i < j {
-        (lo_run, hi_run)
-    } else {
-        (hi_run, lo_run)
+fn local_run_step(mask: usize, batch: usize) -> Option<usize> {
+    let step = lowest_bit(mask);
+    (step * batch >= simd::LANES).then_some(step)
+}
+
+/// Steps through a block's buffer elements: element `e` is member `j` of
+/// local amplitude `v` (`e = v·batch + j`); each call advances one element
+/// and returns the amplitude of the *next* one (the first is 0).
+#[inline(always)]
+fn local_amplitudes(batch: usize) -> impl FnMut() -> usize {
+    let (mut v, mut j) = (0, 0);
+    move || {
+        j += 1;
+        if j == batch {
+            (v, j) = (v + 1, 0);
+        }
+        v
     }
 }
 
-/// Applies a fused block by gathering each group into a stack buffer,
+/// [`LocalOp::Diag`] on a gathered block.
+fn apply_local_diag(buf: &mut [C64], batch: usize, cmask: usize, tbit: usize, d0: C64, d1: C64) {
+    #[inline(always)]
+    fn elements(buf: &mut [C64], batch: usize, cmask: usize, tbit: usize, d0: C64, d1: C64) {
+        let (mut v, mut next) = (0, local_amplitudes(batch));
+        for z in buf.iter_mut() {
+            if v & cmask == cmask {
+                *z *= if v & tbit != 0 { d1 } else { d0 };
+            }
+            v = next();
+        }
+    }
+    match local_run_step(cmask | tbit, batch) {
+        Some(step) => {
+            let run = step * batch;
+            // Run start as local index `v` and as buffer offset `e`.
+            let (mut v, mut e) = (0, 0);
+            while e < buf.len() {
+                if v & cmask == cmask {
+                    let f = if v & tbit != 0 { d1 } else { d0 };
+                    if f != C64::ONE {
+                        simd::scale_slice(&mut buf[e..e + run], f);
+                    }
+                }
+                (v, e) = (v + step, e + run);
+            }
+        }
+        None if batch == 1 => elements(buf, 1, cmask, tbit, d0, d1),
+        None => elements(buf, batch, cmask, tbit, d0, d1),
+    }
+}
+
+/// The pairing of [`LocalOp::apply`] on a gathered block: butterfly `m`
+/// on, or (`None`) exchange of, every `v & mask == bits` with `v + delta`.
+fn apply_local_pair(
+    buf: &mut [C64],
+    batch: usize,
+    mask: usize,
+    bits: usize,
+    delta: usize,
+    m: Option<&Mat2>,
+) {
+    #[inline(always)]
+    fn elements(
+        buf: &mut [C64],
+        batch: usize,
+        mask: usize,
+        bits: usize,
+        delta: usize,
+        m: Option<&Mat2>,
+    ) {
+        let (mut v, mut next) = (0, local_amplitudes(batch));
+        let far = delta * batch;
+        match m {
+            Some(m) => {
+                for e in 0..buf.len() {
+                    if v & mask == bits {
+                        let (x, y) = (buf[e], buf[e + far]);
+                        buf[e] = m[0][0] * x + m[0][1] * y;
+                        buf[e + far] = m[1][0] * x + m[1][1] * y;
+                    }
+                    v = next();
+                }
+            }
+            None => {
+                for e in 0..buf.len() {
+                    if v & mask == bits {
+                        buf.swap(e, e + far);
+                    }
+                    v = next();
+                }
+            }
+        }
+    }
+    match local_run_step(mask, batch) {
+        Some(step) => {
+            let run = step * batch;
+            let (mut v, mut e) = (0, 0);
+            while e < buf.len() {
+                if v & mask == bits {
+                    let (head, tail) = buf.split_at_mut(e + delta * batch);
+                    let (lo, hi) = (&mut head[e..e + run], &mut tail[..run]);
+                    match m {
+                        Some(m) => simd::butterfly_slices(lo, hi, m),
+                        None => simd::swap_slices(lo, hi),
+                    }
+                }
+                (v, e) = (v + step, e + run);
+            }
+        }
+        None if batch == 1 => elements(buf, 1, mask, bits, delta, m),
+        None => elements(buf, batch, mask, bits, delta, m),
+    }
+}
+
+/// The lowest set bit of a (non-zero) mask, as a value.
+#[inline(always)]
+fn lowest_bit(mask: usize) -> usize {
+    mask & mask.wrapping_neg()
+}
+
+/// Applies a fused block by gathering each group into a scratch buffer,
 /// running the block's precompiled ops on it in cache, and scattering the
 /// result back — one memory sweep for the whole gate run, with exactly the
-/// same per-amplitude arithmetic as unfused execution. As in
-/// [`apply_fused_with`], the gather/scatter moves contiguous
-/// `2^run_bits`-amplitude runs (one per *high* block qubit combination)
-/// rather than `2^k` strided single elements.
+/// same per-amplitude arithmetic as unfused execution.
 pub(crate) fn apply_fused_local(
     state: &mut [C64],
+    batch: usize,
     qubits: &[usize],
     ops: &[LocalOp],
     par_threshold: usize,
 ) {
-    let n_bits = log2_len(state) as usize;
-    check_fused_qubits(n_bits, qubits);
-    let dim = 1usize << qubits.len();
-    let run_bits = qubits
-        .iter()
-        .enumerate()
-        .take_while(|&(i, &q)| q == i)
-        .count();
-    let run = 1usize << run_bits;
-    let hi_offs: Vec<usize> = (0..dim >> run_bits)
-        .map(|w| scatter_index(w, &qubits[run_bits..]))
-        .collect();
-    let count = 1usize << (n_bits - qubits.len());
-    if state.len() >= par_threshold && count > 1 && rayon::current_num_threads() > 1 {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..count).into_par_iter().for_each(|g| {
-            let p = ptr;
-            let base = expand_index(g, qubits);
-            let mut buf = [C64::ZERO; MAX_FUSED_DIM];
-            // SAFETY: distinct groups own disjoint state indices (see
-            // `for_each_group`), and every run `base + off .. + run` stays
-            // confined to this group's qubit-bit offsets.
-            unsafe {
-                for (w, &off) in hi_offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        p.0.add(base + off),
-                        buf.as_mut_ptr().add(w * run),
-                        run,
-                    );
-                }
-                for op in ops {
-                    op.apply(&mut buf[..dim]);
-                }
-                for (w, &off) in hi_offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        buf.as_ptr().add(w * run),
-                        p.0.add(base + off),
-                        run,
-                    );
-                }
-            }
-        });
-    } else {
-        let mut buf = [C64::ZERO; MAX_FUSED_DIM];
-        for g in 0..count {
-            let base = expand_index(g, qubits);
-            simd::gather_runs(state, base, &hi_offs, run, &mut buf[..dim]);
-            for op in ops {
-                op.apply(&mut buf[..dim]);
-            }
-            simd::scatter_runs(&buf[..dim], state, base, &hi_offs, run);
+    fused_dim(state.len(), batch, qubits);
+    for_each_gathered_group(state, batch, qubits, 0, par_threshold, |buf| {
+        for op in ops {
+            op.apply(buf, batch);
         }
-    }
-}
-
-/// Applies one [`Gate`] to a raw state slice, dispatching on structure.
-pub fn apply_gate_slice(state: &mut [C64], gate: &Gate) {
-    apply_gate_slice_with(state, gate, PAR_THRESHOLD)
-}
-
-/// [`apply_gate_slice`] with an explicit parallelism threshold.
-pub fn apply_gate_slice_with(state: &mut [C64], gate: &Gate, par_threshold: usize) {
-    match gate {
-        Gate::Unary {
-            op,
-            target,
-            controls,
-        } => match op.structure() {
-            GateStructure::Diagonal(d0, d1) => {
-                apply_diagonal_with(state, *target, controls, d0, d1, par_threshold)
-            }
-            GateStructure::PermutationX => {
-                apply_perm_x_with(state, *target, controls, par_threshold)
-            }
-            GateStructure::General(m) => {
-                apply_general_with(state, *target, controls, &m, par_threshold)
-            }
-        },
-        Gate::Swap { a, b, controls } => apply_swap_with(state, *a, *b, controls, par_threshold),
-    }
+    });
 }
 
 /// Number of state-vector entries a gate's kernel writes, as a function of
@@ -1175,6 +1123,7 @@ pub fn fused_touched_entries(n_qubits: usize, block_qubits: usize, touched_local
 mod tests {
     use super::*;
     use crate::gate::GateOp;
+    use crate::{BatchStateVector, StateVector};
     use qcemu_linalg::{c64, max_abs_diff, norm2, random_state};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1220,21 +1169,29 @@ mod tests {
         out
     }
 
+    /// Checks the kernel against the oracle on every member of a
+    /// batch-major buffer, at batch sizes on both sides of the vector
+    /// width (`batch · 2^p0 < LANES` is the short-run tier).
     fn check_gate(n_qubits: usize, gate: Gate, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let input = random_state(1 << n_qubits, &mut rng);
-        let mut fast = input.clone();
-        apply_gate_slice(&mut fast, &gate);
-        let slow = oracle_apply(&input, &gate);
-        assert!(
-            max_abs_diff(&fast, &slow) < 1e-12,
-            "kernel mismatch for {gate:?} on {n_qubits} qubits: {}",
-            max_abs_diff(&fast, &slow)
-        );
-        assert!(
-            (norm2(&fast) - 1.0).abs() < 1e-10,
-            "norm broken by {gate:?}"
-        );
+        let dim = 1usize << n_qubits;
+        for batch in [1usize, 2, 3, 8] {
+            let members: Vec<StateVector> = (0..batch)
+                .map(|_| StateVector::from_amplitudes(random_state(dim, &mut rng)))
+                .collect();
+            let mut fast = BatchStateVector::from_states(&members);
+            apply_gate_batch(fast.amplitudes_mut(), batch, &gate, PAR_THRESHOLD);
+            for (j, member) in members.iter().enumerate() {
+                let got = fast.member(j).into_amplitudes();
+                let slow = oracle_apply(member.amplitudes(), &gate);
+                assert!(
+                    max_abs_diff(&got, &slow) < 1e-12,
+                    "kernel mismatch for {gate:?} on {n_qubits} qubits, member {j} of {batch}: {}",
+                    max_abs_diff(&got, &slow)
+                );
+                assert!((norm2(&got) - 1.0).abs() < 1e-10, "norm broken by {gate:?}");
+            }
+        }
     }
 
     #[test]
@@ -1353,8 +1310,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(501);
         let input = random_state(64, &mut rng);
         let mut s = input.clone();
-        apply_perm_x(&mut s, 3, &[]);
-        apply_perm_x(&mut s, 3, &[]);
+        apply_perm_x(&mut s, 1, 3, &[], PAR_THRESHOLD);
+        apply_perm_x(&mut s, 1, 3, &[], PAR_THRESHOLD);
         assert!(max_abs_diff(&s, &input) < 1e-15);
     }
 
@@ -1363,12 +1320,12 @@ mod tests {
         // Phase gate on |0⟩-basis state must be a no-op.
         let mut s = vec![C64::ZERO; 8];
         s[0] = C64::ONE; // |000⟩
-        apply_diagonal(&mut s, 1, &[], C64::ONE, C64::cis(0.4));
+        apply_diagonal(&mut s, 1, 1, &[], C64::ONE, C64::cis(0.4), PAR_THRESHOLD);
         assert!(s[0].approx_eq(C64::ONE, 1e-15));
         // On |010⟩ it must apply the phase.
         let mut s = vec![C64::ZERO; 8];
         s[2] = C64::ONE;
-        apply_diagonal(&mut s, 1, &[], C64::ONE, C64::cis(0.4));
+        apply_diagonal(&mut s, 1, 1, &[], C64::ONE, C64::cis(0.4), PAR_THRESHOLD);
         assert!(s[2].approx_eq(C64::cis(0.4), 1e-15));
     }
 
@@ -1377,7 +1334,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(502);
         let input = random_state(32, &mut rng);
         let mut s = input.clone();
-        apply_diagonal(&mut s, 2, &[], C64::ONE, C64::ONE);
+        apply_diagonal(&mut s, 1, 2, &[], C64::ONE, C64::ONE, PAR_THRESHOLD);
         assert_eq!(
             max_abs_diff(&s, &input),
             0.0,
@@ -1456,7 +1413,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(600);
         let input = random_state(1 << 5, &mut rng);
         let mut fused = input.clone();
-        apply_fused(&mut fused, &[1, 3], &m);
+        apply_fused(&mut fused, 1, &[1, 3], &m, PAR_THRESHOLD);
         let mut plain = input;
         for g in &gates {
             apply_gate_slice(&mut plain, g);
@@ -1472,7 +1429,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(601);
         let input = random_state(1 << 4, &mut rng);
         let mut fused = input.clone();
-        apply_fused_diagonal(&mut fused, &[0, 1], &factors);
+        apply_fused_diagonal(&mut fused, 1, &[0, 1], &factors, PAR_THRESHOLD);
         let mut plain = input;
         apply_gate_slice(&mut plain, &Gate::cz(0, 1));
         apply_gate_slice(&mut plain, &Gate::t(0));
@@ -1480,7 +1437,7 @@ mod tests {
 
         // All-identity factors must leave the state bitwise untouched.
         let before = fused.clone();
-        apply_fused_diagonal(&mut fused, &[0, 1], &[C64::ONE; 4]);
+        apply_fused_diagonal(&mut fused, 1, &[0, 1], &[C64::ONE; 4], PAR_THRESHOLD);
         assert_eq!(max_abs_diff(&fused, &before), 0.0);
 
         // Accounting: 2 of the 4 local entries (|01⟩, |11⟩) are non-unit,
@@ -1500,7 +1457,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(602);
         let input = random_state(1 << 4, &mut rng);
         let mut fused = input.clone();
-        apply_fused_permutation(&mut fused, &[0, 1, 2], &target, &factor);
+        apply_fused_permutation(&mut fused, 1, &[0, 1, 2], &target, &factor, PAR_THRESHOLD);
         let mut plain = input;
         apply_gate_slice(&mut plain, &Gate::cnot(0, 1));
         apply_gate_slice(&mut plain, &Gate::cnot(0, 2));
@@ -1516,7 +1473,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(603);
         let input = random_state(8, &mut rng);
         let mut fused = input.clone();
-        apply_fused_permutation(&mut fused, &[0], &target, &factor);
+        apply_fused_permutation(&mut fused, 1, &[0], &target, &factor, PAR_THRESHOLD);
         let mut plain = input;
         apply_gate_slice(&mut plain, &Gate::x(0));
         apply_gate_slice(&mut plain, &Gate::s(0));
@@ -1543,7 +1500,7 @@ mod tests {
         for gate in gates {
             let input = random_state(8, &mut rng);
             let mut via_local = input.clone();
-            LocalOp::from_gate(&gate).apply(&mut via_local);
+            LocalOp::from_gate(&gate).apply(&mut via_local, 1);
             let mut via_kernel = input;
             apply_gate_slice(&mut via_kernel, &gate);
             assert!(
@@ -1572,7 +1529,7 @@ mod tests {
             }
         }
         let mut fused = input.clone();
-        apply_fused(&mut fused, &[3, 14], &m);
+        apply_fused(&mut fused, 1, &[3, 14], &m, PAR_THRESHOLD);
         let mut plain = input;
         let remapped = [Gate::h(3), Gate::cnot(3, 14), Gate::rz(14, 0.3)];
         for g in &remapped {
@@ -1585,7 +1542,7 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn fused_qubits_must_be_sorted() {
         let mut state = vec![C64::ZERO; 8];
-        apply_fused_diagonal(&mut state, &[2, 0], &[C64::I; 4]);
+        apply_fused_diagonal(&mut state, 1, &[2, 0], &[C64::I; 4], PAR_THRESHOLD);
     }
 
     #[test]
@@ -1594,22 +1551,60 @@ mod tests {
         let n = 8;
         let mut state = vec![c64(1.0, 0.0); 1 << n]; // unnormalised, fine
         let counter = AtomicUsize::new(0);
-        // Controlled phase via for_each_one.
-        for_each_one(&mut state, 3, &[5], |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
+        // Controlled phase via the one-run driver.
+        for_each_one_run(&mut state, 1, 3, &[5], PAR_THRESHOLD, |run| {
+            counter.fetch_add(run.len(), Ordering::Relaxed);
         });
         assert_eq!(
             counter.load(Ordering::Relaxed),
             touched_entries(n, &Gate::cphase(5, 3, 0.1))
         );
-        // General pair kernel writes 2 per pair.
+        // General pair kernel writes both runs of every pair.
         let counter = AtomicUsize::new(0);
-        for_each_pair(&mut state, 2, &[0, 6], |_, _| {
-            counter.fetch_add(2, Ordering::Relaxed);
-        });
+        for_each_pair_run(
+            &mut state,
+            1,
+            0,
+            1 << 2,
+            &[0, 6],
+            PAR_THRESHOLD,
+            |lo, hi| {
+                counter.fetch_add(lo.len() + hi.len(), Ordering::Relaxed);
+            },
+        );
         assert_eq!(
             counter.load(Ordering::Relaxed),
             touched_entries(n, &Gate::toffoli(0, 6, 2))
         );
+    }
+
+    #[test]
+    fn par_threshold_counts_the_buffer_not_the_selected_pairs() {
+        // A CNOT selects a quarter of the amplitudes as pairs, yet the
+        // threshold is compared against the whole buffer: a 2^7 state is
+        // above a threshold of 2^6 although only 2^5 pairs move.
+        if rayon::pool::default_threads() < 2 {
+            return; // no pool to observe on a serial host / QCEMU_THREADS=1
+        }
+        let (n_qubits, threshold, reps) = (7, 1 << 6, 64);
+        let mut rng = StdRng::seed_from_u64(503);
+        let input = random_state(1 << n_qubits, &mut rng);
+        let gate = Gate::cnot(6, 2);
+        let run = |state: &mut [C64], par_threshold| {
+            for _ in 0..reps {
+                apply_gate_batch(state, 1, &gate, par_threshold);
+            }
+        };
+        let mut serial = input.clone();
+        run(&mut serial, usize::MAX);
+        let before = rayon::pool::stats().tasks_dispatched;
+        let mut parallel = input;
+        run(&mut parallel, threshold);
+        let dispatched = rayon::pool::stats().tasks_dispatched - before;
+        assert!(
+            dispatched >= reps as u64,
+            "{dispatched} pool dispatches for {reps} above-threshold gates"
+        );
+        assert_eq!(max_abs_diff(&serial, &parallel), 0.0);
     }
 }

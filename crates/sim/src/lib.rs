@@ -13,7 +13,8 @@
 //!   touches exactly ¼ of the state, X gates move data without arithmetic,
 //!   controls shrink the index space instead of being checked per entry;
 //!   all rayon-parallel over disjoint index sets; plus the fused blocked
-//!   kernels ([`kernels::apply_fused`] and friends);
+//!   kernels ([`kernels::apply_fused`] and friends). Every kernel takes a
+//!   batch-major buffer `(state, batch, …)`; a single state is `batch = 1`;
 //! * [`fusion`] — the gate-fusion engine: merge runs of adjacent gates
 //!   into k-qubit blocks applied in one cache-blocked sweep, behind a
 //!   [`SimConfig`]/[`FusionPolicy`] (see `docs/PERFORMANCE.md`);
@@ -28,9 +29,10 @@
 //!   transforms (uncomputation and QPE building blocks);
 //! * [`circuits`] — QFT, entangle and TFIM-Trotter benchmark generators;
 //! * [`measure`] — shot sampling, collapse, and exact expectations;
-//! * [`batch`] — ensembles of state vectors in a batch-major interleaved
-//!   layout, advanced by batched kernel drivers that vectorise across the
-//!   batch dimension and pay per-gate fixed costs once per ensemble;
+//! * [`batch`] — the [`BatchStateVector`] container: ensembles of state
+//!   vectors in the batch-major interleaved layout, so the kernels
+//!   vectorise across the batch dimension and pay per-gate fixed costs
+//!   once per ensemble;
 //! * [`dense`] — circuit → dense unitary (QPE emulation front-end) and
 //!   (controlled) dense-operator application to registers.
 //!
@@ -51,7 +53,7 @@ pub mod mps;
 pub mod segment;
 pub mod statevector;
 
-pub use batch::{apply_gate_batch, BatchStateVector};
+pub use batch::BatchStateVector;
 pub use circuit::{Circuit, CircuitCensus};
 pub use circuits::{
     entangle_circuit, inverse_qft_circuit, qft_circuit, qft_circuit_no_swap, qft_gate_count,
@@ -65,7 +67,7 @@ pub use fusion::{
 };
 pub use gate::{Gate, GateOp, GateStructure, Mat2};
 pub use kernels::{
-    apply_fused, apply_fused_diagonal, apply_fused_permutation, apply_gate_slice,
+    apply_fused, apply_fused_diagonal, apply_fused_permutation, apply_gate_batch, apply_gate_slice,
     fused_touched_entries, scatter_index, touched_entries, MAX_FUSED_QUBITS, PAR_THRESHOLD,
 };
 pub use mps::{

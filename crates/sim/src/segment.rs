@@ -45,7 +45,7 @@
 use crate::circuit::Circuit;
 use crate::fusion::{fuse_circuit, FusedCircuit, FusionPolicy};
 use crate::gate::{Gate, GateStructure};
-use crate::kernels::{LocalOp, StatePtr, PAR_THRESHOLD};
+use crate::kernels::{batch_bits, mask_of, parallel_ok, LocalOp};
 use qcemu_linalg::{simd, C64};
 use rayon::prelude::*;
 
@@ -127,7 +127,7 @@ enum SegStep {
 /// A circuit partitioned into cache-blocked segments and sweep runs.
 ///
 /// Built by [`segment_circuit`]; executed via
-/// [`SegmentedCircuit::apply_slice_with`] (or transparently through
+/// [`SegmentedCircuit::apply`] (or transparently through
 /// [`StateVector::run`](crate::StateVector::run) with
 /// [`SimConfig::segmented`](crate::SimConfig::segmented)).
 #[derive(Clone, Debug)]
@@ -142,7 +142,6 @@ pub struct SegmentedCircuit {
 /// gate may expand to up to two [`SegOp`]s (the two branches of a high
 /// diagonal) or zero (an identity diagonal).
 fn compile_gate(gate: &Gate, bb: usize) -> Option<Vec<SegOp>> {
-    let mask = |bits: &[usize]| bits.iter().fold(0usize, |m, &b| m | (1usize << b));
     match gate {
         Gate::Unary {
             op,
@@ -151,7 +150,7 @@ fn compile_gate(gate: &Gate, bb: usize) -> Option<Vec<SegOp>> {
         } => {
             let (low_c, high_c): (Vec<usize>, Vec<usize>) =
                 controls.iter().copied().partition(|&c| c < bb);
-            let high_ones = mask(&high_c);
+            let high_ones = mask_of(&high_c);
             if *target < bb {
                 // In-block gate: low controls stay in the local op, high
                 // controls become the block activity mask.
@@ -185,7 +184,7 @@ fn compile_gate(gate: &Gate, bb: usize) -> Option<Vec<SegOp>> {
                             // Scale only the entries with all low controls
                             // set: a phase-type diagonal whose "target" is
                             // the lowest low-control bit.
-                            let lmask = mask(&low_c);
+                            let lmask = mask_of(&low_c);
                             let tbit = lmask & lmask.wrapping_neg();
                             SegAction::Local(LocalOp::Diag {
                                 cmask: lmask & !tbit,
@@ -218,7 +217,7 @@ fn compile_gate(gate: &Gate, bb: usize) -> Option<Vec<SegOp>> {
                 controls: low_c,
             };
             Some(vec![SegOp {
-                high_ones: mask(&high_c),
+                high_ones: mask_of(&high_c),
                 high_zeros: 0,
                 action: SegAction::Local(LocalOp::from_gate(&local)),
             }])
@@ -287,79 +286,33 @@ pub fn segment_circuit(
     }
 }
 
-/// Applies one blocked segment to a single state: each `2^block_bits`
-/// chunk is loaded once, every active op replayed against it in cache,
-/// accumulated scalar factors applied, and the chunk written back.
-fn run_blocked(state: &mut [C64], block_bits: usize, ops: &[SegOp], par_threshold: usize) {
-    let bsize = 1usize << block_bits;
-    debug_assert!(state.len() % bsize == 0);
-    let nblocks = state.len() / bsize;
-    if state.len() >= par_threshold && nblocks > 1 && rayon::current_num_threads() > 1 {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..nblocks).into_par_iter().for_each(|blk| {
-            let p = ptr;
-            // SAFETY: blocks are disjoint contiguous chunks of `state`.
-            let block = unsafe { std::slice::from_raw_parts_mut(p.0.add(blk * bsize), bsize) };
-            apply_block(block, blk * bsize, ops);
-        });
-    } else {
-        for (blk, block) in state.chunks_mut(bsize).enumerate() {
-            apply_block(block, blk * bsize, ops);
-        }
-    }
-}
-
-/// Replays a segment against one block whose first amplitude has global
-/// index `base`. Scalar factors commute with every linear op, so they
-/// accumulate and are applied in a single fused scaling at the end.
-fn apply_block(block: &mut [C64], base: usize, ops: &[SegOp]) {
-    let mut acc = C64::ONE;
-    for op in ops {
-        if !op.active(base) {
-            continue;
-        }
-        match &op.action {
-            SegAction::Scale(f) => acc *= *f,
-            SegAction::Local(l) => l.apply(block),
-        }
-    }
-    if acc != C64::ONE {
-        simd::scale_slice(block, acc);
-    }
-}
-
-/// Batch-major twin of [`run_blocked`]: member `j`'s amplitude `i` lives
-/// at `state[i·batch + j]` (see [`crate::batch`]), so one block is the
-/// contiguous region `state[base·batch .. (base + 2^b)·batch]`.
-fn run_blocked_batch(
+/// Applies one blocked segment to a batch-major buffer: one block is the
+/// contiguous region `state[base·batch .. (base + 2^b)·batch]`; each is
+/// loaded once, every active op replayed against it in cache, accumulated
+/// scalar factors applied, and the region written back.
+fn run_blocked(
     state: &mut [C64],
     batch: usize,
     block_bits: usize,
     ops: &[SegOp],
     par_threshold: usize,
 ) {
-    let region = (1usize << block_bits) * batch;
-    debug_assert!(state.len() % region == 0);
-    let nblocks = state.len() / region;
     let bsize = 1usize << block_bits;
-    if state.len() >= par_threshold && nblocks > 1 && rayon::current_num_threads() > 1 {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..nblocks).into_par_iter().for_each(|blk| {
-            let p = ptr;
-            // SAFETY: regions are disjoint contiguous chunks of `state`.
-            let block = unsafe { std::slice::from_raw_parts_mut(p.0.add(blk * region), region) };
-            apply_block_batch(block, blk * bsize, batch, ops);
-        });
+    let region = bsize * batch;
+    debug_assert!(state.len() % region == 0);
+    let body = |(blk, block): (usize, &mut [C64])| apply_block(block, blk * bsize, batch, ops);
+    if parallel_ok(state.len(), par_threshold) && state.len() > region {
+        state.par_chunks_mut(region).enumerate().for_each(body);
     } else {
-        for (blk, block) in state.chunks_mut(region).enumerate() {
-            apply_block_batch(block, blk * bsize, batch, ops);
-        }
+        state.chunks_mut(region).enumerate().for_each(body);
     }
 }
 
-/// [`apply_block`] for a batch-major region (`2^b` local amplitudes ×
-/// `batch` members).
-fn apply_block_batch(block: &mut [C64], base: usize, batch: usize, ops: &[SegOp]) {
+/// Replays a segment against one block (`2^b` local amplitudes × `batch`
+/// members) whose first amplitude has global index `base`. Scalar factors
+/// commute with every linear op, so they accumulate and are applied in a
+/// single fused scaling at the end.
+fn apply_block(block: &mut [C64], base: usize, batch: usize, ops: &[SegOp]) {
     let mut acc = C64::ONE;
     for op in ops {
         if !op.active(base) {
@@ -367,7 +320,7 @@ fn apply_block_batch(block: &mut [C64], base: usize, batch: usize, ops: &[SegOp]
         }
         match &op.action {
             SegAction::Scale(f) => acc *= *f,
-            SegAction::Local(l) => l.apply_batch(block, batch),
+            SegAction::Local(l) => l.apply(block, batch),
         }
     }
     if acc != C64::ONE {
@@ -415,50 +368,21 @@ impl SegmentedCircuit {
             .sum()
     }
 
-    /// Applies the segmented circuit to a raw state slice. The state may
-    /// be wider than the circuit (extra high qubits are untouched — the
-    /// activity masks never test them), but never narrower.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len()` is not a power of two at least
-    /// `2^n_qubits`.
-    pub fn apply_slice(&self, state: &mut [C64]) {
-        self.apply_slice_with(state, PAR_THRESHOLD)
-    }
-
-    /// [`SegmentedCircuit::apply_slice`] with an explicit parallelism
-    /// threshold (see [`SimConfig::par_threshold`](crate::SimConfig)).
-    pub fn apply_slice_with(&self, state: &mut [C64], par_threshold: usize) {
-        assert!(
-            state.len().is_power_of_two() && state.len() >= 1usize << self.n_qubits,
-            "segmented circuit compiled for {} qubits, state holds {} amplitudes",
-            self.n_qubits,
-            state.len()
-        );
-        for step in &self.steps {
-            match step {
-                SegStep::Blocked(ops) => run_blocked(state, self.block_bits, ops, par_threshold),
-                SegStep::Sweep(fc) => fc.apply_slice_with(state, par_threshold),
-            }
-        }
-    }
-
     /// Applies the segmented circuit to every member of a batch-major
-    /// interleaved buffer (see [`crate::batch`]): blocked segments run on
-    /// contiguous `2^b·batch` regions, sweep runs go through the batched
-    /// fused kernels.
+    /// buffer (a single state is `batch = 1`): blocked segments run on
+    /// contiguous `2^b·batch` regions, sweep runs go through the fused
+    /// kernels. The members may be wider than the circuit (extra high
+    /// qubits are untouched — the activity masks never test them), but
+    /// never narrower.
     ///
     /// # Panics
     ///
     /// Panics if `batch == 0`, `state.len()` is not a multiple of
-    /// `batch`, or the per-member width is below `2^n_qubits`.
-    pub fn apply_batched_with(&self, state: &mut [C64], batch: usize, par_threshold: usize) {
-        assert!(batch > 0, "batch must be non-empty");
+    /// `batch`, or the per-member width is not a power of two at least
+    /// `2^n_qubits`.
+    pub fn apply(&self, state: &mut [C64], batch: usize, par_threshold: usize) {
         assert!(
-            state.len() % batch == 0
-                && (state.len() / batch).is_power_of_two()
-                && state.len() / batch >= 1usize << self.n_qubits,
+            batch_bits(state.len(), batch) >= self.n_qubits,
             "segmented circuit compiled for {} qubits × batch {batch}, buffer holds {}",
             self.n_qubits,
             state.len()
@@ -466,9 +390,9 @@ impl SegmentedCircuit {
         for step in &self.steps {
             match step {
                 SegStep::Blocked(ops) => {
-                    run_blocked_batch(state, batch, self.block_bits, ops, par_threshold)
+                    run_blocked(state, batch, self.block_bits, ops, par_threshold)
                 }
-                SegStep::Sweep(fc) => fc.apply_batched_with(state, batch, par_threshold),
+                SegStep::Sweep(fc) => fc.apply(state, batch, par_threshold),
             }
         }
     }
@@ -517,7 +441,7 @@ mod tests {
     use super::*;
     use crate::circuits::entangle::entangle_circuit;
     use crate::circuits::qft::qft_circuit;
-    use crate::kernels::apply_gate_slice;
+    use crate::kernels::{apply_gate_slice, PAR_THRESHOLD};
     use qcemu_linalg::{max_abs_diff, random_state};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -532,7 +456,7 @@ mod tests {
         for fusion in [FusionPolicy::Disabled, FusionPolicy::greedy()] {
             let seg = segment_circuit(circuit, block_bits, &fusion);
             let mut blocked = input.clone();
-            seg.apply_slice(&mut blocked);
+            seg.apply(&mut blocked, 1, PAR_THRESHOLD);
             assert!(
                 max_abs_diff(&plain, &blocked) < 1e-12,
                 "segmented(b={block_bits}, {fusion:?}) diverges on {} gates: {}",
@@ -681,10 +605,10 @@ mod tests {
                 inter[i * batch + j] = z;
             }
         }
-        seg.apply_batched_with(&mut inter, batch, PAR_THRESHOLD);
+        seg.apply(&mut inter, batch, PAR_THRESHOLD);
         for (j, m) in members.iter().enumerate() {
             let mut expect = m.clone();
-            seg.apply_slice(&mut expect);
+            seg.apply(&mut expect, 1, PAR_THRESHOLD);
             for (i, &e) in expect.iter().enumerate() {
                 assert!(
                     (inter[i * batch + j] - e).abs() < 1e-12,
@@ -700,6 +624,6 @@ mod tests {
         let c = qft_circuit(4);
         let seg = segment_circuit(&c, 2, &FusionPolicy::Disabled);
         let mut state = vec![C64::ZERO; 8];
-        seg.apply_slice(&mut state);
+        seg.apply(&mut state, 1, PAR_THRESHOLD);
     }
 }

@@ -4,10 +4,41 @@
 use crate::circuit::Circuit;
 use crate::fusion::{fuse_circuit, FusedCircuit, FusionPolicy, SimConfig};
 use crate::gate::Gate;
-use crate::kernels::apply_gate_slice;
+use crate::kernels::{apply_gate_batch, apply_gate_slice, batch_bits, PAR_THRESHOLD};
 use crate::mps::{MpsPolicy, MpsState, MPS_EXACT_TOL};
 use crate::segment::{segment_circuit, SegmentPolicy};
 use qcemu_linalg::{inner, norm2, C64};
+
+/// The one dense execution ladder, shared by [`StateVector::run`]
+/// (`batch = 1`) and [`BatchStateVector::run`](crate::BatchStateVector::run):
+/// cache-blocked segments when [`SegmentPolicy::Blocked`] is set (the
+/// fusion policy then governs only the runs that fall out of segments),
+/// otherwise gate-by-gate through the structural kernels when fusion is
+/// disabled and fused blocked sweeps when it is not. `config.mps` is not
+/// consulted here.
+pub(crate) fn run_dense(state: &mut [C64], batch: usize, circuit: &Circuit, config: &SimConfig) {
+    let n_qubits = batch_bits(state.len(), batch);
+    assert!(
+        circuit.n_qubits() <= n_qubits,
+        "circuit needs {} qubits, state has {n_qubits}",
+        circuit.n_qubits()
+    );
+    let par_threshold = config.par_threshold;
+    if let SegmentPolicy::Blocked { block_bits } = config.segments {
+        segment_circuit(circuit, block_bits, &config.fusion).apply(state, batch, par_threshold);
+        return;
+    }
+    match config.fusion {
+        FusionPolicy::Disabled => {
+            for gate in circuit.gates() {
+                apply_gate_batch(state, batch, gate, par_threshold);
+            }
+        }
+        FusionPolicy::Greedy { .. } => {
+            fuse_circuit(circuit, &config.fusion).apply(state, batch, par_threshold)
+        }
+    }
+}
 
 /// State vector of an `n`-qubit register, little-endian: qubit `k` is bit
 /// `k` of the basis index.
@@ -133,15 +164,7 @@ impl StateVector {
 
     /// Applies every gate of a circuit in order.
     pub fn apply_circuit(&mut self, circuit: &Circuit) {
-        assert!(
-            circuit.n_qubits() <= self.n_qubits,
-            "circuit needs {} qubits, state has {}",
-            circuit.n_qubits(),
-            self.n_qubits
-        );
-        for gate in circuit.gates() {
-            apply_gate_slice(&mut self.amps, gate);
-        }
+        run_dense(&mut self.amps, 1, circuit, &SimConfig::unfused());
     }
 
     /// Runs a circuit under an execution configuration: gate-by-gate when
@@ -176,44 +199,7 @@ impl StateVector {
                 return;
             }
         }
-        if let SegmentPolicy::Blocked { block_bits } = config.segments {
-            assert!(
-                circuit.n_qubits() <= self.n_qubits,
-                "circuit needs {} qubits, state has {}",
-                circuit.n_qubits(),
-                self.n_qubits
-            );
-            let seg = segment_circuit(circuit, block_bits, &config.fusion);
-            seg.apply_slice_with(&mut self.amps, config.par_threshold);
-            return;
-        }
-        match config.fusion {
-            FusionPolicy::Disabled => {
-                assert!(
-                    circuit.n_qubits() <= self.n_qubits,
-                    "circuit needs {} qubits, state has {}",
-                    circuit.n_qubits(),
-                    self.n_qubits
-                );
-                for gate in circuit.gates() {
-                    crate::kernels::apply_gate_slice_with(
-                        &mut self.amps,
-                        gate,
-                        config.par_threshold,
-                    );
-                }
-            }
-            FusionPolicy::Greedy { .. } => {
-                let fused = fuse_circuit(circuit, &config.fusion);
-                assert!(
-                    fused.n_qubits() <= self.n_qubits,
-                    "fused circuit needs {} qubits, state has {}",
-                    fused.n_qubits(),
-                    self.n_qubits
-                );
-                fused.apply_slice_with(&mut self.amps, config.par_threshold);
-            }
-        }
+        run_dense(&mut self.amps, 1, circuit, config);
     }
 
     /// Applies an already-fused circuit (reuse the [`FusedCircuit`] when
@@ -225,7 +211,7 @@ impl StateVector {
             fused.n_qubits(),
             self.n_qubits
         );
-        fused.apply_slice(&mut self.amps);
+        fused.apply(&mut self.amps, 1, PAR_THRESHOLD);
     }
 
     /// Tensor product `self ⊗ other`; `other`'s qubits become the *high*

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use qcemu_linalg::{max_abs_diff, random_state, simd, C64};
 use qcemu_sim::kernels::apply_gate_slice;
-use qcemu_sim::{Circuit, FusionPolicy, Gate, GateOp};
+use qcemu_sim::{Circuit, FusionPolicy, Gate, GateOp, PAR_THRESHOLD};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -155,7 +155,7 @@ proptest! {
         let fused = c.fuse(&FusionPolicy::Greedy { max_fused_qubits: k });
         let mut rng = StdRng::seed_from_u64(state_seed);
         let input = random_state(1usize << n, &mut rng);
-        let (scalar, native) = scalar_vs_native(&input, |s| fused.apply_slice(s));
+        let (scalar, native) = scalar_vs_native(&input, |s| fused.apply(s, 1, PAR_THRESHOLD));
         prop_assert!(
             max_abs_diff(&scalar, &native) < 1e-12,
             "fused k={k} mismatch: {}",
@@ -220,7 +220,7 @@ fn forced_fallback_runs_the_scalar_path_correctly() {
         apply_gate_slice(&mut gate_by_gate, g);
     }
     let mut fused_scalar = input.clone();
-    fused.apply_slice(&mut fused_scalar);
+    fused.apply(&mut fused_scalar, 1, PAR_THRESHOLD);
     simd::force_scalar(false);
 
     // Scalar fused ≡ scalar unfused …

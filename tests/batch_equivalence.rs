@@ -89,7 +89,9 @@ fn member_states(n: usize, batch: usize) -> Vec<StateVector> {
 }
 
 /// Runs `circuit` batched and per-member under `config`; asserts the
-/// batched result matches every sequential member ≤1e-12.
+/// batched result matches every sequential member ≤1e-12 — and, at
+/// `batch = 1`, bit for bit: a lone state *is* the one-member buffer and
+/// runs the very same kernels.
 fn assert_batched_matches_sequential(circuit: &Circuit, config: &SimConfig, batch: usize) {
     let n = circuit.n_qubits();
     let starts = member_states(n, batch);
@@ -104,6 +106,9 @@ fn assert_batched_matches_sequential(circuit: &Circuit, config: &SimConfig, batc
             "member {j}/{batch} deviates by {diff:.3e} (fusion: {:?})",
             config.fusion
         );
+        if batch == 1 {
+            assert_eq!(bsv.member(0), reference, "batch = 1 must be bit-identical");
+        }
     }
 }
 
@@ -234,6 +239,34 @@ fn rotation_sweep_case() {
             let reference = solo.run(prog, StateVector::zero_state(n)).unwrap();
             let diff = out.member_max_diff(j, &reference);
             assert!(diff <= 1e-12, "member {j}/{batch} deviates by {diff:.3e}");
+        }
+    }
+}
+
+/// The batched `run` has no MPS form and ignores `SimConfig::mps`; a solo
+/// forced-MPS run keeps only truncation-free results (ample χ) or falls
+/// back to dense (tight χ), so the two must still agree — to the MPS
+/// harness's 1e-10, since the ample-χ solo answer went through SVDs.
+#[test]
+fn batched_run_under_forced_mps_matches_solo_runs() {
+    let _shared = scalar_lock();
+    for circuit in [qcemu_sim::qft_circuit(6), qcemu_sim::entangle_circuit(6)] {
+        for max_bond in [2usize, 64] {
+            let config = SimConfig::mps(max_bond);
+            for batch in [1usize, 3] {
+                let starts = member_states(6, batch);
+                let mut bsv = BatchStateVector::from_states(&starts);
+                bsv.run(&circuit, &config);
+                for (j, start) in starts.iter().enumerate() {
+                    let mut reference = start.clone();
+                    reference.run(&circuit, &config);
+                    let diff = bsv.member_max_diff(j, &reference);
+                    assert!(
+                        diff <= 1e-10,
+                        "χ = {max_bond}, member {j}/{batch} deviates by {diff:.3e}"
+                    );
+                }
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use qcemu::prelude::*;
-use qcemu_sim::qft_circuit;
+use qcemu_sim::{qft_circuit, PAR_THRESHOLD};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serialises tests that toggle or depend on the global SIMD switch.
@@ -114,7 +114,7 @@ fn assert_segment_equivalence(circuit: &Circuit) {
         ] {
             let seg = segment_circuit(circuit, block_bits, &fusion);
             let mut sv = start.clone();
-            seg.apply_slice(sv.amplitudes_mut());
+            seg.apply(sv.amplitudes_mut(), 1, PAR_THRESHOLD);
             let diff = max_diff(&sv, &reference);
             assert!(
                 diff <= 1e-12,
