@@ -21,7 +21,7 @@
 //! ("Compressed (MPS) backend").
 
 use qcemu_bench::{fmt_secs, header, rule, time_median, Args, BenchReport, JsonObj};
-use qcemu_core::{plan_hybrid, plan_simulated, CostModel, PlanInterpreter, ProgramBuilder};
+use qcemu_core::{plan, CostModel, PlanInterpreter, Policy, ProgramBuilder};
 use qcemu_sim::{estimate_mps_cost, Circuit, MpsState, SimConfig, StateVector, DEFAULT_MAX_BOND};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -218,14 +218,14 @@ fn main() {
     pb.gates(|c| c.extend(&chain));
     let prog = pb.build().unwrap();
     let model = CostModel::default();
-    let plan = plan_hybrid(&prog, &model, &SimConfig::fused(4));
+    let hybrid = plan(&prog, &model, &SimConfig::fused(4), Policy::Cheapest);
     println!("hybrid plan, deep chain at n = {n_plan}:");
     for (cfg_name, cfg) in [
         ("fused", SimConfig::fused(4)),
         ("segmented", SimConfig::segmented()),
         ("unfused", SimConfig::unfused()),
     ] {
-        let fixed = plan_simulated(&prog, &model, &cfg);
+        let fixed = plan(&prog, &model, &cfg, Policy::Simulate);
         println!(
             "  fixed {:<10} predicted {}",
             cfg_name,
@@ -234,12 +234,12 @@ fn main() {
     }
     println!(
         "  hybrid -> {:<12} predicted {}",
-        plan.steps()[0].backend.to_string(),
-        fmt_secs(plan.steps()[0].predicted_s)
+        hybrid.steps()[0].backend.to_string(),
+        fmt_secs(hybrid.steps()[0].predicted_s)
     );
     let (t_hybrid, _) = qcemu_bench::time_once(|| {
         PlanInterpreter::default()
-            .execute(&prog, &plan, StateVector::zero_state(n_plan))
+            .execute(&prog, &hybrid, StateVector::zero_state(n_plan))
             .unwrap()
     });
     println!("  hybrid wall time {}", fmt_secs(t_hybrid));
@@ -247,8 +247,8 @@ fn main() {
         JsonObj::new()
             .str("section", "hybrid")
             .int("n", n_plan as u64)
-            .str("backend", &plan.steps()[0].backend.to_string())
-            .num("predicted_s", plan.steps()[0].predicted_s)
+            .str("backend", &hybrid.steps()[0].backend.to_string())
+            .num("predicted_s", hybrid.steps()[0].predicted_s)
             .num("ns_per_op", t_hybrid * 1e9),
     );
 

@@ -11,7 +11,8 @@
 //!   serves all of them, and each request pays execution only.
 //! * **batched** — the same sweep submitted concurrently: the worker
 //!   coalesces structurally identical in-flight jobs into one
-//!   [`qcemu_core::BatchExecutor`] run inside the batching window.
+//!   [`qcemu_core::PlanInterpreter::run_members`] call inside the batching
+//!   window.
 //!
 //! Usage: `cargo run -p qcemu-bench --release --bin serve_throughput
 //!         [-- --m 4 --requests 24]`

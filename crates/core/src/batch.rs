@@ -8,44 +8,16 @@
 //! [`structure_hash`](QuantumProgram::structure_hash) (planning,
 //! cost-model evaluation, and gate fusion are all paid once per
 //! structure, not once per member), then advances all members together
-//! through a [`BatchStateVector`].
-//!
-//! ## Step dispatch
-//!
-//! Each plan step is classified by what makes it safe to share:
-//!
-//! * **Batched** — simulated `Gates` steps (gate lists are bit-identical
-//!   across members with an equal structure hash, so the plan's cached
-//!   fused stream applies to every member), simulated QFT / inverse QFT
-//!   steps (the remapped circuit depends only on register layout), and
-//!   emulated `Rotation` steps (the pair enumeration and register decode
-//!   are structural; each member's angle closure is read in place by
-//!   [`crate::classical::apply_controlled_rotation_batch`]). These run in
-//!   the batch-major layout of [`qcemu_sim::batch`], which vectorises
-//!   across the batch dimension and pays per-gate fixed costs (thread
-//!   spawns, fusion, index precomputes) once per ensemble.
-//! * **Per-member** — everything else whose semantics can differ per
-//!   member: closure-bearing `Classical` and `Phase` ops, QPE, emulated
-//!   QFTs, and simulated rotations/maps lowered through `gate_impl`
-//!   closures. The batch is de-interleaved **once** (tiled transpose),
-//!   each member runs through the ordinary [`PlanInterpreter`] step with
-//!   the plan's carried circuit artifacts *stripped* (they were built
-//!   from the planning member's closures and must be rebuilt from each
-//!   member's own ops), and the ensemble is re-interleaved once.
-//!
-//! The per-step [`BatchReport`] records which route each step took.
+//! through a [`BatchStateVector`] with the one run loop,
+//! [`PlanInterpreter::run_members`] — see there for which steps run once
+//! on the batch-major buffer and which member by member. The
+//! [`PlanReport`] it returns records the route each step took.
 
 use crate::error::EmuError;
 use crate::executor::HybridExecutor;
-use crate::planner::{
-    extend_with_ancillas, fmt_model_secs, truncate_ancillas, Backend, ExecutionPlan,
-    PlanInterpreter, PlanStep,
-};
-use crate::program::{HighLevelOp, QuantumProgram};
-use qcemu_sim::circuits::qft::{inverse_qft_circuit, qft_circuit};
-use qcemu_sim::{BatchStateVector, SimConfig, StateVector};
-use std::fmt;
-use std::time::Instant;
+use crate::planner::{empty_ensemble, ExecutionPlan, PlanInterpreter, PlanReport};
+use crate::program::QuantumProgram;
+use qcemu_sim::{BatchStateVector, SimConfig};
 
 /// Runs a structurally homogeneous ensemble of programs over a
 /// [`BatchStateVector`], planning once per structure.
@@ -163,235 +135,11 @@ impl BatchExecutor {
         &self,
         members: &[QuantumProgram],
         initial: BatchStateVector,
-    ) -> Result<(BatchStateVector, BatchReport), EmuError> {
-        let first = members.first().ok_or_else(|| EmuError::PlanMismatch {
-            reason: "batch must contain at least one program".into(),
-        })?;
-        let n = first.n_qubits();
-        for (j, m) in members.iter().enumerate() {
-            if m.n_qubits() != n {
-                return Err(EmuError::DimensionMismatch {
-                    expected: n,
-                    got: m.n_qubits(),
-                });
-            }
-            if m.structure_hash() != first.structure_hash() {
-                return Err(EmuError::PlanMismatch {
-                    reason: format!(
-                        "member {j} differs structurally from member 0; \
-                         a batch must be structurally homogeneous"
-                    ),
-                });
-            }
-        }
-        if initial.n_qubits() != n {
-            return Err(EmuError::DimensionMismatch {
-                expected: n,
-                got: initial.n_qubits(),
-            });
-        }
-        if initial.batch() != members.len() {
-            return Err(EmuError::DimensionMismatch {
-                expected: members.len(),
-                got: initial.batch(),
-            });
-        }
-
-        let plan = self.inner.plan_structural(first);
-        let interp = PlanInterpreter::new(self.inner.config);
-        let mut state = extend_batch(initial, plan.n_ancilla());
-        let mut steps = Vec::with_capacity(plan.steps().len());
-        for step in plan.steps() {
-            let t0 = Instant::now();
-            let batched = self.execute_batch_step(&mut state, members, step, &interp)?;
-            steps.push(BatchStepReport {
-                op: step.op.clone(),
-                backend: step.backend,
-                batched,
-                predicted_s: step.predicted_s,
-                measured_s: t0.elapsed().as_secs_f64(),
-            });
-        }
-        let state = truncate_batch(state, n)?;
-        Ok((
-            state,
-            BatchReport {
-                batch: members.len(),
-                steps,
-            },
-        ))
-    }
-
-    /// Executes one plan step over the whole batch, returning `true` when
-    /// the batched kernels ran it and `false` when it fell back to the
-    /// per-member interpreter loop.
-    fn execute_batch_step(
-        &self,
-        state: &mut BatchStateVector,
-        members: &[QuantumProgram],
-        step: &PlanStep,
-        interp: &PlanInterpreter,
-    ) -> Result<bool, EmuError> {
-        let first = &members[0];
-        match &first.ops()[step.op_index] {
-            HighLevelOp::Gates(c) if step.backend.is_simulate() => {
-                // Gate lists are bit-identical across an equal structure
-                // hash, so the planning member's cached fused stream (or
-                // raw circuit) is valid for every member.
-                if step.backend == Backend::SimulateFused {
-                    if let Some(fused) = &step.fused {
-                        state.apply_fused_circuit(fused);
-                        return Ok(true);
-                    }
-                }
-                state.run(c, &interp.step_config(step.backend));
-                Ok(true)
-            }
-            HighLevelOp::Qft(r) if step.backend.is_simulate() => {
-                let bits = first.register(*r).bits();
-                let c = qft_circuit(bits.len()).remap_qubits(state.n_qubits(), |q| bits[q]);
-                state.run(&c, &interp.step_config(step.backend));
-                Ok(true)
-            }
-            HighLevelOp::InverseQft(r) if step.backend.is_simulate() => {
-                let bits = first.register(*r).bits();
-                let c = inverse_qft_circuit(bits.len()).remap_qubits(state.n_qubits(), |q| bits[q]);
-                state.run(&c, &interp.step_config(step.backend));
-                Ok(true)
-            }
-            HighLevelOp::Rotation(_) if !step.backend.is_simulate() => {
-                // Emulated controlled rotation: the pair enumeration and
-                // register decode are structural, only the angle closure
-                // varies — the batched kernel sweeps the interleaved
-                // layout once, reading each member's own closure, with no
-                // de-interleave copies.
-                let ops: Vec<&crate::program::RotationOp> = members
-                    .iter()
-                    .map(|m| match &m.ops()[step.op_index] {
-                        HighLevelOp::Rotation(op) => op,
-                        _ => unreachable!("structure hash guarantees matching op kinds"),
-                    })
-                    .collect();
-                crate::classical::apply_controlled_rotation_batch(state, first, &ops);
-                Ok(true)
-            }
-            _ => {
-                // Closure-bearing (or emulated) step: run each member
-                // through the ordinary interpreter with the carried
-                // artifacts stripped — they were built from the planning
-                // member's closures and must be rebuilt from each
-                // member's own op. One tiled de-interleave/re-interleave
-                // brackets the loop instead of per-member strided copies.
-                let stripped = PlanStep {
-                    circuit: None,
-                    fused: None,
-                    ..step.clone()
-                };
-                let mut states = state.to_states();
-                for (j, sv) in states.iter_mut().enumerate() {
-                    let op = &members[j].ops()[step.op_index];
-                    interp.execute_step(sv, &members[j], op, &stripped)?;
-                }
-                *state = BatchStateVector::from_states(&states);
-                Ok(false)
-            }
-        }
-    }
-}
-
-/// Extends every member with `n_anc` |0⟩ ancilla qubits (no-op at zero).
-fn extend_batch(initial: BatchStateVector, n_anc: usize) -> BatchStateVector {
-    if n_anc == 0 {
-        return initial;
-    }
-    let extended: Vec<StateVector> = initial
-        .into_states()
-        .into_iter()
-        .map(|s| extend_with_ancillas(s, n_anc))
-        .collect();
-    BatchStateVector::from_states(&extended)
-}
-
-/// Validates and strips ancillas from every member (no-op when the batch
-/// is already `n_program` qubits wide).
-fn truncate_batch(state: BatchStateVector, n_program: usize) -> Result<BatchStateVector, EmuError> {
-    if state.n_qubits() == n_program {
-        return Ok(state);
-    }
-    let truncated: Vec<StateVector> = state
-        .into_states()
-        .into_iter()
-        .map(|s| truncate_ancillas(s, n_program))
-        .collect::<Result<_, _>>()?;
-    Ok(BatchStateVector::from_states(&truncated))
-}
-
-/// Per-step entry of a [`BatchReport`].
-#[derive(Clone, Debug)]
-pub struct BatchStepReport {
-    /// Op label.
-    pub op: String,
-    /// Backend that ran the op.
-    pub backend: Backend,
-    /// `true` when the step ran once through the batched kernels,
-    /// `false` when it looped over members.
-    pub batched: bool,
-    /// Model-predicted cost of one member (seconds).
-    pub predicted_s: f64,
-    /// Measured wall time of the step across the whole batch (seconds).
-    pub measured_s: f64,
-}
-
-/// Audit trail of one batched execution. Render with `{}` for an aligned
-/// table.
-#[derive(Clone, Debug)]
-pub struct BatchReport {
-    /// Number of ensemble members the run advanced.
-    pub batch: usize,
-    /// One entry per plan step, in program order.
-    pub steps: Vec<BatchStepReport>,
-}
-
-impl BatchReport {
-    /// Total measured wall time across all steps (whole batch).
-    pub fn total_measured_s(&self) -> f64 {
-        self.steps.iter().map(|s| s.measured_s).sum()
-    }
-
-    /// Total predicted cost of one member across all steps.
-    pub fn total_predicted_s(&self) -> f64 {
-        self.steps.iter().map(|s| s.predicted_s).sum()
-    }
-}
-
-impl fmt::Display for BatchReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "batch of {}", self.batch)?;
-        writeln!(
-            f,
-            "{:<26} {:>17} {:>11} {:>12} {:>12}",
-            "op", "backend", "route", "pred/member", "measured"
-        )?;
-        for s in &self.steps {
-            writeln!(
-                f,
-                "{:<26} {:>17} {:>11} {:>12} {:>12}",
-                s.op,
-                s.backend.to_string(),
-                if s.batched { "batched" } else { "per-member" },
-                fmt_model_secs(s.predicted_s),
-                fmt_model_secs(s.measured_s),
-            )?;
-        }
-        write!(
-            f,
-            "{:<26} {:>17} {:>11} {:>12} {:>12}",
-            "total",
-            "",
-            "",
-            fmt_model_secs(self.total_predicted_s()),
-            fmt_model_secs(self.total_measured_s())
-        )
+    ) -> Result<(BatchStateVector, PlanReport), EmuError> {
+        let plan = self
+            .inner
+            .plan_structural(members.first().ok_or_else(empty_ensemble)?);
+        PlanInterpreter::new(self.inner.config).run_members(members, &plan, initial)
     }
 }
 
@@ -401,6 +149,7 @@ mod tests {
     use crate::executor::Executor;
     use crate::program::{ProgramBuilder, RotationOp};
     use crate::stdops;
+    use qcemu_sim::StateVector;
     use std::sync::Arc;
 
     /// One member of a rotation parameter sweep: H⊗m on `x`, then an

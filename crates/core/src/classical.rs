@@ -66,86 +66,32 @@ pub fn apply_phase_oracle(state: &mut StateVector, program: &QuantumProgram, ora
 }
 
 /// Above this register width the per-value sin/cos table is not built
-/// (2^bits entries; 20 bits = 16 MiB of coefficients).
+/// (2^bits entries per member; 20 bits = 32 MiB of coefficients each).
 pub(crate) const ROTATION_TABLE_MAX_BITS: usize = 20;
 
-/// Precomputes `(sin, cos)` of `θ(x)/2` per register value — worthwhile
-/// whenever every table entry serves at least two amplitude pairs, which
-/// drops the closure calls and transcendentals from `2^{n−1}` (one per
-/// pair) to `2^{|x|}` (one per value, the §3.1 evaluate-per-basis-value
-/// discipline applied to the rotation angle).
-fn half_angle_table(
-    angle: &(dyn Fn(u64) -> f64 + Send + Sync),
-    xbits: usize,
-    half: usize,
-) -> Option<Vec<(f64, f64)>> {
-    if xbits > ROTATION_TABLE_MAX_BITS || (1usize << xbits) > half / 2 {
-        return None;
-    }
-    Some(
-        (0..1u64 << xbits)
-            .map(|v| (angle(v) / 2.0).sin_cos())
-            .collect(),
-    )
-}
-
-/// Applies a register-controlled Ry rotation: for every amplitude pair
-/// differing in the target bit, a 2×2 rotation by the classically computed
-/// angle θ(x). One sweep over the state, like every other emulation
-/// shortcut; when the control register is narrower than the pair space,
-/// the angles are tabulated per register value first (see
-/// `half_angle_table`).
-pub fn apply_controlled_rotation(
-    state: &mut StateVector,
-    program: &QuantumProgram,
-    op: &RotationOp,
-) {
-    let x = program.register(op.x).clone();
-    let t_off = program.register(op.target).offset;
-    let tbit = 1usize << t_off;
-    let n = state.n_qubits();
-    let half = 1usize << (n - 1);
-    let low_mask = tbit - 1;
-    let amps = state.amplitudes_mut();
-
-    struct Ptr(*mut C64);
-    unsafe impl Send for Ptr {}
-    unsafe impl Sync for Ptr {}
-    let ptr = Ptr(amps.as_mut_ptr());
-    let angle = &op.angle;
-    let table = half_angle_table(&**angle, x.len, half);
-
-    (0..half).into_par_iter().for_each(|k| {
-        let p = &ptr;
-        let i0 = ((k & !low_mask) << 1) | (k & low_mask);
-        let xv = x.value_of(i0);
-        let (s, c) = match &table {
-            Some(t) => t[xv as usize],
-            None => (angle(xv) / 2.0).sin_cos(),
-        };
-        // SAFETY: k ↦ i0 is injective with the target bit clear, so the
-        // (i0, i0|tbit) pairs are pairwise disjoint.
-        unsafe {
-            let a = &mut *p.0.add(i0);
-            let b = &mut *p.0.add(i0 | tbit);
-            let a0 = *a;
-            let b0 = *b;
-            *a = a0.scale(c) - b0.scale(s);
-            *b = a0.scale(s) + b0.scale(c);
-        }
-    });
-}
-
-/// Batched twin of [`apply_controlled_rotation`]: one sweep over the pair
-/// indices advances **every ensemble member** in the batch-major layout,
-/// with no per-member de-interleave/re-interleave copies.
+/// Applies a register-controlled Ry rotation to every member of an
+/// ensemble (a lone state is the one-member ensemble): for every
+/// amplitude pair differing in the target bit, a 2×2 rotation by the
+/// classically computed angle θ(x). One sweep over the pair indices, like
+/// every other emulation shortcut, advances **all members** in the
+/// batch-major layout, with no per-member de-interleave/re-interleave
+/// copies.
 ///
 /// `program` supplies the register layout (identical across a
 /// structure-matched batch); `ops[j]` supplies member `j`'s angle closure —
 /// this is how a parameter sweep varies per member while the pair
 /// enumeration, register decode, and parallel dispatch are paid once for
-/// the whole ensemble. The per-`(x, member)` transcendentals are inherent
-/// to the operation and match the sequential cost exactly.
+/// the whole ensemble.
+///
+/// When the control register is narrower than the pair space, so that
+/// every entry serves at least two amplitude pairs, `(sin, cos)` of
+/// `θ(x)/2` are tabulated per (value, member) first: closure calls and
+/// transcendentals drop from `2^{n−1}` per member (one per pair) to
+/// `2^{|x|}` (one per value, the §3.1 evaluate-per-basis-value discipline
+/// applied to the rotation angle). The table holds each coefficient once
+/// per f64 lane in batch-major order, so each pair index is one
+/// vectorised [`simd::rotate_lanes`] call over the whole ensemble — every
+/// member rotating by its own angle in the same instruction stream.
 ///
 /// # Panics
 ///
@@ -160,76 +106,60 @@ pub fn apply_controlled_rotation_batch(
         state.n_qubits() >= program.n_qubits(),
         "batch narrower than the program"
     );
-    let op0 = ops[0];
-    let x = program.register(op0.x).clone();
-    let t_off = program.register(op0.target).offset;
-    let tbit = 1usize << t_off;
-    let n = state.n_qubits();
-    let half = 1usize << (n - 1);
+    let x = program.register(ops[0].x).clone();
+    let tbit = 1usize << program.register(ops[0].target).offset;
+    let half = 1usize << (state.n_qubits() - 1);
     let low_mask = tbit - 1;
     let batch = state.batch();
-    let amps = state.amplitudes_mut();
+    let lanes = 2 * batch;
 
-    struct Ptr(*mut C64);
-    unsafe impl Send for Ptr {}
-    unsafe impl Sync for Ptr {}
-    let ptr = Ptr(amps.as_mut_ptr());
-
-    // Tabulated fast path: coefficients per (value, member), duplicated
-    // per f64 lane in batch-major order, so each pair index turns into
-    // one vectorised [`simd::rotate_lanes`] call over the whole ensemble
-    // — every member rotating by its own angle in the same instruction
-    // stream.
-    if x.len <= ROTATION_TABLE_MAX_BITS && (1usize << x.len) <= half / 2 {
-        let lanes = 2 * batch;
-        let values = 1usize << x.len;
+    let values = 1usize << x.len;
+    let table = (x.len <= ROTATION_TABLE_MAX_BITS && values <= half / 2).then(|| {
         let mut cos = vec![0.0f64; values * lanes];
         let mut sin = vec![0.0f64; values * lanes];
         for (j, op) in ops.iter().enumerate() {
             for v in 0..values {
                 let (s, c) = ((op.angle)(v as u64) / 2.0).sin_cos();
                 let o = v * lanes + 2 * j;
-                cos[o] = c;
-                cos[o + 1] = c;
-                sin[o] = s;
-                sin[o + 1] = s;
+                cos[o..o + 2].fill(c);
+                sin[o..o + 2].fill(s);
             }
         }
-        (0..half).into_par_iter().for_each(|k| {
-            let p = &ptr;
-            let i0 = ((k & !low_mask) << 1) | (k & low_mask);
-            let xv = x.value_of(i0) as usize;
-            // SAFETY: k ↦ i0 is injective with the target bit clear, so
-            // the two batch runs are pairwise disjoint across k.
-            unsafe {
-                let lo = std::slice::from_raw_parts_mut(p.0.add(i0 * batch), batch);
-                let hi = std::slice::from_raw_parts_mut(p.0.add((i0 | tbit) * batch), batch);
-                let o = xv * lanes;
-                simd::rotate_lanes(lo, hi, &cos[o..o + lanes], &sin[o..o + lanes]);
-            }
-        });
-        return;
-    }
+        (cos, sin)
+    });
+
+    struct Ptr(*mut C64);
+    unsafe impl Send for Ptr {}
+    unsafe impl Sync for Ptr {}
+    let ptr = Ptr(state.amplitudes_mut().as_mut_ptr());
 
     (0..half).into_par_iter().for_each(|k| {
         let p = &ptr;
         let i0 = ((k & !low_mask) << 1) | (k & low_mask);
         let xv = x.value_of(i0);
-        let lo = i0 * batch;
-        let hi = (i0 | tbit) * batch;
-        for (j, op) in ops.iter().enumerate() {
-            let theta = (op.angle)(xv);
-            let (s, c) = (theta / 2.0).sin_cos();
-            // SAFETY: k ↦ i0 is injective with the target bit clear, so the
-            // (lo, hi) batch runs are pairwise disjoint across k; distinct
-            // j index distinct lanes within a run.
-            unsafe {
-                let a = &mut *p.0.add(lo + j);
-                let b = &mut *p.0.add(hi + j);
-                let a0 = *a;
-                let b0 = *b;
-                *a = a0.scale(c) - b0.scale(s);
-                *b = a0.scale(s) + b0.scale(c);
+        // SAFETY: k ↦ i0 is injective with the target bit clear, so the
+        // two batch runs at i0 and i0|tbit are pairwise disjoint across k.
+        let (lo, hi) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(p.0.add(i0 * batch), batch),
+                std::slice::from_raw_parts_mut(p.0.add((i0 | tbit) * batch), batch),
+            )
+        };
+        let givens = |a: &mut C64, b: &mut C64, (s, c): (f64, f64)| {
+            let (a0, b0) = (*a, *b);
+            *a = a0.scale(c) - b0.scale(s);
+            *b = a0.scale(s) + b0.scale(c);
+        };
+        let o = xv as usize * lanes;
+        match &table {
+            // A lone member's run is a single amplitude: a vector-kernel
+            // call per pair costs more than the rotation itself.
+            Some((cos, sin)) if batch == 1 => givens(&mut lo[0], &mut hi[0], (sin[o], cos[o])),
+            Some((cos, sin)) => simd::rotate_lanes(lo, hi, &cos[o..o + lanes], &sin[o..o + lanes]),
+            None => {
+                for ((a, b), op) in lo.iter_mut().zip(hi.iter_mut()).zip(ops) {
+                    givens(a, b, ((op.angle)(xv) / 2.0).sin_cos());
+                }
             }
         }
     });

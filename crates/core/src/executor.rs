@@ -1,14 +1,16 @@
 //! Program executors: thin front-ends over the execution planner.
 //!
 //! All three executors lower a [`QuantumProgram`] to an
-//! [`ExecutionPlan`] and hand it to the
-//! **single** plan interpreter ([`crate::planner::PlanInterpreter`]):
+//! [`ExecutionPlan`] through the one lowering walk
+//! ([`crate::planner::plan`]) and hand it to the **single** run loop
+//! ([`crate::planner::PlanInterpreter`]); they differ only in the
+//! candidate [`Policy`] they pass:
 //!
-//! * [`GateLevelSimulator`] — a fixed all-gates plan: every op becomes
+//! * [`GateLevelSimulator`] — [`Policy::Simulate`]: every op becomes
 //!   elementary gates, ancillas and all (the paper's baseline);
-//! * [`Emulator`] — a fixed all-shortcuts plan: each op runs at its
+//! * [`Emulator`] — [`Policy::Emulate`]: each op runs at its
 //!   mathematical level (paper §3);
-//! * [`HybridExecutor`] — a cost-model-driven plan: each op runs on
+//! * [`HybridExecutor`] — [`Policy::Cheapest`]: each op runs on
 //!   whichever backend the generalized [`CostModel`] predicts is
 //!   cheapest, and [`HybridExecutor::run_with_report`] returns the
 //!   per-op audit trail.
@@ -16,15 +18,11 @@
 use crate::crossover::{CostModel, QpeTimings};
 use crate::error::EmuError;
 use crate::plancache::SharedPlanCache;
-use crate::planner::{
-    extend_with_ancillas, plan_emulated, plan_hybrid, plan_simulated, truncate_ancillas,
-    ExecutionPlan, PlanInterpreter, PlanReport, PlanStep, StepReport,
-};
-use crate::program::{HighLevelOp, QuantumProgram};
+use crate::planner::{plan, ExecutionPlan, PlanInterpreter, PlanReport, Policy};
+use crate::program::QuantumProgram;
 use crate::qpe::QpeStrategy;
 use qcemu_sim::{SimConfig, StateVector};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Common interface of the execution back-ends.
 pub trait Executor {
@@ -80,7 +78,12 @@ impl GateLevelSimulator {
 
     /// The fixed all-gates plan this executor runs.
     pub fn plan(&self, program: &QuantumProgram) -> ExecutionPlan {
-        plan_simulated(program, &CostModel::default(), &self.config)
+        plan(
+            program,
+            &CostModel::default(),
+            &self.config,
+            Policy::Simulate,
+        )
     }
 
     fn interpreter(&self) -> PlanInterpreter {
@@ -118,7 +121,7 @@ pub struct Emulator {
     /// Table 2 advisor actually driving execution.
     pub qpe_timings: Option<QpeTimings>,
     /// Execution configuration for the gate-level residue
-    /// ([`HighLevelOp`]`::Gates` sequences,
+    /// ([`HighLevelOp`](crate::program::HighLevelOp)`::Gates` sequences,
     /// which have no shortcut): with fusion enabled, emulation shortcuts
     /// and fused simulation compose — each op runs at whichever level is
     /// cheapest.
@@ -172,9 +175,13 @@ impl Emulator {
 
     /// The fixed all-shortcuts plan this executor runs.
     pub fn plan(&self, program: &QuantumProgram) -> ExecutionPlan {
-        plan_emulated(program, &CostModel::default(), &self.config, |t, p| {
-            self.choose_qpe_strategy(t, p)
-        })
+        let choose_qpe = &|t, p| self.choose_qpe_strategy(t, p);
+        plan(
+            program,
+            &CostModel::default(),
+            &self.config,
+            Policy::Emulate { choose_qpe },
+        )
     }
 }
 
@@ -331,11 +338,9 @@ impl HybridExecutor {
     /// the same `instance_id`: any program with the same
     /// [`structure_hash`](QuantumProgram::structure_hash) (under the same
     /// model and config) reuses the lowering. This is safe only because
-    /// the structural runners never execute a carried closure-built
-    /// artifact against a different instance — closure-bearing steps are
-    /// re-run per program from its own ops, and only structurally
-    /// determined gate streams (bit-identical under an equal structure
-    /// hash) are applied directly. Misses count toward
+    /// [`PlanInterpreter::run_members`] never executes a carried
+    /// closure-built artifact against a different instance. Misses count
+    /// toward
     /// [`HybridExecutor::plan_cache_misses`] like any other lowering, and
     /// concurrent misses on one structure collapse to a single lowering
     /// (see [`SharedPlanCache`]).
@@ -346,7 +351,7 @@ impl HybridExecutor {
             &self.config,
             None,
             program.instance_id(),
-            || plan_hybrid(program, &self.model, &self.config),
+            || plan(program, &self.model, &self.config, Policy::Cheapest),
         )
     }
 
@@ -358,7 +363,7 @@ impl HybridExecutor {
             &self.config,
             Some(program.instance_id()),
             program.instance_id(),
-            || plan_hybrid(program, &self.model, &self.config),
+            || plan(program, &self.model, &self.config, Policy::Cheapest),
         )
     }
 
@@ -369,68 +374,16 @@ impl HybridExecutor {
     /// request carrying different closure parameters). This is the
     /// serving fast path — N requests with the same shape plan and fuse
     /// once — at the cost of rebuilding closure-derived circuits when the
-    /// plan instance differs.
-    ///
-    /// Steps whose artifacts are structurally determined (raw gate runs:
-    /// gate lists are hashed bit-exactly, so an equal structure hash
-    /// means bit-identical circuits and fused streams) execute straight
-    /// from the cached plan. Closure-bearing steps (classical maps, phase
-    /// oracles, rotations lowered through `gate_impl`) have their carried
-    /// artifacts stripped and are re-derived from **this** program's own
-    /// ops, exactly like the per-member route of
-    /// [`crate::batch::BatchExecutor`].
+    /// plan instance differs (see
+    /// [`PlanInterpreter::run_members`], of which this is the one-member
+    /// call).
     pub fn run_structural(
         &self,
         program: &QuantumProgram,
         initial: StateVector,
     ) -> Result<(StateVector, PlanReport), EmuError> {
         let plan = self.plan_structural(program);
-        if plan.planned_from() == program.instance_id() {
-            // The plan was lowered from this very instance: the ordinary
-            // interpreter path is valid, artifacts included.
-            return self.run_plan(program, &plan, initial);
-        }
-        if initial.n_qubits() != program.n_qubits() {
-            return Err(EmuError::DimensionMismatch {
-                expected: program.n_qubits(),
-                got: initial.n_qubits(),
-            });
-        }
-        let interp = PlanInterpreter::new(self.config);
-        let n = program.n_qubits();
-        let mut state = extend_with_ancillas(initial, plan.n_ancilla());
-        let mut steps = Vec::with_capacity(plan.steps().len());
-        for step in plan.steps() {
-            let op = &program.ops()[step.op_index];
-            let structural = matches!(
-                op,
-                HighLevelOp::Gates(_)
-                    | HighLevelOp::Qft(_)
-                    | HighLevelOp::InverseQft(_)
-                    | HighLevelOp::Qpe(_)
-            );
-            let t0 = Instant::now();
-            if structural {
-                interp.execute_step(&mut state, program, op, step)?;
-            } else {
-                // Closure-bearing op: the carried circuit/fused stream
-                // was built from the planning instance's closures.
-                let stripped = PlanStep {
-                    circuit: None,
-                    fused: None,
-                    ..step.clone()
-                };
-                interp.execute_step(&mut state, program, op, &stripped)?;
-            }
-            steps.push(StepReport {
-                op: step.op.clone(),
-                backend: step.backend,
-                predicted_s: step.predicted_s,
-                measured_s: t0.elapsed().as_secs_f64(),
-            });
-        }
-        let state = truncate_ancillas(state, n)?;
-        Ok((state, PlanReport { steps }))
+        PlanInterpreter::new(self.config).run_one(program, &plan, initial)
     }
 
     /// Runs the program and returns the final state together with the

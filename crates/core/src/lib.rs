@@ -18,6 +18,11 @@
 //! elementary gates (ancillas and all), so every shortcut can be verified
 //! for exact state agreement and benchmarked for the paper's speedups.
 //!
+//! Every executor is a candidate [`Policy`] handed to one lowering walk
+//! ([`plan`]) and one run loop over an ensemble of one to N members
+//! ([`PlanInterpreter::run_members`]), which emits one [`PlanReport`] —
+//! see [`planner`].
+//!
 //! ## Example
 //! ```
 //! use qcemu_core::{Emulator, Executor, GateLevelSimulator, ProgramBuilder, stdops};
@@ -52,11 +57,8 @@ pub mod program;
 pub mod qpe;
 pub mod stdops;
 
-pub use batch::{BatchExecutor, BatchReport, BatchStepReport};
-pub use classical::{
-    apply_classical_map, apply_controlled_rotation, apply_controlled_rotation_batch,
-    apply_phase_oracle,
-};
+pub use batch::BatchExecutor;
+pub use classical::{apply_classical_map, apply_controlled_rotation_batch, apply_phase_oracle};
 pub use crossover::{CostModel, QpeCostModel, QpeTimings};
 pub use error::EmuError;
 pub use executor::{Emulator, Executor, GateLevelSimulator, HybridExecutor};
@@ -66,8 +68,7 @@ pub use measurement::{
 };
 pub use plancache::{SharedPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use planner::{
-    plan_emulated, plan_hybrid, plan_simulated, Backend, ExecutionPlan, PlanInterpreter,
-    PlanReport, PlanStep, StepReport,
+    plan, Backend, ExecutionPlan, PlanInterpreter, PlanReport, PlanStep, Policy, StepReport,
 };
 pub use program::{
     ClassicalMap, GateImpl, HighLevelOp, MapKind, PhaseOracle, ProgramBuilder, ProgramRegister,

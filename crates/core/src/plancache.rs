@@ -284,7 +284,7 @@ impl SharedPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::plan_hybrid;
+    use crate::planner::{plan, Policy};
     use crate::program::{ProgramBuilder, QuantumProgram};
 
     fn qft_program(m: usize) -> QuantumProgram {
@@ -296,7 +296,12 @@ mod tests {
     }
 
     fn lower(p: &QuantumProgram) -> ExecutionPlan {
-        plan_hybrid(p, &CostModel::default(), &SimConfig::fused(4))
+        plan(
+            p,
+            &CostModel::default(),
+            &SimConfig::fused(4),
+            Policy::Cheapest,
+        )
     }
 
     fn get(cache: &SharedPlanCache, p: &QuantumProgram) -> Arc<ExecutionPlan> {
@@ -358,7 +363,7 @@ mod tests {
             &other_config,
             None,
             p.instance_id(),
-            || plan_hybrid(&p, &CostModel::default(), &other_config),
+            || plan(&p, &CostModel::default(), &other_config, Policy::Cheapest),
         );
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 1, "same key: replaced, not duplicated");

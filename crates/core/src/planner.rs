@@ -1,28 +1,29 @@
-//! Cost-model-driven execution planning: one plan IR, three backends.
+//! Cost-model-driven execution planning: one lowering walk, one run loop.
 //!
 //! The paper's central tension (§3.3, §4.4, Table 2) is that *neither*
 //! backend wins everywhere: emulation shortcuts win asymptotically, while
 //! gate-level simulation wins at small operator sizes and on raw gate
 //! runs. This module makes the choice explicit, per-op, and auditable:
 //!
-//! 1. every [`HighLevelOp`] **lowers** to a [`PlanStep`] naming a
-//!    [`Backend`] plus a predicted cost from the generalized
-//!    [`CostModel`] (which extends the Table 2 QPE crossover analysis to
-//!    classical maps, QFTs, rotations, and raw gate runs via the
-//!    memory-traffic estimators `Circuit::touched_entries` /
-//!    `FusedCircuit::touched_entries`);
-//! 2. a single [`PlanInterpreter`] executes any plan — the legacy
+//! 1. [`plan`] **lowers** every [`HighLevelOp`] to a [`PlanStep`]: one
+//!    walk prices each candidate [`Backend`] of the op through the
+//!    generalized [`CostModel`] (which extends the Table 2 QPE crossover
+//!    analysis to classical maps, QFTs, rotations, and raw gate runs via
+//!    the memory-traffic estimators `Circuit::touched_entries` /
+//!    `FusedCircuit::touched_entries`) and keeps the cheapest. The
+//!    [`Policy`] decides which candidates an op has:
 //!    [`Emulator`](crate::executor::Emulator) and
-//!    [`GateLevelSimulator`](crate::executor::GateLevelSimulator) are
-//!    thin wrappers over the fixed plans of [`plan_emulated`] /
-//!    [`plan_simulated`], and
-//!    [`HybridExecutor`](crate::executor::HybridExecutor) runs
-//!    [`plan_hybrid`], which picks the cheapest backend per op;
+//!    [`GateLevelSimulator`](crate::executor::GateLevelSimulator) pass
+//!    the two fixed policies, [`HybridExecutor`](crate::executor::HybridExecutor)
+//!    passes [`Policy::Cheapest`];
+//! 2. [`PlanInterpreter::run_members`] executes any plan over an ensemble
+//!    of one to N structurally identical programs — a solo run is the
+//!    one-member ensemble;
 //! 3. execution emits a [`PlanReport`] with per-op backend, predicted and
 //!    measured cost, so every dispatch decision can be audited against
 //!    the clock (see the `hybrid_ablation` bench).
 
-use crate::classical::{apply_classical_map, apply_phase_oracle};
+use crate::classical::{apply_classical_map, apply_controlled_rotation_batch, apply_phase_oracle};
 use crate::crossover::CostModel;
 use crate::error::EmuError;
 use crate::program::{HighLevelOp, QuantumProgram, RotationOp};
@@ -31,10 +32,11 @@ use qcemu_fft::{inverse_qft_subspace, qft_subspace};
 use qcemu_linalg::C64;
 use qcemu_sim::circuits::qft::{inverse_qft_circuit, qft_circuit};
 use qcemu_sim::{
-    estimate_mps_cost, segment_circuit, Circuit, FusedCircuit, FusionPolicy, Gate, GateOp,
-    MpsPolicy, MpsState, SegmentPolicy, SimConfig, StateVector, DEFAULT_MAX_FUSED_QUBITS,
-    MPS_EXACT_TOL,
+    estimate_mps_cost, segment_circuit, BatchStateVector, Circuit, FusedCircuit, FusionPolicy,
+    Gate, GateOp, MpsPolicy, MpsState, SegmentPolicy, SimConfig, StateVector,
+    DEFAULT_MAX_FUSED_QUBITS, MPS_EXACT_TOL,
 };
+use std::borrow::{Borrow, Cow};
 use std::fmt;
 use std::time::Instant;
 
@@ -149,10 +151,12 @@ pub struct PlanStep {
 pub struct ExecutionPlan {
     steps: Vec<PlanStep>,
     n_ancilla: usize,
-    /// `instance_id` of the program this plan was lowered from; execution
-    /// refuses any other program (steps index its op list and may carry
-    /// circuits built from its closures).
+    /// `instance_id` of the program this plan was lowered from: the only
+    /// instance whose closures the carried circuits were built from.
     program_id: u64,
+    /// `structure_hash` of that program; execution refuses any other
+    /// structure (steps index its op list).
+    structure: u64,
 }
 
 impl ExecutionPlan {
@@ -175,29 +179,33 @@ impl ExecutionPlan {
 
     /// `instance_id` of the program this plan was lowered from.
     ///
-    /// [`PlanInterpreter::execute`] refuses any other instance; the
-    /// structure-keyed paths
-    /// ([`HybridExecutor::run_structural`](crate::executor::HybridExecutor::run_structural),
-    /// [`BatchExecutor`](crate::batch::BatchExecutor)) use this to decide
-    /// whether carried closure-built artifacts may be executed directly
-    /// or must be re-derived.
+    /// [`PlanInterpreter::execute`] refuses any other instance;
+    /// [`PlanInterpreter::run_members`] accepts every instance of the
+    /// same structure and uses this to decide, member by member, whether
+    /// carried closure-built artifacts may be executed directly or must
+    /// be re-derived.
     pub fn planned_from(&self) -> u64 {
         self.program_id
     }
 
     fn from_steps(program: &QuantumProgram, steps: Vec<PlanStep>) -> ExecutionPlan {
-        let n_ancilla = steps
-            .iter()
-            .filter(|s| s.backend.is_simulate())
-            .map(|s| s.n_ancilla)
-            .max()
-            .unwrap_or(0);
         ExecutionPlan {
+            n_ancilla: headroom(&steps),
             steps,
-            n_ancilla,
             program_id: program.instance_id(),
+            structure: program.structure_hash(),
         }
     }
+}
+
+/// Ancilla head-room a step list needs: the widest simulated step.
+fn headroom(steps: &[PlanStep]) -> usize {
+    steps
+        .iter()
+        .filter(|s| s.backend.is_simulate())
+        .map(|s| s.n_ancilla)
+        .max()
+        .unwrap_or(0)
 }
 
 impl fmt::Display for ExecutionPlan {
@@ -229,61 +237,74 @@ pub struct StepReport {
     pub op: String,
     /// Backend that ran the op.
     pub backend: Backend,
-    /// Model-predicted cost (seconds).
+    /// Model-predicted cost of one member (seconds).
     pub predicted_s: f64,
-    /// Measured wall time (seconds).
+    /// Measured wall time of the step across the whole ensemble
+    /// (seconds).
     pub measured_s: f64,
+    /// `true` when one pass of the batch-major kernels advanced several
+    /// members together; `false` for a lone member and for a step that
+    /// looped over members.
+    pub batched: bool,
 }
 
-/// Audit trail of one plan execution: per-op backend, predicted vs
-/// measured cost. Render with `{}` for an aligned table.
+/// Audit trail of one plan execution over an ensemble of one to N
+/// members: per-op backend, predicted vs measured cost. Render with `{}`
+/// for an aligned table.
 #[derive(Clone, Debug)]
 pub struct PlanReport {
+    /// Number of ensemble members the run advanced (1 for a solo run).
+    pub batch: usize,
     /// One entry per executed step, in program order.
     pub steps: Vec<StepReport>,
 }
 
 impl PlanReport {
-    /// Total measured wall time across all steps.
+    /// Total measured wall time across all steps (whole ensemble).
     pub fn total_measured_s(&self) -> f64 {
         self.steps.iter().map(|s| s.measured_s).sum()
     }
 
-    /// Total predicted cost across all steps.
+    /// Total predicted cost of one member across all steps.
     pub fn total_predicted_s(&self) -> f64 {
         self.steps.iter().map(|s| s.predicted_s).sum()
     }
 }
 
 impl fmt::Display for PlanReport {
+    /// An ensemble adds its size and a route column to the solo table.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:<26} {:>17} {:>12} {:>12}",
-            "op", "backend", "predicted", "measured"
-        )?;
+        let ensemble = self.batch > 1;
+        if ensemble {
+            writeln!(f, "batch of {}", self.batch)?;
+        }
+        let row = |f: &mut fmt::Formatter<'_>, cells: [&str; 5]| {
+            let [op, backend, route, predicted, measured] = cells;
+            write!(f, "{op:<26} {backend:>17}")?;
+            if ensemble {
+                write!(f, " {route:>11}")?;
+            }
+            write!(f, " {predicted:>12} {measured:>12}")
+        };
+        row(f, ["op", "backend", "route", "predicted", "measured"])?;
         for s in &self.steps {
-            writeln!(
-                f,
-                "{:<26} {:>17} {:>12} {:>12}",
-                s.op,
+            let route = if s.batched { "batched" } else { "per-member" };
+            let (backend, predicted, measured) = (
                 s.backend.to_string(),
                 fmt_model_secs(s.predicted_s),
                 fmt_model_secs(s.measured_s),
-            )?;
+            );
+            writeln!(f)?;
+            row(f, [&s.op, &backend, route, &predicted, &measured])?;
         }
-        write!(
-            f,
-            "{:<26} {:>17} {:>12} {:>12}",
-            "total",
-            "",
-            fmt_model_secs(self.total_predicted_s()),
-            fmt_model_secs(self.total_measured_s())
-        )
+        let predicted = fmt_model_secs(self.total_predicted_s());
+        let measured = fmt_model_secs(self.total_measured_s());
+        writeln!(f)?;
+        row(f, ["total", "", "", &predicted, &measured])
     }
 }
 
-pub(crate) fn fmt_model_secs(s: f64) -> String {
+fn fmt_model_secs(s: f64) -> String {
     if s.is_infinite() {
         "∞".into()
     } else if s >= 1.0 {
@@ -296,86 +317,138 @@ pub(crate) fn fmt_model_secs(s: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Ancilla head-room (shared by every plan execution — the logic that used to
-// live inline in `GateLevelSimulator::run`).
+// Ancilla head-room, on the batch-major buffer: ancillas are the top
+// qubits, so every member's ancilla-excited amplitudes form the tail.
 // ---------------------------------------------------------------------------
 
-/// Extends a state with `n_anc` |0⟩ ancilla qubits above its own — the
-/// memory the paper's Fig. 2 is about: the gate-level path pays `2^anc ×`.
-pub fn extend_with_ancillas(initial: StateVector, n_anc: usize) -> StateVector {
+/// Extends every member with `n_anc` |0⟩ ancilla qubits above its own —
+/// the memory the paper's Fig. 2 is about: the gate-level path pays
+/// `2^anc ×`.
+pub fn extend_with_ancillas(state: BatchStateVector, n_anc: usize) -> BatchStateVector {
     if n_anc == 0 {
-        return initial;
+        return state;
     }
-    let n = initial.n_qubits();
-    let mut amps = vec![C64::ZERO; 1usize << (n + n_anc)];
-    amps[..1 << n].copy_from_slice(initial.amplitudes());
-    StateVector::from_amplitudes(amps)
+    let batch = state.batch();
+    let mut amps = state.into_amplitudes();
+    amps.resize(amps.len() << n_anc, C64::ZERO);
+    BatchStateVector::from_amplitudes(amps, batch)
 }
 
-/// Validates that all ancillas above the `n_program`-qubit space returned
-/// to |0⟩ and truncates the state back down; a leak indicates a broken
-/// reversible circuit.
-pub fn truncate_ancillas(state: StateVector, n_program: usize) -> Result<StateVector, EmuError> {
+/// Validates that every member's ancillas above the `n_program`-qubit
+/// space returned to |0⟩ and truncates the ensemble back down; a leak
+/// indicates a broken reversible circuit.
+pub fn truncate_ancillas(
+    state: BatchStateVector,
+    n_program: usize,
+) -> Result<BatchStateVector, EmuError> {
     if state.n_qubits() == n_program {
         return Ok(state);
     }
-    let keep = 1usize << n_program;
-    let leaked: f64 = state.amplitudes()[keep..]
-        .iter()
-        .map(|z| z.norm_sqr())
-        .sum();
+    let batch = state.batch();
+    let keep = batch << n_program;
+    let mut leaks = vec![0.0f64; batch];
+    for run in state.amplitudes()[keep..].chunks_exact(batch) {
+        for (leak, z) in leaks.iter_mut().zip(run) {
+            *leak += z.norm_sqr();
+        }
+    }
+    let leaked = leaks.into_iter().fold(0.0, f64::max);
     if leaked > ANCILLA_LEAK_TOL {
         return Err(EmuError::AncillaNotClean { leaked });
     }
-    let amps = state.into_amplitudes();
-    Ok(StateVector::from_amplitudes(amps[..keep].to_vec()))
+    let mut amps = state.into_amplitudes();
+    amps.truncate(keep);
+    amps.shrink_to_fit();
+    Ok(BatchStateVector::from_amplitudes(amps, batch))
 }
 
 // ---------------------------------------------------------------------------
-// Lowering: per-op candidate costs.
+// Lowering: one walk, one price per (op, backend).
 // ---------------------------------------------------------------------------
 
-/// Candidate backends for one op, with model costs. `None` marks a path
-/// the op does not have (no gate-level implementation, or no emulation
-/// shortcut for raw gate runs). The circuits the costing had to build
-/// (deferred gate impls, fused block streams) ride along so the plan can
-/// carry them to execution instead of rebuilding them.
-struct SimCosts {
-    unfused: Option<f64>,
-    fused: Option<f64>,
-    segmented: Option<f64>,
-    /// `(max_bond, cost)` of the compressed candidate — present only when
-    /// the entanglement-growth estimate certifies the circuit runs
-    /// *exactly* under that cap ([`estimate_mps_cost`]).
-    mps: Option<(usize, f64)>,
-    n_ancilla: usize,
-    circuit: Option<Circuit>,
-    fused_circuit: Option<FusedCircuit>,
+/// Which backends the lowering walk may choose from for each op.
+#[derive(Clone, Copy)]
+pub enum Policy<'a> {
+    /// Every op on its emulation shortcut; raw gate runs, which have none,
+    /// on the configured gate path. `choose_qpe` picks the QPE strategy
+    /// from `(target_len, phase_len)`.
+    Emulate {
+        /// QPE strategy chooser.
+        choose_qpe: &'a dyn Fn(usize, usize) -> QpeStrategy,
+    },
+    /// Every op on the configured gate path, with ancilla head-room for
+    /// all of them reserved up front. Ops without a gate-level
+    /// implementation are kept (predicted cost `∞`) and fail at execution
+    /// with [`EmuError::NoGateImplementation`].
+    Simulate,
+    /// Each op on its cheapest backend under the cost model.
+    Cheapest,
 }
 
-impl SimCosts {
-    fn none_built(unfused: Option<f64>, fused: Option<f64>, segmented: Option<f64>) -> SimCosts {
-        SimCosts {
-            unfused,
-            fused,
-            segmented,
-            mps: None,
-            n_ancilla: 0,
-            circuit: None,
-            fused_circuit: None,
-        }
+/// The gate path a `config`-driven simulation step uses. A forced MPS
+/// policy wins outright (the caller explicitly asked for compressed
+/// execution); segmentation is checked next: a blocked segment policy
+/// subsumes the fusion policy (the sweeps between blocked segments still
+/// fuse under the config's own `FusionPolicy`).
+fn sim_backend(config: &SimConfig) -> Backend {
+    if let MpsPolicy::Forced { max_bond } = config.mps {
+        return Backend::SimulateMps { max_bond };
     }
+    if let SegmentPolicy::Blocked { block_bits } = config.segments {
+        return Backend::SimulateSegmented { block_bits };
+    }
+    match config.fusion {
+        FusionPolicy::Disabled => Backend::SimulateGateLevel,
+        FusionPolicy::Greedy { .. } => Backend::SimulateFused,
+    }
+}
 
-    /// The flavour `backend` executes with.
-    fn for_backend(&self, backend: Backend) -> Option<f64> {
-        match backend {
-            Backend::SimulateFused => self.fused,
-            Backend::SimulateSegmented { .. } => self.segmented,
-            Backend::SimulateMps { max_bond } => self
-                .mps
-                .filter(|(cap, _)| *cap == max_bond)
-                .map(|(_, cost)| cost),
-            _ => self.unfused,
+impl Policy<'_> {
+    /// The op's candidate set, in tie-breaking order. [`Pricing::price`]
+    /// drops the entries that do not apply to the op.
+    fn candidates(
+        &self,
+        program: &QuantumProgram,
+        op: &HighLevelOp,
+        model: &CostModel,
+        config: &SimConfig,
+    ) -> Vec<Backend> {
+        match (self, op) {
+            (Policy::Simulate, _) | (Policy::Emulate { .. }, HighLevelOp::Gates(_)) => {
+                vec![sim_backend(config)]
+            }
+            (Policy::Emulate { choose_qpe }, HighLevelOp::Qpe(qpe)) => {
+                let strategy = choose_qpe(
+                    program.register(qpe.target).len,
+                    program.register(qpe.phase).len,
+                );
+                vec![Backend::EmulateQpe { strategy }]
+            }
+            (Policy::Emulate { .. }, _) => vec![Backend::EmulateClassical, Backend::EmulateFft],
+            (Policy::Cheapest, _) => {
+                let mut all = vec![
+                    Backend::EmulateClassical,
+                    Backend::EmulateFft,
+                    Backend::EmulateQpe {
+                        strategy: QpeStrategy::RepeatedSquaring,
+                    },
+                    Backend::EmulateQpe {
+                        strategy: QpeStrategy::Eigendecomposition,
+                    },
+                    Backend::SimulateFused,
+                    Backend::SimulateGateLevel,
+                    Backend::SimulateSegmented {
+                        block_bits: model.block_bits,
+                    },
+                ];
+                all.extend(
+                    config
+                        .mps
+                        .max_bond()
+                        .map(|max_bond| Backend::SimulateMps { max_bond }),
+                );
+                all
+            }
         }
     }
 }
@@ -396,594 +469,297 @@ fn op_label(program: &QuantumProgram, op: &HighLevelOp) -> String {
     }
 }
 
-/// The fusion window candidate plans cost fused execution with: the
-/// interpreter's own greedy window if it has one, the default otherwise.
-fn plan_window(config: &SimConfig) -> usize {
-    match config.fusion {
+/// An op's gate-level implementation, built once per op per walk and only
+/// when some candidate simulates.
+enum GatePath<'p> {
+    /// The op has none (or no candidate asked for it).
+    None,
+    /// A concrete circuit on absolute program qubits: a raw gate run
+    /// (borrowed) or a closure-built gate impl (owned — the plan carries
+    /// it so execution does not rebuild it).
+    Absolute {
+        circuit: Cow<'p, Circuit>,
+        n_ancilla: usize,
+    },
+    /// A register QFT on the register's *relative* qubits. Execution
+    /// remaps it onto the program, so nothing built from it is carried,
+    /// and it has no compressed candidate: QFT entanglement saturates any
+    /// realistic bond cap.
+    RegisterQft(Circuit),
+    /// The generic per-value rotation expansion, exponential in the
+    /// `x_bits`-wide control register: priced analytically, the same on
+    /// every dense flavour, instead of materialising it just to reject it.
+    RotationExpansion { x_bits: usize },
+}
+
+impl<'p> GatePath<'p> {
+    fn of(program: &'p QuantumProgram, op: &'p HighLevelOp) -> GatePath<'p> {
+        let built = |gi: &crate::program::GateImpl| GatePath::Absolute {
+            circuit: Cow::Owned((gi.build)(program)),
+            n_ancilla: gi.n_ancilla,
+        };
+        match op {
+            HighLevelOp::Gates(c) => GatePath::Absolute {
+                circuit: Cow::Borrowed(c),
+                n_ancilla: 0,
+            },
+            HighLevelOp::Classical(cm) => cm.gate_impl.as_ref().map_or(GatePath::None, built),
+            HighLevelOp::Phase(po) => po.gate_impl.as_ref().map_or(GatePath::None, built),
+            HighLevelOp::Rotation(ro) => ro.gate_impl.as_ref().map_or(
+                GatePath::RotationExpansion {
+                    x_bits: program.register(ro.x).len,
+                },
+                built,
+            ),
+            HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r) => {
+                GatePath::RegisterQft(qft_circuit(program.register(*r).len))
+            }
+            // QPE's gate-level path runs through `apply_qpe`, not a circuit.
+            HighLevelOp::Qpe(_) => GatePath::None,
+        }
+    }
+
+    fn n_ancilla(&self) -> usize {
+        match self {
+            GatePath::Absolute { n_ancilla, .. } => *n_ancilla,
+            _ => 0,
+        }
+    }
+}
+
+/// What one op's candidates are priced against.
+struct Pricing<'a> {
+    program: &'a QuantumProgram,
+    model: &'a CostModel,
+    /// Fusion window fused candidates are priced (and their carried block
+    /// streams built) with: the config's own greedy window if it has one,
+    /// the default otherwise.
+    window: usize,
+    /// Ancilla head-room the rest of the plan already commits to: every
+    /// sweep in the run pays `2^{n + n_anc_plan}` entries.
+    n_anc_plan: usize,
+    path: GatePath<'a>,
+    /// Whether the op's χ certificate covers the state it receives (see
+    /// `certify_prefix`); without it the compressed candidate is not
+    /// offered.
+    offer_mps: bool,
+}
+
+/// A priced candidate: model seconds, plus the fused block stream if
+/// pricing had to build one the plan can carry.
+struct Priced {
+    cost: f64,
+    fused: Option<FusedCircuit>,
+}
+
+impl Pricing<'_> {
+    /// Predicted cost of `op` on `backend`, or `None` when the backend
+    /// cannot run the op (no shortcut, no gate-level implementation, no
+    /// χ certificate). The only caller of the [`CostModel`] `t_*` laws.
+    fn price(&self, op: &HighLevelOp, backend: Backend) -> Option<Priced> {
+        let (model, program) = (self.model, self.program);
+        let n_state = program.n_qubits() + self.n_anc_plan;
+        let cost = match (backend, op) {
+            (Backend::EmulateClassical, HighLevelOp::Classical(cm)) => {
+                let k: usize = cm.regs.iter().map(|&r| program.register(r).len).sum();
+                model.t_classical_emulated(n_state, k)
+            }
+            (Backend::EmulateClassical, HighLevelOp::Phase(_)) => model.t_oracle_emulated(n_state),
+            (Backend::EmulateClassical, HighLevelOp::Rotation(_)) => {
+                model.t_rotation_emulated(n_state)
+            }
+            (Backend::EmulateFft, HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r)) => {
+                model.t_qft_emulated(n_state, program.register(*r).len)
+            }
+            (_, HighLevelOp::Qpe(qpe)) => {
+                // The gate-level path runs through `apply_qpe`, not the
+                // fusion engine: one cost on every dense flavour, and no
+                // compressed one.
+                let strategy = match backend {
+                    Backend::EmulateQpe { strategy } => strategy,
+                    Backend::SimulateMps { .. } => return None,
+                    b if b.is_simulate() => QpeStrategy::GateLevel,
+                    _ => return None,
+                };
+                let m = program.register(qpe.target).len;
+                let b = program.register(qpe.phase).len;
+                model.t_qpe(n_state, m, qpe.unitary.gate_count().max(1), b, strategy)
+            }
+            (b, _) if b.is_simulate() => return self.price_gate_path(b),
+            _ => return None,
+        };
+        Some(Priced { cost, fused: None })
+    }
+
+    fn price_gate_path(&self, backend: Backend) -> Option<Priced> {
+        let model = self.model;
+        // An op whose own gate path needs more ancillas than the plan
+        // reserves is priced at its own (larger) width.
+        let n_sim = self.program.n_qubits() + self.n_anc_plan.max(self.path.n_ancilla());
+        let (c, absolute) = match &self.path {
+            GatePath::None => return None,
+            GatePath::RotationExpansion { x_bits } => {
+                return (!matches!(backend, Backend::SimulateMps { .. })).then(|| Priced {
+                    cost: model.t_rotation_simulated(n_sim, *x_bits),
+                    fused: None,
+                })
+            }
+            GatePath::Absolute { circuit, .. } => (&**circuit, true),
+            GatePath::RegisterQft(c) => (c, false),
+        };
+        let mut fused = None;
+        let cost = match backend {
+            Backend::SimulateGateLevel => model.t_gates(c.touched_entries(n_sim), c.gate_count()),
+            // The fused estimate actually runs the fusion engine (matrix
+            // compose + classify per block), which is why each flavour is
+            // priced only when a candidate set asks for it.
+            Backend::SimulateFused => {
+                let fc = c.fuse(&FusionPolicy::Greedy {
+                    max_fused_qubits: self.window,
+                });
+                let t =
+                    model.t_gates_fused(fc.touched_entries(n_sim), c.gate_count(), fc.ops().len());
+                fused = absolute.then_some(fc);
+                t
+            }
+            // Priced with the policy `SimConfig::segmented()` executes
+            // with, traffic split into its streamed and in-cache terms.
+            // The compiled `SegmentedCircuit` is not carried: execution
+            // re-segments, paying the per-gate compile cost the model
+            // includes. Each blocked segment and each full-state sweep op
+            // launches one parallel region, so that is the dispatch count.
+            Backend::SimulateSegmented { block_bits } => {
+                let seg = segment_circuit(c, block_bits, &FusionPolicy::greedy());
+                model.t_gates_segmented(
+                    seg.streamed_entries(n_sim),
+                    seg.incache_entries(n_sim),
+                    c.gate_count(),
+                    seg.blocked_segments() + seg.sweep_segments(),
+                )
+            }
+            // The compressed candidate only exists when the χ-growth
+            // estimate certifies the run fits under the cap: an inexact
+            // estimate means execution *would* truncate and fall back to
+            // a dense re-run anyway — pricing that as "cheap" would bias
+            // the planner toward a path it can never take.
+            Backend::SimulateMps { max_bond } if absolute && self.offer_mps => {
+                let est = estimate_mps_cost(c, max_bond);
+                if !est.exact {
+                    return None;
+                }
+                model.t_gates_mps(est.units, n_sim)
+            }
+            _ => return None,
+        };
+        Some(Priced { cost, fused })
+    }
+}
+
+/// The χ certificate of an automatically offered compressed step must
+/// cover the state the step *receives*: [`estimate_mps_cost`] assumes a
+/// product-state input, which holds only while every earlier op was a raw
+/// gate run whose entanglement the estimate can follow. So `prefix` holds
+/// the concatenated gate runs so far, and the op is certified iff
+/// `prefix ++ c` stays exact under the cap. The first op that is not a
+/// certified gate run ends the prefix for good.
+fn certify_prefix(
+    prefix: &mut Option<Circuit>,
+    op: &HighLevelOp,
+    path: &GatePath<'_>,
+    max_bond: usize,
+) -> bool {
+    let (Some(before), GatePath::Absolute { circuit, .. }) = (prefix.take(), path) else {
+        return false;
+    };
+    // Only a gate impl with ancillas is wider than the program's own runs.
+    let mut joined = if before.n_qubits() >= circuit.n_qubits() {
+        before
+    } else {
+        let mut widened = Circuit::new(circuit.n_qubits());
+        widened.extend(&before);
+        widened
+    };
+    joined.extend(circuit);
+    let exact = estimate_mps_cost(&joined, max_bond).exact;
+    if exact && matches!(op, HighLevelOp::Gates(_)) {
+        *prefix = Some(joined);
+    }
+    exact
+}
+
+/// One pass over the program at head-room `n_anc_plan`: per op, build the
+/// gate path once, price the policy's candidates (or the one `fixed`
+/// backend), keep the cheapest.
+fn walk(
+    program: &QuantumProgram,
+    model: &CostModel,
+    config: &SimConfig,
+    policy: Policy<'_>,
+    n_anc_plan: usize,
+    fixed: Option<&[Backend]>,
+) -> Vec<PlanStep> {
+    let window = match config.fusion {
         FusionPolicy::Greedy { max_fused_qubits } => max_fused_qubits,
         FusionPolicy::Disabled => DEFAULT_MAX_FUSED_QUBITS,
-    }
-}
-
-/// Gate-path costs of a concrete circuit on a `2^n_state` state.
-/// Each flavour is computed only when requested: the unfused estimate is
-/// an O(G) count, but the fused one actually runs the fusion engine
-/// (matrix compose + classify per block) — a plan that can never pick a
-/// fused candidate must not pay for it. `want_mps` carries the bond cap
-/// to price the compressed candidate under, or `None` to skip it.
-fn circuit_costs(
-    model: &CostModel,
-    c: &Circuit,
-    n_state: usize,
-    window: usize,
-    want_unfused: bool,
-    want_fused: bool,
-    want_segmented: bool,
-    want_mps: Option<usize>,
-) -> SimCosts {
-    let unfused = want_unfused.then(|| model.t_gates(c.touched_entries(n_state), c.gate_count()));
-    let (fused, fused_circuit) = if want_fused {
-        let fc = c.fuse(&FusionPolicy::Greedy {
-            max_fused_qubits: window,
-        });
-        let t = model.t_gates_fused(fc.touched_entries(n_state), c.gate_count(), fc.ops().len());
-        (Some(t), Some(fc))
-    } else {
-        (None, None)
     };
-    // Price segmentation with the same policy `SimConfig::segmented()`
-    // executes with, splitting traffic into its streamed and in-cache
-    // terms. The compiled `SegmentedCircuit` is not carried: execution
-    // re-segments, paying the per-gate compile cost the model includes.
-    // Each blocked segment and each full-state sweep op launches one
-    // parallel region, so that is the dispatch count.
-    let segmented = want_segmented.then(|| {
-        let seg = segment_circuit(c, model.block_bits, &FusionPolicy::greedy());
-        model.t_gates_segmented(
-            seg.streamed_entries(n_state),
-            seg.incache_entries(n_state),
-            c.gate_count(),
-            seg.blocked_segments() + seg.sweep_segments(),
-        )
-    });
-    // The compressed candidate only exists when the χ-growth estimate
-    // certifies the whole run fits under the cap: an inexact estimate
-    // means execution *would* truncate, and the interpreter would fall
-    // back to a dense re-run anyway — pricing that as "cheap" would bias
-    // the planner toward a path it can never take.
-    let mps = want_mps.and_then(|max_bond| {
-        let est = estimate_mps_cost(c, max_bond);
-        est.exact
-            .then(|| (max_bond, model.t_gates_mps(est.units, n_state)))
-    });
-    SimCosts {
-        unfused,
-        fused,
-        segmented,
-        mps,
-        n_ancilla: 0,
-        circuit: None,
-        fused_circuit,
-    }
-}
-
-/// Costs of one op's gate-level implementation (shared by the Classical,
-/// Phase, and Rotation arms of [`sim_costs`]): builds the deferred
-/// circuit and prices it at the width the op itself forces —
-/// `n + max(n_anc_plan, its own ancillas)`.
-fn gate_impl_sim_costs(
-    model: &CostModel,
-    program: &QuantumProgram,
-    gi: &crate::program::GateImpl,
-    n_anc_plan: usize,
-    window: usize,
-    want_unfused: bool,
-    want_fused: bool,
-    want_segmented: bool,
-    want_mps: Option<usize>,
-) -> SimCosts {
-    let c = (gi.build)(program);
-    let n_sim = program.n_qubits() + n_anc_plan.max(gi.n_ancilla);
-    let costs = circuit_costs(
-        model,
-        &c,
-        n_sim,
-        window,
-        want_unfused,
-        want_fused,
-        want_segmented,
-        want_mps,
-    );
-    SimCosts {
-        n_ancilla: gi.n_ancilla,
-        circuit: Some(c),
-        ..costs
-    }
-}
-
-/// Predicted cost of the op's emulation shortcut, or `None` for raw gate
-/// runs (which have none). Pure formula evaluation — never builds a
-/// circuit. For QPE, returns the cheaper of the two dense strategies.
-fn emulate_candidate(
-    model: &CostModel,
-    program: &QuantumProgram,
-    op: &HighLevelOp,
-    n_state: usize,
-) -> Option<(Backend, f64)> {
-    match op {
-        HighLevelOp::Gates(_) => None,
-        HighLevelOp::Classical(cm) => {
-            let k: usize = cm.regs.iter().map(|&r| program.register(r).len).sum();
-            Some((
-                Backend::EmulateClassical,
-                model.t_classical_emulated(n_state, k),
-            ))
-        }
-        HighLevelOp::Phase(_) => {
-            Some((Backend::EmulateClassical, model.t_oracle_emulated(n_state)))
-        }
-        HighLevelOp::Rotation(_) => Some((
-            Backend::EmulateClassical,
-            model.t_rotation_emulated(n_state),
-        )),
-        HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r) => Some((
-            Backend::EmulateFft,
-            model.t_qft_emulated(n_state, program.register(*r).len),
-        )),
-        HighLevelOp::Qpe(qpe) => {
-            let m = program.register(qpe.target).len;
-            let b = program.register(qpe.phase).len;
-            let g = qpe.unitary.gate_count().max(1);
-            let (strategy, cost) = [
-                QpeStrategy::RepeatedSquaring,
-                QpeStrategy::Eigendecomposition,
-            ]
-            .into_iter()
-            .map(|s| (s, model.t_qpe(n_state, m, g, b, s)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("two candidates");
-            Some((Backend::EmulateQpe { strategy }, cost))
-        }
-    }
-}
-
-/// Predicted costs of the op's gate-level path(s), or `None` when it has
-/// no gate-level implementation. Only the requested flavours are
-/// computed (see [`circuit_costs`]).
-///
-/// `n_anc_plan` is the ancilla head-room the rest of the plan already
-/// commits to: every sweep in this run pays `2^{n + n_anc_plan}` entries,
-/// and an op whose own gate path needs more ancillas than that is costed
-/// at its own (larger) width.
-fn sim_costs(
-    model: &CostModel,
-    program: &QuantumProgram,
-    op: &HighLevelOp,
-    window: usize,
-    n_anc_plan: usize,
-    want_unfused: bool,
-    want_fused: bool,
-    want_segmented: bool,
-    want_mps: Option<usize>,
-) -> Option<SimCosts> {
-    let n = program.n_qubits();
-    let n_state = n + n_anc_plan;
-    match op {
-        HighLevelOp::Gates(c) => Some(circuit_costs(
-            model,
-            c,
-            n_state,
-            window,
-            want_unfused,
-            want_fused,
-            want_segmented,
-            want_mps,
-        )),
-        HighLevelOp::Classical(cm) => cm.gate_impl.as_ref().map(|gi| {
-            gate_impl_sim_costs(
-                model,
-                program,
-                gi,
-                n_anc_plan,
-                window,
-                want_unfused,
-                want_fused,
-                want_segmented,
-                want_mps,
-            )
-        }),
-        HighLevelOp::Phase(po) => po.gate_impl.as_ref().map(|gi| {
-            gate_impl_sim_costs(
-                model,
-                program,
-                gi,
-                n_anc_plan,
-                window,
-                want_unfused,
-                want_fused,
-                want_segmented,
-                want_mps,
-            )
-        }),
-        HighLevelOp::Rotation(ro) => Some(match &ro.gate_impl {
-            Some(gi) => gate_impl_sim_costs(
-                model,
-                program,
-                gi,
-                n_anc_plan,
-                window,
-                want_unfused,
-                want_fused,
-                want_segmented,
-                want_mps,
-            ),
-            None => {
-                // The generic per-value expansion is exponential in the
-                // control register; cost it analytically instead of
-                // materialising it just to reject it (so every gate
-                // flavour shares the same analytic estimate).
-                let t = model.t_rotation_simulated(n_state, program.register(ro.x).len);
-                SimCosts::none_built(Some(t), Some(t), Some(t))
-            }
-        }),
-        HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r) => {
-            let bits = program.register(*r).len;
-            let costs = circuit_costs(
-                model,
-                &qft_circuit(bits),
-                n_state,
-                window,
-                want_unfused,
-                want_fused,
-                want_segmented,
-                // QFT entanglement saturates any realistic bond cap and
-                // the costed circuit is unremapped anyway — no
-                // compressed candidate for register QFTs.
-                None,
-            );
-            // The costed circuit addresses the register's *relative*
-            // qubits; execution remaps it onto the program — don't carry
-            // the unremapped artifacts.
-            Some(SimCosts::none_built(
-                costs.unfused,
-                costs.fused,
-                costs.segmented,
-            ))
-        }
-        HighLevelOp::Qpe(qpe) => {
-            // QPE's gate-level path runs through `apply_qpe`, not the
-            // fusion engine — one candidate, same cost on every flavour.
-            let m = program.register(qpe.target).len;
-            let b = program.register(qpe.phase).len;
-            let g = qpe.unitary.gate_count().max(1);
-            let t = model.t_qpe(n_state, m, g, b, QpeStrategy::GateLevel);
-            Some(SimCosts::none_built(Some(t), Some(t), Some(t)))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Planners: the two legacy fixed-backend lowerings and the hybrid one.
-// ---------------------------------------------------------------------------
-
-/// Backend a `config`-driven simulation step uses for raw circuits.
-/// A forced MPS policy wins outright (the caller explicitly asked for
-/// compressed execution); segmentation is checked next: a blocked
-/// segment policy subsumes the fusion policy (the sweeps between blocked
-/// segments still fuse under the config's own `FusionPolicy`).
-fn sim_backend(config: &SimConfig) -> Backend {
-    if let MpsPolicy::Forced { max_bond } = config.mps {
-        return Backend::SimulateMps { max_bond };
-    }
-    if let SegmentPolicy::Blocked { block_bits } = config.segments {
-        return Backend::SimulateSegmented { block_bits };
-    }
-    match config.fusion {
-        FusionPolicy::Disabled => Backend::SimulateGateLevel,
-        FusionPolicy::Greedy { .. } => Backend::SimulateFused,
-    }
-}
-
-///// Which gate-path cost flavours a fixed-backend plan must price:
-/// `(fused, segmented, mps bond cap)`.
-fn backend_wants(backend: Backend) -> (bool, bool, Option<usize>) {
-    match backend {
-        Backend::SimulateFused => (true, false, None),
-        Backend::SimulateSegmented { .. } => (false, true, None),
-        Backend::SimulateMps { max_bond } => (false, false, Some(max_bond)),
-        _ => (false, false, None),
-    }
-}
-
-/// Lowers every op onto its emulation shortcut (raw gate runs, which have
-/// no shortcut, use the configured gate path) — the
-/// [`Emulator`](crate::executor::Emulator)'s fixed plan. `choose_qpe`
-/// picks the QPE strategy from `(target_len, phase_len)`.
-pub fn plan_emulated(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-    choose_qpe: impl Fn(usize, usize) -> QpeStrategy,
-) -> ExecutionPlan {
-    let n = program.n_qubits();
-    let window = plan_window(config);
-    let steps = program
+    let mut mps_prefix = match (policy, config.mps) {
+        (Policy::Cheapest, MpsPolicy::Auto { .. }) => Some(Circuit::new(program.n_qubits())),
+        _ => None,
+    };
+    program
         .ops()
         .iter()
         .enumerate()
         .map(|(i, op)| {
-            let (backend, predicted_s, fused_circuit) = match op {
-                HighLevelOp::Gates(_) => {
-                    let backend = sim_backend(config);
-                    let (fused, seg, mps) = backend_wants(backend);
-                    let costs = sim_costs(
-                        model,
-                        program,
-                        op,
-                        window,
-                        0,
-                        !fused && !seg && mps.is_none(),
-                        fused,
-                        seg,
-                        mps,
-                    )
-                    .expect("raw gates always have a gate path");
-                    let cost = costs.for_backend(backend);
-                    (backend, cost.unwrap_or(f64::INFINITY), costs.fused_circuit)
-                }
-                HighLevelOp::Qpe(qpe) => {
-                    let m = program.register(qpe.target).len;
-                    let b = program.register(qpe.phase).len;
-                    let strategy = choose_qpe(m, b);
-                    let g = qpe.unitary.gate_count().max(1);
-                    (
-                        Backend::EmulateQpe { strategy },
-                        model.t_qpe(n, m, g, b, strategy),
-                        None,
-                    )
-                }
-                _ => {
-                    let (backend, cost) = emulate_candidate(model, program, op, n)
-                        .expect("every non-gate op has a shortcut");
-                    (backend, cost, None)
-                }
+            let set = match fixed {
+                Some(backends) => vec![backends[i]],
+                None => policy.candidates(program, op, model, config),
             };
-            PlanStep {
-                op_index: i,
-                op: op_label(program, op),
-                backend,
-                predicted_s,
-                n_ancilla: 0,
-                circuit: None,
-                fused: fused_circuit,
-            }
-        })
-        .collect();
-    ExecutionPlan::from_steps(program, steps)
-}
-
-/// Lowers every op to elementary-gate execution — the
-/// [`GateLevelSimulator`](crate::executor::GateLevelSimulator)'s fixed
-/// plan. Ops without a gate-level implementation are kept (predicted cost
-/// `∞`) and fail at execution with
-/// [`EmuError::NoGateImplementation`], matching the legacy executor.
-pub fn plan_simulated(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-) -> ExecutionPlan {
-    let n_anc_all = program.max_gate_ancillas();
-    let backend = sim_backend(config);
-    let (fused, seg, mps) = backend_wants(backend);
-    let window = plan_window(config);
-    let steps = program
-        .ops()
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let costs = sim_costs(
-                model,
+            let path = if set.iter().any(|b| b.is_simulate()) {
+                GatePath::of(program, op)
+            } else {
+                GatePath::None
+            };
+            let offer_mps = match config.mps {
+                MpsPolicy::Auto { max_bond } => {
+                    certify_prefix(&mut mps_prefix, op, &path, max_bond)
+                }
+                MpsPolicy::Forced { .. } => true,
+                MpsPolicy::Disabled => false,
+            };
+            let pricing = Pricing {
                 program,
-                op,
+                model,
                 window,
-                n_anc_all,
-                !fused && !seg && mps.is_none(),
-                fused,
-                seg,
-                mps,
-            );
-            let (cost, n_ancilla, circuit, fused_circuit) = match costs {
-                Some(c) => (
-                    c.for_backend(backend).unwrap_or(f64::INFINITY),
-                    c.n_ancilla,
-                    c.circuit,
-                    c.fused_circuit,
+                n_anc_plan,
+                path,
+                offer_mps,
+            };
+            // A fixed policy keeps an op its one backend cannot run, at
+            // cost ∞; `Cheapest` always has a finite candidate.
+            let (backend, priced) = set
+                .iter()
+                .filter_map(|&b| pricing.price(op, b).map(|p| (b, p)))
+                .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
+                .unwrap_or((
+                    set[0],
+                    Priced {
+                        cost: f64::INFINITY,
+                        fused: None,
+                    },
+                ));
+            // Only a simulated winner keeps what pricing built.
+            let (n_ancilla, circuit) = match pricing.path {
+                GatePath::Absolute { circuit, n_ancilla } if backend.is_simulate() => (
+                    n_ancilla,
+                    match circuit {
+                        Cow::Owned(c) => Some(c),
+                        Cow::Borrowed(_) => None,
+                    },
                 ),
-                None => (f64::INFINITY, 0, None, None),
+                _ => (0, None),
             };
-            let backend = match op {
-                // QPE's gate-level strategy is explicit in the IR.
-                HighLevelOp::Qpe(_) => Backend::EmulateQpe {
-                    strategy: QpeStrategy::GateLevel,
-                },
-                _ => backend,
-            };
-            PlanStep {
-                op_index: i,
-                op: op_label(program, op),
-                backend,
-                predicted_s: cost,
-                n_ancilla,
-                circuit,
-                fused: fused_circuit,
-            }
-        })
-        .collect();
-    // The legacy simulator reserves head-room for every op up front,
-    // whether or not a cheaper plan could avoid it.
-    let mut plan = ExecutionPlan::from_steps(program, steps);
-    plan.n_ancilla = n_anc_all;
-    plan
-}
-
-/// Lowers each op onto its cheapest backend under `model` — the
-/// [`HybridExecutor`](crate::executor::HybridExecutor)'s plan.
-///
-/// Backend choices couple through ancilla head-room: once any step
-/// simulates an op that needs `a` work qubits, *every* sweep in the run
-/// pays `2^{n+a}` entries. The planner resolves the coupling by fixed
-/// point: plan with the current head-room, recompute the head-room the
-/// chosen steps actually need, re-plan until stable. Choices near a
-/// break-even can oscillate with the head-room (an op may simulate at
-/// width `n` but emulate at `n+1`), so iteration is capped; if no fixed
-/// point is reached, the last plan's choices are committed and its
-/// predictions are re-costed at the head-room it will *actually* execute
-/// with, keeping the [`PlanReport`] audit consistent.
-pub fn plan_hybrid(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-) -> ExecutionPlan {
-    let mut n_anc = 0usize;
-    for _ in 0..4 {
-        let plan = plan_hybrid_once(program, model, config, n_anc);
-        if plan.n_ancilla == n_anc {
-            return plan;
-        }
-        n_anc = plan.n_ancilla;
-    }
-    let mut plan = plan_hybrid_once(program, model, config, n_anc);
-    if plan.n_ancilla != n_anc {
-        let window = plan_window(config);
-        for step in &mut plan.steps {
-            let op = &program.ops()[step.op_index];
-            step.predicted_s =
-                recost_step(model, program, op, step.backend, window, plan.n_ancilla);
-        }
-    }
-    plan
-}
-
-/// Predicted cost of `op` on an already-chosen backend at execution
-/// head-room `n_anc_exec` (the unconverged-fixed-point repair path of
-/// [`plan_hybrid`]).
-fn recost_step(
-    model: &CostModel,
-    program: &QuantumProgram,
-    op: &HighLevelOp,
-    backend: Backend,
-    window: usize,
-    n_anc_exec: usize,
-) -> f64 {
-    let n_state = program.n_qubits() + n_anc_exec;
-    match backend {
-        Backend::EmulateClassical | Backend::EmulateFft => {
-            emulate_candidate(model, program, op, n_state)
-                .map(|(_, c)| c)
-                .unwrap_or(f64::INFINITY)
-        }
-        Backend::EmulateQpe { strategy } => match op {
-            HighLevelOp::Qpe(qpe) => model.t_qpe(
-                n_state,
-                program.register(qpe.target).len,
-                qpe.unitary.gate_count().max(1),
-                program.register(qpe.phase).len,
-                strategy,
-            ),
-            _ => f64::INFINITY,
-        },
-        Backend::SimulateFused => sim_costs(
-            model, program, op, window, n_anc_exec, false, true, false, None,
-        )
-        .and_then(|c| c.fused)
-        .unwrap_or(f64::INFINITY),
-        Backend::SimulateSegmented { .. } => sim_costs(
-            model, program, op, window, n_anc_exec, false, false, true, None,
-        )
-        .and_then(|c| c.segmented)
-        .unwrap_or(f64::INFINITY),
-        Backend::SimulateMps { max_bond } => sim_costs(
-            model,
-            program,
-            op,
-            window,
-            n_anc_exec,
-            false,
-            false,
-            false,
-            Some(max_bond),
-        )
-        .and_then(|c| c.for_backend(backend))
-        .unwrap_or(f64::INFINITY),
-        Backend::SimulateGateLevel => sim_costs(
-            model, program, op, window, n_anc_exec, true, false, false, None,
-        )
-        .and_then(|c| c.unfused)
-        .unwrap_or(f64::INFINITY),
-    }
-}
-
-fn plan_hybrid_once(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-    n_anc_plan: usize,
-) -> ExecutionPlan {
-    let steps = program
-        .ops()
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let n_state = program.n_qubits() + n_anc_plan;
-            let window = plan_window(config);
-            let mut candidates: Vec<(Backend, f64, usize)> = Vec::with_capacity(5);
-            if let Some((backend, cost)) = emulate_candidate(model, program, op, n_state) {
-                candidates.push((backend, cost, 0));
-            }
-            // A compressed candidate is priced under the config's policy
-            // cap (`Auto` by default) — `circuit_costs` only surfaces it
-            // when the χ-growth estimate certifies an exact run.
-            let sim = sim_costs(
-                model,
-                program,
-                op,
-                window,
-                n_anc_plan,
-                true,
-                true,
-                true,
-                config.mps.max_bond(),
-            );
-            if let Some(costs) = &sim {
-                if let Some(cost) = costs.fused {
-                    candidates.push((Backend::SimulateFused, cost, costs.n_ancilla));
-                }
-                if let Some(cost) = costs.unfused {
-                    candidates.push((Backend::SimulateGateLevel, cost, costs.n_ancilla));
-                }
-                if let Some(cost) = costs.segmented {
-                    candidates.push((
-                        Backend::SimulateSegmented {
-                            block_bits: model.block_bits,
-                        },
-                        cost,
-                        costs.n_ancilla,
-                    ));
-                }
-                if let Some((max_bond, cost)) = costs.mps {
-                    candidates.push((Backend::SimulateMps { max_bond }, cost, costs.n_ancilla));
-                }
-            }
-            let (backend, predicted_s, n_ancilla) = candidates
-                .into_iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("every op has at least one backend");
-            // Only a simulated winner gets the costing's built artifacts.
-            let (circuit, fused_circuit) = match (backend.is_simulate(), sim) {
-                (true, Some(costs)) => (costs.circuit, costs.fused_circuit),
-                _ => (None, None),
-            };
-            // QPE always runs through `apply_qpe`; express the simulated
+            // QPE always runs through `apply_qpe`; express a simulated
             // winner as the explicit gate-level strategy.
             let backend = if matches!(op, HighLevelOp::Qpe(_)) && backend.is_simulate() {
                 Backend::EmulateQpe {
@@ -996,24 +772,60 @@ fn plan_hybrid_once(
                 op_index: i,
                 op: op_label(program, op),
                 backend,
-                predicted_s,
+                predicted_s: priced.cost,
                 n_ancilla,
                 circuit,
-                fused: fused_circuit,
+                fused: priced.fused,
             }
         })
-        .collect();
+        .collect()
+}
+
+/// Lowers `program` to an [`ExecutionPlan`]: each op goes to the cheapest
+/// backend, under `model`, among the candidates `policy` allows it.
+///
+/// Backend choices couple through ancilla head-room: once any step
+/// simulates an op that needs `a` work qubits, *every* sweep in the run
+/// pays `2^{n+a}` entries. The coupling is resolved by fixed point: walk
+/// with the current head-room, recompute the head-room the chosen steps
+/// actually need, walk again until stable (the fixed policies are stable
+/// after one walk). Choices near a break-even can oscillate with the
+/// head-room (an op may simulate at width `n` but emulate at `n+1`), so
+/// iteration is capped; if no fixed point is reached, the last walk's
+/// choices are committed and re-priced at the head-room they will
+/// *actually* execute with, keeping the [`PlanReport`] audit consistent.
+pub fn plan(
+    program: &QuantumProgram,
+    model: &CostModel,
+    config: &SimConfig,
+    policy: Policy<'_>,
+) -> ExecutionPlan {
+    let mut n_anc = match policy {
+        Policy::Simulate => program.max_gate_ancillas(),
+        _ => 0,
+    };
+    let mut steps = Vec::new();
+    for _ in 0..5 {
+        steps = walk(program, model, config, policy, n_anc, None);
+        let needed = headroom(&steps);
+        if needed == n_anc {
+            return ExecutionPlan::from_steps(program, steps);
+        }
+        n_anc = needed;
+    }
+    let chosen: Vec<Backend> = steps.iter().map(|s| s.backend).collect();
+    let steps = walk(program, model, config, policy, n_anc, Some(&chosen));
     ExecutionPlan::from_steps(program, steps)
 }
 
 // ---------------------------------------------------------------------------
-// The one interpreter.
+// The one run loop.
 // ---------------------------------------------------------------------------
 
-/// Executes [`ExecutionPlan`]s: the single interpreter loop behind all
-/// three executors. Holds the knobs that are properties of the *runner*
-/// rather than the plan: the gate-level [`SimConfig`] and whether
-/// circuits are first decomposed to one- and two-qubit gates.
+/// Executes [`ExecutionPlan`]s: the single run loop behind every
+/// executor. Holds the knobs that are properties of the *runner* rather
+/// than the plan: the gate-level [`SimConfig`] and whether circuits are
+/// first decomposed to one- and two-qubit gates.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlanInterpreter {
     /// Gate-level execution configuration (fusion policy) for
@@ -1034,23 +846,18 @@ impl PlanInterpreter {
     }
 
     /// Runs `plan` over `program` from `initial`, returning the final
-    /// state and the per-step audit report.
+    /// state and the per-step audit report: the one-member ensemble,
+    /// entered and left by moving the amplitude `Vec`.
+    ///
+    /// The plan must have been lowered from this exact program instance
+    /// (clones included); [`PlanInterpreter::run_members`] is the
+    /// structure-keyed entry point.
     pub fn execute(
         &self,
         program: &QuantumProgram,
         plan: &ExecutionPlan,
         initial: StateVector,
     ) -> Result<(StateVector, PlanReport), EmuError> {
-        if initial.n_qubits() != program.n_qubits() {
-            return Err(EmuError::DimensionMismatch {
-                expected: program.n_qubits(),
-                got: initial.n_qubits(),
-            });
-        }
-        // A plan is only valid for the exact program instance it was
-        // lowered from (clones included): it indexes the op list and may
-        // carry circuits built from the program's closures, so even a
-        // structurally identical rebuild must be re-planned.
         if plan.program_id != program.instance_id() {
             return Err(EmuError::PlanMismatch {
                 reason: format!(
@@ -1060,22 +867,107 @@ impl PlanInterpreter {
                 ),
             });
         }
-        let n = program.n_qubits();
+        self.run_one(program, plan, initial)
+    }
+
+    /// [`PlanInterpreter::run_members`] for a lone program.
+    pub(crate) fn run_one(
+        &self,
+        program: &QuantumProgram,
+        plan: &ExecutionPlan,
+        initial: StateVector,
+    ) -> Result<(StateVector, PlanReport), EmuError> {
+        let members = std::slice::from_ref(program);
+        let (state, report) =
+            self.run_members(members, plan, BatchStateVector::from_single(initial))?;
+        Ok((state.into_single(), report))
+    }
+
+    /// Runs `plan` over an ensemble: `members[j]` (programs or references
+    /// to them) drives member `j` of `initial`. All members must share
+    /// the plan's structure (qubit count and
+    /// [`structure_hash`](QuantumProgram::structure_hash)); per-member
+    /// variation flows through the closures the hash ignores.
+    ///
+    /// Each step takes one of two routes. Steps whose work is determined
+    /// by the structure run **once on the batch-major buffer** for all
+    /// members: simulated raw gate runs and register QFTs (bit-identical
+    /// circuits under an equal structure hash) and emulated rotations
+    /// (one pair sweep reading each member's own angle closure). Every
+    /// other step — closure-bearing maps and oracles, QPE, emulated QFTs,
+    /// gate impls built from closures — runs **member by member** between
+    /// one de-interleave and one re-interleave, which at one member are
+    /// moves.
+    ///
+    /// Artifacts a plan carries from closures (gate-impl circuits and
+    /// their fused streams) are executed only for the member the plan was
+    /// lowered from ([`ExecutionPlan::planned_from`]); every other member
+    /// rebuilds them from its own ops.
+    pub fn run_members<P: Borrow<QuantumProgram>>(
+        &self,
+        members: &[P],
+        plan: &ExecutionPlan,
+        initial: BatchStateVector,
+    ) -> Result<(BatchStateVector, PlanReport), EmuError> {
+        let members: Vec<&QuantumProgram> = members.iter().map(Borrow::borrow).collect();
+        let first = *members.first().ok_or_else(empty_ensemble)?;
+        let n = first.n_qubits();
+        for (j, m) in members.iter().enumerate() {
+            if m.n_qubits() != n {
+                return Err(EmuError::DimensionMismatch {
+                    expected: n,
+                    got: m.n_qubits(),
+                });
+            }
+            if m.structure_hash() != first.structure_hash() {
+                return Err(EmuError::PlanMismatch {
+                    reason: format!(
+                        "member {j} differs structurally from member 0; \
+                         a batch must be structurally homogeneous"
+                    ),
+                });
+            }
+        }
+        if initial.n_qubits() != n {
+            return Err(EmuError::DimensionMismatch {
+                expected: n,
+                got: initial.n_qubits(),
+            });
+        }
+        if initial.batch() != members.len() {
+            return Err(EmuError::DimensionMismatch {
+                expected: members.len(),
+                got: initial.batch(),
+            });
+        }
+        if plan.structure != first.structure_hash() {
+            return Err(EmuError::PlanMismatch {
+                reason: "plan was lowered from a structurally different program".into(),
+            });
+        }
+
         let mut state = extend_with_ancillas(initial, plan.n_ancilla);
         let mut steps = Vec::with_capacity(plan.steps.len());
         for step in &plan.steps {
-            let op = &program.ops()[step.op_index];
             let t0 = Instant::now();
-            self.execute_step(&mut state, program, op, step)?;
+            let shared;
+            (state, shared) = self.run_step(state, &members, plan, step)?;
             steps.push(StepReport {
                 op: step.op.clone(),
                 backend: step.backend,
                 predicted_s: step.predicted_s,
                 measured_s: t0.elapsed().as_secs_f64(),
+                batched: shared && members.len() > 1,
             });
         }
         let state = truncate_ancillas(state, n)?;
-        Ok((state, PlanReport { steps }))
+        Ok((
+            state,
+            PlanReport {
+                batch: members.len(),
+                steps,
+            },
+        ))
     }
 
     /// `SimConfig` a simulation step runs under: `SimulateFused` uses the
@@ -1083,10 +975,9 @@ impl PlanInterpreter {
     /// interpreter is unfused); `SimulateSegmented` runs
     /// [`SimConfig::segmented`] at the block size the step was priced
     /// with; `SimulateGateLevel` is always unfused. `SimulateMps` maps to
-    /// the default fused config — the *dense* configuration of its
-    /// fallback path, and what backend-agnostic drivers (the batch
-    /// executor) run such a step with when they cannot go compressed.
-    pub(crate) fn step_config(&self, backend: Backend) -> SimConfig {
+    /// the default fused config — the *dense* configuration the step runs
+    /// under when it cannot go compressed.
+    fn step_config(&self, backend: Backend) -> SimConfig {
         match backend {
             Backend::SimulateFused => match self.config.fusion {
                 FusionPolicy::Greedy { .. } => self.config,
@@ -1103,16 +994,20 @@ impl PlanInterpreter {
         }
     }
 
-    fn lower<'c>(&self, c: &'c Circuit) -> std::borrow::Cow<'c, Circuit> {
+    fn lower<'c>(&self, c: &'c Circuit) -> Cow<'c, Circuit> {
         if self.elementary {
-            std::borrow::Cow::Owned(qcemu_sim::decompose_circuit(c))
+            Cow::Owned(qcemu_sim::decompose_circuit(c))
         } else {
-            std::borrow::Cow::Borrowed(c)
+            Cow::Borrowed(c)
         }
     }
 
-    fn run_circuit(&self, state: &mut StateVector, c: &Circuit, backend: Backend) {
-        state.run(&self.lower(c), &self.step_config(backend));
+    /// The fused block stream the planner priced, if the step carries one
+    /// and this interpreter can apply it directly (fused backend, no
+    /// elementary lowering).
+    fn priced_stream<'s>(&self, step: &'s PlanStep) -> Option<&'s FusedCircuit> {
+        let usable = step.backend == Backend::SimulateFused && !self.elementary;
+        step.fused.as_ref().filter(|_| usable)
     }
 
     /// Attempts compressed execution of a [`Backend::SimulateMps`] step.
@@ -1135,117 +1030,120 @@ impl PlanInterpreter {
         true
     }
 
-    /// Applies the fused block stream the planner priced, if the step
-    /// carries one and this interpreter can use it (fused backend, no
-    /// elementary lowering). Returns `true` when the step was handled.
-    fn try_cached_fused(&self, state: &mut StateVector, step: &PlanStep) -> bool {
-        if !self.elementary && step.backend == Backend::SimulateFused {
-            if let Some(fused) = &step.fused {
-                state.apply_fused_circuit(fused);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Runs a simulation step, reusing the artifacts the planner built
-    /// during costing: the fused block stream (applied directly — fusion
-    /// is semantics-preserving, so a cached stream is always
-    /// state-correct), or the deferred-build circuit, falling back to
-    /// `build` when the plan carries neither. Elementary lowering always
-    /// goes through the raw circuit.
-    fn run_sim_step(
+    /// Runs one plan step over the whole ensemble. Returns the state and
+    /// whether the step took the shared route (one pass on the
+    /// batch-major buffer) rather than the per-member one.
+    fn run_step(
         &self,
-        state: &mut StateVector,
+        mut state: BatchStateVector,
+        members: &[&QuantumProgram],
+        plan: &ExecutionPlan,
         step: &PlanStep,
-        build: impl FnOnce() -> Circuit,
-    ) {
-        if self.try_cached_fused(state, step) {
-            return;
-        }
-        let built;
-        let c = match &step.circuit {
-            Some(c) => c,
-            None => {
-                built = build();
-                &built
+    ) -> Result<(BatchStateVector, bool), EmuError> {
+        let first = members[0];
+        let simulate = step.backend.is_simulate();
+        let n_state = state.n_qubits();
+        match &first.ops()[step.op_index] {
+            HighLevelOp::Gates(c) => {
+                if let Some(fused) = self.priced_stream(step) {
+                    state.apply_fused_circuit(fused);
+                    return Ok((state, true));
+                }
+                // A compressed step goes compressed iff the ensemble has
+                // one member (there is no batched MPS form), and dense
+                // whenever the truncation audit rejects the attempt.
+                if let (Backend::SimulateMps { .. }, 1) = (step.backend, state.batch()) {
+                    let mut solo = state.into_single();
+                    let exact = self.try_mps(&mut solo, c, step.backend);
+                    state = BatchStateVector::from_single(solo);
+                    if exact {
+                        return Ok((state, true));
+                    }
+                }
+                state.run(&self.lower(c), &self.step_config(step.backend));
             }
-        };
-        if !self.try_mps(state, c, step.backend) {
-            self.run_circuit(state, c, step.backend);
+            op @ (HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r)) if simulate => {
+                let bits = first.register(*r).bits();
+                let relative = match op {
+                    HighLevelOp::Qft(_) => qft_circuit(bits.len()),
+                    _ => inverse_qft_circuit(bits.len()),
+                };
+                let c = relative.remap_qubits(n_state, |q| bits[q]);
+                state.run(&self.lower(&c), &self.step_config(step.backend));
+            }
+            HighLevelOp::Rotation(_) if !simulate => {
+                let ops: Vec<&RotationOp> = members
+                    .iter()
+                    .map(|m| match &m.ops()[step.op_index] {
+                        HighLevelOp::Rotation(op) => op,
+                        _ => unreachable!("structure hash guarantees matching op kinds"),
+                    })
+                    .collect();
+                apply_controlled_rotation_batch(&mut state, first, &ops);
+            }
+            _ => {
+                let mut states = state.into_states();
+                for (sv, &member) in states.iter_mut().zip(members) {
+                    let own = member.instance_id() == plan.program_id;
+                    self.member_step(sv, member, step, own)?;
+                }
+                let state = match states.len() {
+                    1 => BatchStateVector::from_single(states.pop().expect("one member")),
+                    _ => BatchStateVector::from_states(&states),
+                };
+                return Ok((state, false));
+            }
         }
+        Ok((state, true))
     }
 
-    pub(crate) fn execute_step(
+    /// Runs a per-member step on one member's own state. `own_artifacts`
+    /// says whether the plan's carried closure-built circuit and fused
+    /// stream were built from *this* member's closures.
+    fn member_step(
         &self,
         state: &mut StateVector,
         program: &QuantumProgram,
-        op: &HighLevelOp,
         step: &PlanStep,
+        own_artifacts: bool,
     ) -> Result<(), EmuError> {
-        let simulate = step.backend.is_simulate();
+        let op = &program.ops()[step.op_index];
+        if step.backend.is_simulate() {
+            if let (Some(fused), true) = (self.priced_stream(step), own_artifacts) {
+                state.apply_fused_circuit(fused);
+                return Ok(());
+            }
+            let built;
+            let c = match &step.circuit {
+                Some(c) if own_artifacts => c,
+                _ => {
+                    built = gate_impl_circuit(program, op)?;
+                    &built
+                }
+            };
+            if !self.try_mps(state, c, step.backend) {
+                state.run(&self.lower(c), &self.step_config(step.backend));
+            }
+            return Ok(());
+        }
         match op {
-            HighLevelOp::Gates(c) => {
-                if !self.try_cached_fused(state, step) && !self.try_mps(state, c, step.backend) {
-                    self.run_circuit(state, c, step.backend);
-                }
-            }
-            HighLevelOp::Classical(cm) => {
-                if simulate {
-                    let gi =
-                        cm.gate_impl
-                            .as_ref()
-                            .ok_or_else(|| EmuError::NoGateImplementation {
-                                op: cm.name.clone(),
-                            })?;
-                    self.run_sim_step(state, step, || (gi.build)(program));
-                } else {
-                    apply_classical_map(state, program, cm)?;
-                }
-            }
-            HighLevelOp::Phase(po) => {
-                if simulate {
-                    let gi =
-                        po.gate_impl
-                            .as_ref()
-                            .ok_or_else(|| EmuError::NoGateImplementation {
-                                op: po.name.clone(),
-                            })?;
-                    self.run_sim_step(state, step, || (gi.build)(program));
-                } else {
-                    apply_phase_oracle(state, program, po);
-                }
-            }
-            HighLevelOp::Rotation(ro) => {
-                if simulate {
-                    self.run_sim_step(state, step, || match &ro.gate_impl {
-                        Some(gi) => (gi.build)(program),
-                        None => rotation_expansion_circuit(program, ro),
-                    });
-                } else {
-                    crate::classical::apply_controlled_rotation(state, program, ro);
-                }
-            }
+            HighLevelOp::Classical(cm) => apply_classical_map(state, program, cm)?,
+            HighLevelOp::Phase(po) => apply_phase_oracle(state, program, po),
             HighLevelOp::Qft(r) => {
-                let bits = program.register(*r).bits();
-                if simulate {
-                    let c = qft_circuit(bits.len()).remap_qubits(state.n_qubits(), |q| bits[q]);
-                    self.run_circuit(state, &c, step.backend);
-                } else {
-                    let n_state = state.n_qubits();
-                    qft_subspace(state.amplitudes_mut(), n_state, &bits);
-                }
+                let n_state = state.n_qubits();
+                qft_subspace(
+                    state.amplitudes_mut(),
+                    n_state,
+                    &program.register(*r).bits(),
+                );
             }
             HighLevelOp::InverseQft(r) => {
-                let bits = program.register(*r).bits();
-                if simulate {
-                    let c =
-                        inverse_qft_circuit(bits.len()).remap_qubits(state.n_qubits(), |q| bits[q]);
-                    self.run_circuit(state, &c, step.backend);
-                } else {
-                    let n_state = state.n_qubits();
-                    inverse_qft_subspace(state.amplitudes_mut(), n_state, &bits);
-                }
+                let n_state = state.n_qubits();
+                inverse_qft_subspace(
+                    state.amplitudes_mut(),
+                    n_state,
+                    &program.register(*r).bits(),
+                );
             }
             HighLevelOp::Qpe(qpe) => {
                 let strategy = match step.backend {
@@ -1256,15 +1154,41 @@ impl PlanInterpreter {
                 let phase_bits = program.register(qpe.phase).bits();
                 apply_qpe(state, qpe, &target_bits, &phase_bits, strategy)?;
             }
+            HighLevelOp::Gates(_) | HighLevelOp::Rotation(_) => {
+                unreachable!("raw gate runs and emulated rotations take the shared route")
+            }
         }
         Ok(())
+    }
+}
+
+pub(crate) fn empty_ensemble() -> EmuError {
+    EmuError::PlanMismatch {
+        reason: "batch must contain at least one program".into(),
+    }
+}
+
+/// The circuit a closure-bearing op lowers to on the gate path.
+fn gate_impl_circuit(program: &QuantumProgram, op: &HighLevelOp) -> Result<Circuit, EmuError> {
+    let (gate_impl, name) = match op {
+        HighLevelOp::Classical(cm) => (&cm.gate_impl, &cm.name),
+        HighLevelOp::Phase(po) => (&po.gate_impl, &po.name),
+        HighLevelOp::Rotation(ro) => match &ro.gate_impl {
+            None => return Ok(rotation_expansion_circuit(program, ro)),
+            some => (some, &ro.name),
+        },
+        _ => unreachable!("structural circuits take the shared route"),
+    };
+    match gate_impl {
+        Some(gi) => Ok((gi.build)(program)),
+        None => Err(EmuError::NoGateImplementation { op: name.clone() }),
     }
 }
 
 /// Builds the generic per-value expansion of a register-controlled
 /// rotation: for each x value, X-conjugate the zero bits and apply a
 /// multi-controlled Ry — the exponential network the emulator avoids.
-pub(crate) fn rotation_expansion_circuit(program: &QuantumProgram, ro: &RotationOp) -> Circuit {
+fn rotation_expansion_circuit(program: &QuantumProgram, ro: &RotationOp) -> Circuit {
     let x = program.register(ro.x);
     let target = program.register(ro.target).offset;
     let bits = x.bits();
@@ -1303,6 +1227,24 @@ mod tests {
         CostModel::default()
     }
 
+    fn simulated(p: &QuantumProgram, m: &CostModel, c: &SimConfig) -> ExecutionPlan {
+        plan(p, m, c, Policy::Simulate)
+    }
+
+    fn cheapest(p: &QuantumProgram, m: &CostModel, c: &SimConfig) -> ExecutionPlan {
+        plan(p, m, c, Policy::Cheapest)
+    }
+
+    fn emulated(
+        p: &QuantumProgram,
+        m: &CostModel,
+        c: &SimConfig,
+        choose_qpe: impl Fn(usize, usize) -> QpeStrategy,
+    ) -> ExecutionPlan {
+        let choose_qpe = &choose_qpe;
+        plan(p, m, c, Policy::Emulate { choose_qpe })
+    }
+
     /// Mixed program: superposed multiply, a raw gate run, a QFT.
     fn mixed_program(m: usize) -> QuantumProgram {
         let mut pb = ProgramBuilder::new();
@@ -1319,7 +1261,7 @@ mod tests {
     #[test]
     fn emulated_plan_uses_shortcuts_everywhere() {
         let prog = mixed_program(3);
-        let plan = plan_emulated(&prog, &model(), &SimConfig::unfused(), |_, _| {
+        let plan = emulated(&prog, &model(), &SimConfig::unfused(), |_, _| {
             QpeStrategy::RepeatedSquaring
         });
         assert_eq!(plan.steps().len(), prog.ops().len());
@@ -1333,10 +1275,10 @@ mod tests {
     #[test]
     fn simulated_plan_reserves_ancillas_and_uses_gates() {
         let prog = mixed_program(3);
-        let plan = plan_simulated(&prog, &model(), &SimConfig::unfused());
+        let plan = simulated(&prog, &model(), &SimConfig::unfused());
         assert_eq!(plan.n_ancilla(), 1); // multiplier ancilla
         assert!(plan.steps().iter().all(|s| s.backend.is_simulate()));
-        let fused = plan_simulated(&prog, &model(), &SimConfig::fused(4));
+        let fused = simulated(&prog, &model(), &SimConfig::fused(4));
         assert!(fused
             .steps()
             .iter()
@@ -1346,7 +1288,7 @@ mod tests {
     #[test]
     fn hybrid_plan_dispatches_per_op() {
         let prog = mixed_program(3);
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
         // The classical map always beats its Toffoli network.
         assert_eq!(plan.steps()[2].backend, Backend::EmulateClassical);
         // Raw gates have no shortcut.
@@ -1361,7 +1303,7 @@ mod tests {
         // emulates it, so no head-room is reserved and the whole run
         // stays in the 2^n program space.
         let prog = mixed_program(3);
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
         assert_eq!(plan.n_ancilla(), 0);
     }
 
@@ -1371,7 +1313,7 @@ mod tests {
         let wide = pb.register("wide", 16);
         pb.qft(wide);
         let prog = pb.build().unwrap();
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
         assert_eq!(
             plan.steps()[0].backend,
             Backend::EmulateFft,
@@ -1383,7 +1325,7 @@ mod tests {
         let _pad = pb.register("pad", 14);
         pb.qft(narrow);
         let prog = pb.build().unwrap();
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
         assert!(
             plan.steps()[0].backend.is_simulate(),
             "a 2-bit QFT is 3 gates — cheaper than 2 full FFT passes, got {}",
@@ -1405,16 +1347,13 @@ mod tests {
         pb.gates(|c| c.extend(&qft_circuit(n)));
         let prog = pb.build().unwrap();
         let m = model();
-        let plan = plan_hybrid(&prog, &m, &SimConfig::fused(4));
+        let plan = cheapest(&prog, &m, &SimConfig::fused(4));
         assert!(
             matches!(plan.steps()[0].backend, Backend::SimulateSegmented { .. }),
             "cache-resident QFT must pick the segment tier, got {}",
             plan.steps()[0].backend
         );
-        let unfused = m.t_gates(
-            qft_circuit(n).touched_entries(n),
-            qft_circuit(n).gate_count(),
-        );
+        let unfused = simulated(&prog, &m, &SimConfig::unfused()).steps()[0].predicted_s;
         assert!(
             plan.steps()[0].predicted_s <= unfused,
             "segmented {} must not regress vs unfused {}",
@@ -1442,13 +1381,13 @@ mod tests {
         // A segment-policy interpreter config flips every raw-gate step
         // of the fixed plans onto the segment backend.
         let prog = mixed_program(3);
-        let plan = plan_simulated(&prog, &model(), &SimConfig::segmented());
+        let plan = simulated(&prog, &model(), &SimConfig::segmented());
         assert!(matches!(
             plan.steps()[0].backend,
             Backend::SimulateSegmented { .. }
         ));
         assert!(plan.steps()[0].predicted_s.is_finite());
-        let emu = plan_emulated(&prog, &model(), &SimConfig::segmented(), |_, _| {
+        let emu = emulated(&prog, &model(), &SimConfig::segmented(), |_, _| {
             QpeStrategy::RepeatedSquaring
         });
         assert!(matches!(
@@ -1487,7 +1426,7 @@ mod tests {
         let n = 14;
         let prog = low_entanglement_program(n, 80);
         let m = model();
-        let plan = plan_hybrid(&prog, &m, &SimConfig::fused(4));
+        let plan = cheapest(&prog, &m, &SimConfig::fused(4));
         assert!(
             matches!(plan.steps()[0].backend, Backend::SimulateMps { .. }),
             "deep χ=2 chain must pick the compressed tier, got {}",
@@ -1495,9 +1434,9 @@ mod tests {
         );
         // The hybrid choice must not be slower than either fixed dense plan.
         for fixed in [
-            plan_simulated(&prog, &m, &SimConfig::fused(4)),
-            plan_simulated(&prog, &m, &SimConfig::segmented()),
-            plan_simulated(&prog, &m, &SimConfig::unfused()),
+            simulated(&prog, &m, &SimConfig::fused(4)),
+            simulated(&prog, &m, &SimConfig::segmented()),
+            simulated(&prog, &m, &SimConfig::unfused()),
         ] {
             assert!(
                 plan.steps()[0].predicted_s <= fixed.steps()[0].predicted_s,
@@ -1517,11 +1456,92 @@ mod tests {
             report.steps[0].backend,
             Backend::SimulateMps { .. }
         ));
-        let reference_plan = plan_simulated(&prog, &m, &SimConfig::unfused());
+        let reference_plan = simulated(&prog, &m, &SimConfig::unfused());
         let (dense_state, _) = PlanInterpreter::default()
             .execute(&prog, &reference_plan, initial)
             .unwrap();
         assert!(mps_state.max_diff_up_to_phase(&dense_state) < 1e-10);
+
+        // The certificate forced wrong: it assumes a product-state input,
+        // so a volume-law `initial` makes the compressed attempt truncate.
+        // The audit must discard it and re-run dense from the untouched
+        // state.
+        use rand::{rngs::StdRng, SeedableRng};
+        let entangled = StateVector::from_amplitudes(qcemu_linalg::random_state(
+            1 << n,
+            &mut StdRng::seed_from_u64(7),
+        ));
+        let (fallback, report) = PlanInterpreter::default()
+            .execute(&prog, &plan, entangled.clone())
+            .unwrap();
+        assert!(matches!(
+            report.steps[0].backend,
+            Backend::SimulateMps { .. }
+        ));
+        let (reference, _) = PlanInterpreter::default()
+            .execute(&prog, &reference_plan, entangled)
+            .unwrap();
+        assert!(fallback.max_diff_up_to_phase(&reference) < 1e-10);
+    }
+
+    #[test]
+    fn auto_mps_needs_a_certified_all_gates_prefix() {
+        let chain = |c: &mut Circuit, n: usize| {
+            c.h(0);
+            for q in 0..n - 1 {
+                c.cnot(q, q + 1);
+            }
+            for layer in 0..80 {
+                for q in 0..n {
+                    c.rz(q, 0.11 + 0.01 * (layer + q) as f64);
+                }
+            }
+        };
+        let is_mps = |step: &PlanStep| matches!(step.backend, Backend::SimulateMps { .. });
+
+        // H-layer, multiply, chain: the chain alone is certified, but it
+        // receives whatever the multiply left, which the χ estimate cannot
+        // follow — it must stay dense, like every later step.
+        let m = 4;
+        let mut pb = ProgramBuilder::new();
+        let a = pb.register("a", m);
+        let b = pb.register("b", m);
+        let c = pb.register("c", m);
+        pb.hadamard_all(a);
+        pb.classical(stdops::multiply(a, b, c, m));
+        pb.gates(|circuit| chain(circuit, 3 * m));
+        let prog = pb.build().unwrap();
+        let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
+        assert!(!is_mps(&plan.steps()[2]), "got {}", plan.steps()[2].backend);
+        // Forcing the policy is unchanged: the fixed plan still offers it.
+        let forced = simulated(&prog, &model(), &SimConfig::mps(64));
+        assert!(is_mps(&forced.steps()[2]) && forced.steps()[2].predicted_s.is_finite());
+
+        // H, H, deep chain: a prefix of raw gate runs the estimate can
+        // follow keeps the candidate, at the price of the step alone.
+        let n = 14;
+        let mut pb = ProgramBuilder::new();
+        let lo = pb.register("lo", n / 2);
+        let hi = pb.register("hi", n / 2);
+        pb.hadamard_all(lo);
+        pb.hadamard_all(hi);
+        pb.gates(|circuit| chain(circuit, n));
+        let prog = pb.build().unwrap();
+        let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
+        assert!(is_mps(&plan.steps()[2]), "got {}", plan.steps()[2].backend);
+        let mut pb = ProgramBuilder::new();
+        let _r = pb.register("r", n);
+        pb.gates(|circuit| chain(circuit, n));
+        let alone = cheapest(&pb.build().unwrap(), &model(), &SimConfig::fused(4));
+        assert_eq!(plan.steps()[2].predicted_s, alone.steps()[0].predicted_s);
+
+        // A prefix that is itself too entangled for the cap ends the offer.
+        let mut pb = ProgramBuilder::new();
+        let _r = pb.register("r", n);
+        pb.gates(|circuit| circuit.extend(&qft_circuit(n)));
+        pb.gates(|circuit| chain(circuit, n));
+        let plan = cheapest(&pb.build().unwrap(), &model(), &SimConfig::fused(4));
+        assert!(!is_mps(&plan.steps()[1]), "got {}", plan.steps()[1].backend);
     }
 
     #[test]
@@ -1529,7 +1549,7 @@ mod tests {
         // A forced MPS policy flips every raw-gate step of the fixed
         // plans onto the compressed backend, carrying the configured cap.
         let prog = low_entanglement_program(8, 4);
-        let plan = plan_simulated(&prog, &model(), &SimConfig::mps(32));
+        let plan = simulated(&prog, &model(), &SimConfig::mps(32));
         assert!(matches!(
             plan.steps()[0].backend,
             Backend::SimulateMps { max_bond: 32 }
@@ -1539,7 +1559,7 @@ mod tests {
         let (state, _) = PlanInterpreter::default()
             .execute(&prog, &plan, initial.clone())
             .unwrap();
-        let reference_plan = plan_simulated(&prog, &model(), &SimConfig::unfused());
+        let reference_plan = simulated(&prog, &model(), &SimConfig::unfused());
         let (dense_state, _) = PlanInterpreter::default()
             .execute(&prog, &reference_plan, initial)
             .unwrap();
@@ -1557,7 +1577,7 @@ mod tests {
         let _r = pb.register("r", n);
         pb.gates(move |c| c.extend(&qft_circuit(n)));
         let prog = pb.build().unwrap();
-        let plan = plan_simulated(&prog, &model(), &SimConfig::mps(2));
+        let plan = simulated(&prog, &model(), &SimConfig::mps(2));
         assert!(matches!(
             plan.steps()[0].backend,
             Backend::SimulateMps { max_bond: 2 }
@@ -1581,9 +1601,9 @@ mod tests {
         let a = pb.register("a", 3);
         pb.classical(stdops::apply_classical_fn("xor3", vec![a], |v| v[0] ^= 3));
         let prog = pb.build().unwrap();
-        let hybrid = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let hybrid = cheapest(&prog, &model(), &SimConfig::fused(4));
         assert_eq!(hybrid.steps()[0].backend, Backend::EmulateClassical);
-        let sim = plan_simulated(&prog, &model(), &SimConfig::unfused());
+        let sim = simulated(&prog, &model(), &SimConfig::unfused());
         assert!(sim.steps()[0].predicted_s.is_infinite());
     }
 
@@ -1592,15 +1612,15 @@ mod tests {
         let prog = mixed_program(2);
         let initial = StateVector::zero_state(prog.n_qubits());
         let m = model();
-        let emu_plan = plan_emulated(&prog, &m, &SimConfig::unfused(), |t, p| {
+        let emu_plan = emulated(&prog, &m, &SimConfig::unfused(), |t, p| {
             if p > 2 * t {
                 QpeStrategy::Eigendecomposition
             } else {
                 QpeStrategy::RepeatedSquaring
             }
         });
-        let sim_plan = plan_simulated(&prog, &m, &SimConfig::unfused());
-        let hyb_plan = plan_hybrid(&prog, &m, &SimConfig::fused(4));
+        let sim_plan = simulated(&prog, &m, &SimConfig::unfused());
+        let hyb_plan = cheapest(&prog, &m, &SimConfig::fused(4));
         let interp = PlanInterpreter::default();
         let (emu, _) = interp.execute(&prog, &emu_plan, initial.clone()).unwrap();
         let (sim, _) = interp.execute(&prog, &sim_plan, initial.clone()).unwrap();
@@ -1609,24 +1629,39 @@ mod tests {
         assert!(emu.max_diff_up_to_phase(&hyb) < 1e-10);
         assert_eq!(report.steps.len(), prog.ops().len());
         assert!(report.total_measured_s() > 0.0);
-        // The report renders.
+        // The report renders; a solo run has no route column.
         let table = report.to_string();
         assert!(table.contains("backend"), "{table}");
+        assert!(!table.contains("route") && report.batch == 1, "{table}");
     }
 
     #[test]
     fn ancilla_helpers_roundtrip_and_catch_leaks() {
         let sv = StateVector::basis_state(2, 0b10);
-        let extended = extend_with_ancillas(sv.clone(), 2);
+        let extended = extend_with_ancillas(BatchStateVector::from_single(sv.clone()), 2);
         assert_eq!(extended.n_qubits(), 4);
-        assert_eq!(extended.probability(0b10), 1.0);
-        let back = truncate_ancillas(extended, 2).unwrap();
+        assert_eq!(extended.member(0).probability(0b10), 1.0);
+        let back = truncate_ancillas(extended, 2).unwrap().into_single();
         assert!(back.max_diff_up_to_phase(&sv) < 1e-15);
 
         // A state with weight on an ancilla must be rejected.
         let dirty = StateVector::basis_state(3, 0b100);
         assert!(matches!(
-            truncate_ancillas(dirty, 2),
+            truncate_ancillas(BatchStateVector::from_single(dirty.clone()), 2),
+            Err(EmuError::AncillaNotClean { .. })
+        ));
+
+        // The same on a three-member ensemble: the ancillas are the top
+        // qubits of every member, and one dirty member is enough.
+        let members = [sv.clone(), StateVector::basis_state(2, 0b01), sv];
+        let extended = extend_with_ancillas(BatchStateVector::from_states(&members), 1);
+        assert_eq!((extended.n_qubits(), extended.batch()), (3, 3));
+        let back = truncate_ancillas(extended, 2).unwrap();
+        assert_eq!(back.to_states(), members);
+        let mut one_dirty = BatchStateVector::zero_state(3, 3);
+        one_dirty.set_member(1, &dirty);
+        assert!(matches!(
+            truncate_ancillas(one_dirty, 2),
             Err(EmuError::AncillaNotClean { .. })
         ));
     }
@@ -1638,7 +1673,7 @@ mod tests {
         let a = pb.register("a", prog_a.n_qubits());
         pb.qft(a);
         let prog_b = pb.build().unwrap();
-        let plan = plan_hybrid(&prog_a, &model(), &SimConfig::fused(4));
+        let plan = cheapest(&prog_a, &model(), &SimConfig::fused(4));
         let err = PlanInterpreter::default()
             .execute(&prog_b, &plan, StateVector::zero_state(prog_b.n_qubits()))
             .unwrap_err();
@@ -1648,7 +1683,7 @@ mod tests {
     #[test]
     fn plan_display_lists_every_step() {
         let prog = mixed_program(2);
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
         let rendered = plan.to_string();
         for step in plan.steps() {
             assert!(rendered.contains(&step.op), "missing {}", step.op);

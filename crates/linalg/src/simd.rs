@@ -224,44 +224,6 @@ pub fn swap_slices(a: &mut [C64], b: &mut [C64]) {
     a.swap_with_slice(b);
 }
 
-/// Gathers contiguous runs into a dense buffer: run `w` copies the
-/// `run` amplitudes at `src[base + offs[w] ..]` into
-/// `dst[w·run .. (w+1)·run]`.
-///
-/// This is the fused-kernel gather with the offset loop lifted from
-/// per-element to per-run: when a block's qubit set contains the low
-/// `log2(run)` bits, its local index space decomposes into `offs.len()`
-/// contiguous runs, and each run moves as one block copy (`memcpy`-class,
-/// lowered to wide vector moves) instead of `run` scalar
-/// address-computed loads. Like [`swap_slices`], kept as a named entry
-/// point so a specialised path (masked loads, non-temporal streaming)
-/// can slot in without touching the kernel drivers.
-///
-/// # Panics
-///
-/// Panics if any run reaches past `src` or `dst` is shorter than
-/// `offs.len()·run`.
-pub fn gather_runs(src: &[C64], base: usize, offs: &[usize], run: usize, dst: &mut [C64]) {
-    for (w, &off) in offs.iter().enumerate() {
-        let s = base + off;
-        dst[w * run..(w + 1) * run].copy_from_slice(&src[s..s + run]);
-    }
-}
-
-/// Scatter inverse of [`gather_runs`]: run `w` copies
-/// `src[w·run .. (w+1)·run]` back to `dst[base + offs[w] ..]`.
-///
-/// # Panics
-///
-/// Panics if any run reaches past `dst` or `src` is shorter than
-/// `offs.len()·run`.
-pub fn scatter_runs(src: &[C64], dst: &mut [C64], base: usize, offs: &[usize], run: usize) {
-    for (w, &off) in offs.iter().enumerate() {
-        let d = base + off;
-        dst[d..d + run].copy_from_slice(&src[w * run..(w + 1) * run]);
-    }
-}
-
 /// Multiplies every element of `xs` by a real factor (FFT normalisation).
 pub fn scale_slice_real(xs: &mut [C64], f: f64) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -765,36 +727,6 @@ mod tests {
             let (mut a, mut b) = (a0.clone(), b0.clone());
             swap_slices(&mut a, &mut b);
             assert!(close(&a, &b0) && close(&b, &a0), "len = {len}");
-        }
-    }
-
-    #[test]
-    fn gather_scatter_runs_round_trip() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for (run, offs) in [
-            (1usize, vec![0usize, 2, 8, 10]),
-            (2, vec![0, 4, 8, 12]),
-            (4, vec![0, 8, 16, 24]),
-        ] {
-            let src = random_state(32, &mut rng);
-            let mut dense = vec![C64::ZERO; offs.len() * run];
-            gather_runs(&src, 0, &offs, run, &mut dense);
-            for (w, &off) in offs.iter().enumerate() {
-                for j in 0..run {
-                    assert_eq!(dense[w * run + j], src[off + j], "run {w} lane {j}");
-                }
-            }
-            let mut dst = vec![C64::ZERO; 32];
-            scatter_runs(&dense, &mut dst, 0, &offs, run);
-            for (w, &off) in offs.iter().enumerate() {
-                for j in 0..run {
-                    assert_eq!(dst[off + j], src[off + j], "run {w} lane {j}");
-                }
-            }
-            // A non-zero base shifts every run.
-            let mut based = vec![C64::ZERO; offs.len() * run];
-            gather_runs(&src, 1, &offs[..2], run, &mut based[..2 * run]);
-            assert_eq!(based[0], src[offs[0] + 1]);
         }
     }
 

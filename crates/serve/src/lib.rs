@@ -10,8 +10,8 @@
 //! so N clients sweeping parameters over one program structure trigger
 //! exactly one lowering, and structurally identical in-flight requests
 //! are coalesced into one batched execution
-//! ([`BatchExecutor`](qcemu_core::BatchExecutor)) within a small
-//! batching window.
+//! ([`PlanInterpreter::run_members`](qcemu_core::PlanInterpreter::run_members))
+//! within a small batching window.
 //!
 //! The pieces:
 //!

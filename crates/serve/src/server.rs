@@ -20,9 +20,9 @@
 //!    cost gate classifies the job fast/queued or rejects it.
 //! 3. The job lands on the scheduler; a worker pops it (fast lane
 //!    first), waits out the batching window, and **coalesces** any
-//!    structurally identical in-flight jobs into one
-//!    [`BatchExecutor`] run — the paper's batched-execution engine put
-//!    behind a socket.
+//!    structurally identical in-flight jobs into one ensemble run
+//!    ([`PlanInterpreter::run_members`]; a lone job is the one-member
+//!    ensemble) — the batched-execution engine put behind a socket.
 //! 4. Results (amplitudes on request, seeded measurement shots, the
 //!    per-op [`PlanReport`](qcemu_core::PlanReport) audit, and the
 //!    cache/batch provenance flags) stream back on the connection.
@@ -31,7 +31,7 @@ use crate::admission::{AdmissionPolicy, AdmitLane, RejectReason};
 use crate::wire::{
     self, ErrorCode, FrameKind, Lane, RunResult, StatsSnapshot, SubmitOptions, WireStepReport,
 };
-use qcemu_core::{BatchExecutor, CostModel, HybridExecutor, QuantumProgram, SharedPlanCache};
+use qcemu_core::{CostModel, HybridExecutor, PlanInterpreter, QuantumProgram, SharedPlanCache};
 use qcemu_sim::measure::sample_shots;
 use qcemu_sim::{BatchStateVector, SimConfig, StateVector};
 use rand::{rngs::StdRng, SeedableRng};
@@ -573,35 +573,15 @@ fn fail_batch(shared: &Shared, batch: Vec<Job>, message: String) {
     }
 }
 
-/// Runs a structurally homogeneous batch (possibly of one) and builds
-/// the per-job responses. Returns `Err(message)` on a typed execution
-/// failure.
+/// Runs a structurally homogeneous batch (possibly of one) as one
+/// ensemble and builds the per-job responses. Returns `Err(message)` on a
+/// typed execution failure.
 fn run_batch(shared: &Shared, batch: &[Job]) -> Result<Vec<RunResult>, String> {
-    let n_qubits = batch[0].program.n_qubits();
-    if batch.len() == 1 {
-        let job = &batch[0];
-        let (state, report) = shared
-            .executor
-            .run_structural(&job.program, StateVector::zero_state(n_qubits))
-            .map_err(|e| e.to_string())?;
-        let steps = report
-            .steps
-            .iter()
-            .map(|s| WireStepReport {
-                op: s.op.clone(),
-                backend: s.backend.to_string(),
-                predicted_s: s.predicted_s,
-                measured_s: s.measured_s,
-            })
-            .collect();
-        return Ok(vec![build_result(job, &state, steps, 1, false)]);
-    }
-
-    let members: Vec<QuantumProgram> = batch.iter().map(|j| j.program.clone()).collect();
-    let initial = BatchStateVector::zero_state(n_qubits, members.len());
-    let bex = BatchExecutor::from_hybrid(shared.executor.clone());
-    let (states, report) = bex
-        .run_with_report(&members, initial)
+    let members: Vec<&QuantumProgram> = batch.iter().map(|j| &j.program).collect();
+    let initial = BatchStateVector::zero_state(members[0].n_qubits(), members.len());
+    let plan = shared.executor.plan_structural(members[0]);
+    let (states, report) = PlanInterpreter::new(*shared.executor.sim_config())
+        .run_members(&members, &plan, initial)
         .map_err(|e| e.to_string())?;
     let steps: Vec<WireStepReport> = report
         .steps
@@ -619,8 +599,8 @@ fn run_batch(shared: &Shared, batch: &[Job]) -> Result<Vec<RunResult>, String> {
         .collect();
     Ok(batch
         .iter()
-        .enumerate()
-        .map(|(j, job)| build_result(job, &states.member(j), steps.clone(), batch.len(), true))
+        .zip(states.into_states())
+        .map(|(job, state)| build_result(job, &state, steps.clone(), batch.len()))
         .collect())
 }
 
@@ -629,7 +609,6 @@ fn build_result(
     state: &StateVector,
     report: Vec<WireStepReport>,
     batch_size: usize,
-    batched: bool,
 ) -> RunResult {
     let shots = if job.options.shots > 0 {
         let mut rng = StdRng::seed_from_u64(job.options.seed);
@@ -649,7 +628,7 @@ fn build_result(
         shots,
         report,
         lane: job.lane,
-        batched,
+        batched: batch_size > 1,
         batch_size: batch_size as u32,
         warm: job.warm,
     }

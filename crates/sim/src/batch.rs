@@ -141,6 +141,49 @@ impl BatchStateVector {
         }
     }
 
+    /// Wraps a raw batch-major buffer of `batch` members (amplitude `i` of
+    /// member `j` at `amps[i·batch + j]`). Does **not** normalise.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `amps.len()` is `batch` times a power of two.
+    pub fn from_amplitudes(amps: Vec<C64>, batch: usize) -> BatchStateVector {
+        assert!(batch > 0, "batch must be non-empty");
+        let dim = amps.len() / batch;
+        assert!(
+            dim.is_power_of_two() && dim * batch == amps.len(),
+            "buffer must hold batch × 2^n amplitudes"
+        );
+        BatchStateVector {
+            n_qubits: dim.trailing_zeros() as usize,
+            batch,
+            amps,
+        }
+    }
+
+    /// Consumes the batch, returning the raw batch-major buffer.
+    pub fn into_amplitudes(self) -> Vec<C64> {
+        self.amps
+    }
+
+    /// A lone state as the one-member ensemble it already is: at
+    /// `batch = 1` the two layouts coincide, so this moves the amplitude
+    /// `Vec` and copies nothing.
+    pub fn from_single(state: StateVector) -> BatchStateVector {
+        BatchStateVector::from_amplitudes(state.into_amplitudes(), 1)
+    }
+
+    /// The inverse of [`BatchStateVector::from_single`], again an O(1)
+    /// move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch holds more than one member.
+    pub fn into_single(self) -> StateVector {
+        assert_eq!(self.batch, 1, "into_single needs a one-member batch");
+        StateVector::from_amplitudes(self.amps)
+    }
+
     /// Number of qubits per member.
     #[inline]
     pub fn n_qubits(&self) -> usize {
@@ -226,8 +269,12 @@ impl BatchStateVector {
         out.into_iter().map(StateVector::from_amplitudes).collect()
     }
 
-    /// De-interleaves the batch into independent states.
+    /// De-interleaves the batch into independent states; a lone member
+    /// is moved out, not copied.
     pub fn into_states(self) -> Vec<StateVector> {
+        if self.batch == 1 {
+            return vec![self.into_single()];
+        }
         self.to_states()
     }
 
@@ -344,6 +391,11 @@ mod tests {
         }
         let back = bsv.into_states();
         assert_eq!(back, members);
+        // One member: the buffer is the state, moved both ways.
+        let solo = BatchStateVector::from_single(members[0].clone());
+        assert_eq!((solo.batch(), solo.n_qubits()), (1, 4));
+        assert_eq!(solo.clone().into_states(), members[..1]);
+        assert_eq!(solo.into_single(), members[0]);
     }
 
     #[test]

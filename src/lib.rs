@@ -59,9 +59,9 @@ pub use qcemu_sim;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use qcemu_core::{
-        stdops, Backend, BatchExecutor, BatchReport, ClassicalMap, CostModel, EmuError, Emulator,
-        ExecutionPlan, Executor, GateLevelSimulator, HighLevelOp, HybridExecutor, MapKind,
-        PlanReport, ProgramBuilder, QpeOp, QpeStrategy, QpeTimings, QuantumProgram, RegisterId,
+        stdops, Backend, BatchExecutor, ClassicalMap, CostModel, EmuError, Emulator, ExecutionPlan,
+        Executor, GateLevelSimulator, HighLevelOp, HybridExecutor, MapKind, PlanReport,
+        ProgramBuilder, QpeOp, QpeStrategy, QpeTimings, QuantumProgram, RegisterId,
         SharedPlanCache,
     };
     pub use qcemu_linalg::{c64, CMatrix, C64};

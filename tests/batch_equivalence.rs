@@ -212,6 +212,67 @@ fn sweep_members(m: usize, batch: usize, scale: f64) -> Vec<QuantumProgram> {
         .collect()
 }
 
+/// A sweep whose first op is a deep χ = 2 chain the planner certifies and
+/// routes to the compressed backend, followed by the per-member rotation.
+fn mps_sweep_members(batch: usize) -> Vec<QuantumProgram> {
+    const N: usize = 14;
+    (0..batch)
+        .map(|j| {
+            let s = 0.2 + 0.05 * j as f64;
+            let mut pb = ProgramBuilder::new();
+            let x = pb.register("x", N);
+            let ind = pb.register("ind", 1);
+            pb.gates(|c| {
+                c.h(0);
+                for q in 0..N - 1 {
+                    c.cnot(q, q + 1);
+                }
+                for layer in 0..80 {
+                    for q in 0..N {
+                        c.rz(q, 0.11 + 0.01 * (layer + q) as f64);
+                    }
+                }
+            });
+            pb.rotation(RotationOp {
+                name: "encode".into(),
+                x,
+                target: ind,
+                angle: Arc::new(move |v| s * (v % 7) as f64),
+                gate_impl: None,
+            });
+            pb.build().unwrap()
+        })
+        .collect()
+}
+
+/// Program-level twin of [`assert_batched_matches_sequential`]: the
+/// ensemble through `BatchExecutor` against each member's own
+/// `HybridExecutor` run. Both are the one run loop, so every member is
+/// ≤ 1e-12 from its solo run under the same backends, and a one-member
+/// ensemble *is* the solo run, bit for bit — whatever backend a step
+/// takes, compressed ones included.
+fn assert_ensemble_matches_solo_runs(members: &[QuantumProgram]) {
+    let n = members[0].n_qubits();
+    let batch = members.len();
+    let (out, report) = BatchExecutor::new()
+        .run_with_report(members, BatchStateVector::zero_state(n, batch))
+        .unwrap();
+    assert_eq!(report.batch, batch);
+    let solo = HybridExecutor::new();
+    for (j, prog) in members.iter().enumerate() {
+        let (reference, solo_report) = solo
+            .run_with_report(prog, StateVector::zero_state(n))
+            .unwrap();
+        let diff = out.member_max_diff(j, &reference);
+        assert!(diff <= 1e-12, "member {j}/{batch} deviates by {diff:.3e}");
+        let backends = |r: &PlanReport| r.steps.iter().map(|s| s.backend).collect::<Vec<_>>();
+        assert_eq!(backends(&report), backends(&solo_report));
+        if batch == 1 {
+            assert_eq!(out.member(0), reference, "batch = 1 must be bit-identical");
+        }
+    }
+}
+
 /// BatchExecutor vs solo HybridExecutor on the emulated-rotation sweep,
 /// on the default backend and forced scalar: the batched Givens sweep
 /// (tabulated, per-lane coefficients) must match the per-member kernel.
@@ -228,18 +289,18 @@ fn batch_executor_rotation_sweep_matches_solo_runs_forced_scalar() {
 }
 
 fn rotation_sweep_case() {
-    for &batch in &RAGGED {
-        let members = sweep_members(5, batch, 0.25);
-        let n = members[0].n_qubits();
-        let out = BatchExecutor::new()
-            .run(&members, BatchStateVector::zero_state(n, batch))
-            .unwrap();
-        let solo = HybridExecutor::new();
-        for (j, prog) in members.iter().enumerate() {
-            let reference = solo.run(prog, StateVector::zero_state(n)).unwrap();
-            let diff = out.member_max_diff(j, &reference);
-            assert!(diff <= 1e-12, "member {j}/{batch} deviates by {diff:.3e}");
-        }
+    for batch in [1usize, 2, 3, 4, 5, 8, 17] {
+        assert_ensemble_matches_solo_runs(&sweep_members(5, batch, 0.25));
+    }
+    // With a certified compressed step: one member goes compressed like
+    // the solo run, several go dense-batched.
+    let plan = HybridExecutor::new().plan(&mps_sweep_members(1)[0]);
+    assert!(matches!(
+        plan.steps()[0].backend,
+        Backend::SimulateMps { .. }
+    ));
+    for batch in [1usize, 2, 3, 8] {
+        assert_ensemble_matches_solo_runs(&mps_sweep_members(batch));
     }
 }
 

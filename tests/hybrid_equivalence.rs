@@ -192,3 +192,207 @@ proptest! {
         prop_assert_eq!(plan.n_ancilla(), needed);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Routing snapshot: which backend every policy picks for every step, and at
+// what predicted cost, on the programs the benches and `perf_suite` run.
+// ---------------------------------------------------------------------------
+
+/// The `hybrid_ablation` / `shor_mix` program: multiply, raw gate run,
+/// oracle, rotation, QFTs.
+fn shor_style_program(m: usize) -> QuantumProgram {
+    let mut pb = ProgramBuilder::new();
+    let x = pb.register("x", m);
+    let y = pb.register("y", m);
+    let z = pb.register("z", m);
+    let t = pb.register("t", 1);
+    pb.hadamard_all(x);
+    pb.set_constant(y, 3);
+    pb.classical(stdops::multiply(x, y, z, m));
+    pb.gates(|c| {
+        for round in 0..3 {
+            for q in 0..3 * m {
+                c.push(Gate::h(q));
+                c.push(Gate::cnot(q, q + 1));
+                c.push(Gate::phase(q + 1, 0.37 + 0.11 * round as f64));
+            }
+        }
+    });
+    pb.phase_oracle(stdops::mark_value(z, 3, std::f64::consts::PI));
+    pb.rotation(qcemu_core::RotationOp {
+        name: "encode".into(),
+        x: z,
+        target: t,
+        angle: Arc::new(move |v| 2.0 * (v as f64 / (1u64 << m) as f64).sqrt().asin()),
+        gate_impl: None,
+    });
+    pb.inverse_qft(x);
+    pb.qft(y);
+    pb.inverse_qft(y);
+    pb.build().unwrap()
+}
+
+/// The `serve_throughput` / `serve_warm` program: two Hadamard layers, two
+/// deep register-local gate runs, multiply, add, rotation, QFT pair.
+fn serve_style_program(m: usize, depth: usize) -> QuantumProgram {
+    let mut gates = Vec::with_capacity(2 * depth);
+    for block in 0..2usize {
+        for i in 0..depth {
+            let q = block * m + i % m;
+            let q2 = block * m + (i + 1) % m;
+            gates.push(match i % 3 {
+                0 => Gate::rz(q, 0.01 * i as f64),
+                1 => Gate::h(q),
+                _ => Gate::cnot(q, q2),
+            });
+        }
+    }
+    let reg = |name: &str, len: u32| WireRegister {
+        name: name.into(),
+        len,
+    };
+    let m32 = m as u32;
+    WireProgram {
+        registers: vec![
+            reg("a", m32),
+            reg("b", m32),
+            reg("c", m32),
+            reg("r", m32),
+            reg("ind", 1),
+        ],
+        ops: vec![
+            WireOp::Hadamard(0),
+            WireOp::Hadamard(1),
+            WireOp::Gates(gates),
+            WireOp::Multiply { a: 0, b: 1, c: 2 },
+            WireOp::Add { a: 2, b: 3 },
+            WireOp::Rotation {
+                x: 0,
+                target: 4,
+                slope: 0.3,
+                intercept: 0.05,
+            },
+            WireOp::Qft(2),
+            WireOp::InverseQft(2),
+        ],
+    }
+    .to_program()
+    .unwrap()
+}
+
+/// One `batch_ablation` / `batch_sweep` member: amplitude-encoding
+/// rotation between Hadamard layers and two entangler rounds.
+fn sweep_style_program(m: usize) -> QuantumProgram {
+    let mut pb = ProgramBuilder::new();
+    let x = pb.register("x", m);
+    let ind = pb.register("ind", 1);
+    let count = pb.register("count", 4);
+    pb.hadamard_all(x);
+    pb.hadamard_all(count);
+    pb.rotation(qcemu_core::RotationOp {
+        name: "amplitude-encode".into(),
+        x,
+        target: ind,
+        angle: Arc::new(move |v| {
+            let f = 0.35 * (v as f64 + 0.5) / (1u64 << m) as f64;
+            2.0 * f.min(1.0).sqrt().asin()
+        }),
+        gate_impl: None,
+    });
+    for _ in 0..2 {
+        pb.gates(|c| {
+            for q in 0..m {
+                c.push(Gate::h(q));
+            }
+            for q in 0..m + 4 {
+                c.push(Gate::cnot(q, q + 1));
+            }
+            for q in 0..m {
+                c.push(Gate::h(q));
+            }
+        });
+    }
+    pb.build().unwrap()
+}
+
+/// QPE of a 3-spin TFIM Trotter step to 5 bits.
+fn qpe_style_program() -> QuantumProgram {
+    use qcemu_sim::circuits::{tfim_trotter_step, TfimParams};
+    let mut pb = ProgramBuilder::new();
+    let spins = pb.register("spins", 3);
+    let phase = pb.register("phase", 5);
+    pb.hadamard_all(spins);
+    pb.qpe(QpeOp {
+        unitary: tfim_trotter_step(3, TfimParams::default()),
+        target: spins,
+        phase,
+    });
+    pb.build().unwrap()
+}
+
+/// Every plan `Display` (backend and predicted cost per step, ancillas)
+/// of the four programs under the six candidate policies.
+fn routing_table() -> String {
+    let programs = [
+        ("shor m=4", shor_style_program(4)),
+        ("serve m=3 depth=60", serve_style_program(3, 60)),
+        ("sweep m=6", sweep_style_program(6)),
+        ("qpe tfim", qpe_style_program()),
+    ];
+    let simulate = |config| GateLevelSimulator::new().with_config(config);
+    let mut out = String::new();
+    for (name, program) in &programs {
+        let plans = [
+            ("emulate", Emulator::new().plan(program)),
+            (
+                "simulate unfused",
+                simulate(SimConfig::unfused()).plan(program),
+            ),
+            ("simulate fused", GateLevelSimulator::fused().plan(program)),
+            (
+                "simulate segmented",
+                simulate(SimConfig::segmented()).plan(program),
+            ),
+            (
+                "simulate mps(16)",
+                simulate(SimConfig::mps(16)).plan(program),
+            ),
+            ("cheapest", HybridExecutor::new().plan(program)),
+        ];
+        for (policy, plan) in plans {
+            out.push_str(&format!("== {name} / {policy}\n{plan}\n"));
+        }
+    }
+    out
+}
+
+/// The table was captured at the commit before the three lowering
+/// functions became one walk and must not move, with one exception: an
+/// automatically chosen `simulate:mps` step whose prefix holds a
+/// non-`Gates` op is now dense, because its χ certificate assumed a
+/// product-state input the step does not receive.
+#[test]
+fn routing_matches_the_three_planner_snapshot() {
+    let expected = include_str!("snapshots/routing.txt");
+    let actual = routing_table();
+    assert_eq!(expected.lines().count(), actual.lines().count());
+    let mut after_non_gates = false;
+    let mut section = "";
+    for (want, got) in expected.lines().zip(actual.lines()) {
+        if want.starts_with("== ") {
+            (section, after_non_gates) = (want, false);
+        }
+        let is_step = want.as_bytes().get(2).is_some_and(u8::is_ascii_digit);
+        if want != got {
+            let mps_went_dense = section.ends_with("cheapest")
+                && after_non_gates
+                && want.contains("simulate:mps")
+                && got.contains("simulate:")
+                && !got.contains("simulate:mps");
+            assert!(mps_went_dense, "{section}\n  was: {want}\n  now: {got}");
+        }
+        if is_step && !want[4..].starts_with("gates[") {
+            after_non_gates = true;
+        }
+    }
+}
