@@ -14,7 +14,9 @@
 //!   single-threaded, with an optional gate-fusion optimiser.
 //!
 //! Both are validated against `qcemu-sim` for state-level agreement; the
-//! bench harness (`qcemu-bench`) reproduces the paper's relative timings.
+//! figure harnesses (`qcemu-bench`: `fig5_qft_single_node`, `fig6_entangle`)
+//! reproduce the paper's relative timings and `perf_suite` tracks
+//! `baselines.qhipster_s` / `sim.speedup_vs_qhipster`.
 
 pub mod liquid;
 pub mod qhipster;

@@ -2,7 +2,7 @@
 //! state-vector sweeps on low-entanglement circuits.
 //!
 //! Usage: `cargo run -p qcemu-bench --release --bin mps_ablation
-//!         [-- --max-n 40 --dense-max-n 24 --depth 60 --max-bond 64 --json]`
+//!         [-- --max-n 40 --dense-max-n 24 --depth 60 --max-bond 64]`
 //!
 //! No paper counterpart: the paper's simulator (§4.5) always pays Θ(2ⁿ)
 //! per sweep. A matrix-product state pays O(depth·χ³) for bond dimension
@@ -16,13 +16,13 @@
 //!      cross-checked state-exact through `to_statevector`;
 //!   3. the hybrid planner routing a deep low-entanglement gate run to
 //!      `Backend::SimulateMps` (predicted costs per backend tier).
-//! `--json` additionally writes `BENCH_mps_ablation.json`. The cost
-//! model and reference numbers live in `docs/PERFORMANCE.md`
+//!
+//! The cost model and reference numbers live in `docs/PERFORMANCE.md`
 //! ("Compressed (MPS) backend").
 
-use qcemu_bench::{fmt_secs, header, rule, time_median, Args, BenchReport, JsonObj};
+use qcemu_bench::{fmt_secs, header, rule, time_median, Args};
 use qcemu_core::{plan, CostModel, PlanInterpreter, Policy, ProgramBuilder};
-use qcemu_sim::{estimate_mps_cost, Circuit, MpsState, SimConfig, StateVector, DEFAULT_MAX_BOND};
+use qcemu_sim::{Circuit, MpsState, SimConfig, StateVector, DEFAULT_MAX_BOND};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -91,14 +91,6 @@ fn main() {
     let dense_max_n: usize = args.get("dense-max-n").unwrap_or(24);
     let depth: usize = args.get("depth").unwrap_or(60);
     let max_bond: usize = args.get("max-bond").unwrap_or(DEFAULT_MAX_BOND);
-    let mut report = BenchReport::new("mps_ablation");
-    report.set_config(
-        JsonObj::new()
-            .int("max_n", max_n as u64)
-            .int("dense_max_n", dense_max_n as u64)
-            .int("depth", depth as u64)
-            .int("max_bond", max_bond as u64),
-    );
 
     header(
         "MPS ablation — bond-truncated compressed backend vs dense sweeps",
@@ -119,7 +111,6 @@ fn main() {
             ("line-qaoa", line_qaoa(n, 3)),
             ("banded-qft", banded_qft(n, 2)),
         ] {
-            let est = estimate_mps_cost(&circuit, max_bond);
             let mut peak = 0usize;
             let mut trunc = 0.0f64;
             let t = time_median(if n <= 24 { 3 } else { 2 }, || {
@@ -144,19 +135,6 @@ fn main() {
                 peak,
                 trunc,
                 fmt_secs(t_sample)
-            );
-            report.push(
-                JsonObj::new()
-                    .str("section", "scaling")
-                    .int("n", n as u64)
-                    .str("circuit", name)
-                    .int("gates", circuit.gate_count() as u64)
-                    .num("ns_per_op", t * 1e9)
-                    .int("peak_bond", peak as u64)
-                    .num("trunc_error", trunc)
-                    .num("sample32_ns", t_sample * 1e9)
-                    .int("est_chi_peak", est.chi_peak as u64)
-                    .str("est_exact", if est.exact { "true" } else { "false" }),
             );
         }
     }
@@ -194,16 +172,6 @@ fn main() {
             fmt_secs(t_mps),
             t_dense / t_mps,
             diff
-        );
-        report.push(
-            JsonObj::new()
-                .str("section", "crossover")
-                .int("n", n as u64)
-                .str("circuit", "ghz-chain")
-                .num("ns_per_op", t_mps * 1e9)
-                .num("dense_ns_per_op", t_dense * 1e9)
-                .num("speedup_vs_dense", t_dense / t_mps)
-                .num("max_diff", diff),
         );
         assert!(diff < 1e-10, "compressed run diverged from dense");
         n += 4;
@@ -243,14 +211,4 @@ fn main() {
             .unwrap()
     });
     println!("  hybrid wall time {}", fmt_secs(t_hybrid));
-    report.push(
-        JsonObj::new()
-            .str("section", "hybrid")
-            .int("n", n_plan as u64)
-            .str("backend", &hybrid.steps()[0].backend.to_string())
-            .num("predicted_s", hybrid.steps()[0].predicted_s)
-            .num("ns_per_op", t_hybrid * 1e9),
-    );
-
-    report.write_if(args.has("json"));
 }

@@ -77,133 +77,6 @@ impl Args {
     }
 }
 
-/// One `key: value` sequence encoded as a JSON object, in insertion
-/// order. Values are numbers or strings; non-finite numbers encode as
-/// `null` (JSON has no NaN/∞).
-#[derive(Default, Clone)]
-pub struct JsonObj {
-    fields: Vec<(String, String)>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl JsonObj {
-    pub fn new() -> JsonObj {
-        JsonObj::default()
-    }
-
-    /// Adds a float field (`null` when non-finite).
-    pub fn num(mut self, key: &str, v: f64) -> Self {
-        let enc = if v.is_finite() {
-            format!("{v:?}")
-        } else {
-            "null".into()
-        };
-        self.fields.push((key.into(), enc));
-        self
-    }
-
-    /// Adds an integer field.
-    pub fn int(mut self, key: &str, v: u64) -> Self {
-        self.fields.push((key.into(), v.to_string()));
-        self
-    }
-
-    /// Adds a string field.
-    pub fn str(mut self, key: &str, v: &str) -> Self {
-        self.fields
-            .push((key.into(), format!("\"{}\"", json_escape(v))));
-        self
-    }
-
-    fn encode(&self, indent: &str) -> String {
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{indent}  \"{}\": {}", json_escape(k), v))
-            .collect();
-        format!("{{\n{}\n{indent}}}", body.join(",\n"))
-    }
-}
-
-/// Machine-readable mirror of a harness's printed table, written as
-/// `BENCH_<name>.json` when the binary is invoked with `--json`:
-/// `{ "name", "config": {...}, "rows": [{... "ns_per_op" ...}, ...] }`.
-/// Hand-rolled encoder — the harnesses stay dependency-free.
-pub struct BenchReport {
-    name: String,
-    config: JsonObj,
-    rows: Vec<JsonObj>,
-}
-
-impl BenchReport {
-    pub fn new(name: &str) -> BenchReport {
-        BenchReport {
-            name: name.into(),
-            config: JsonObj::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Records the harness configuration (flag values, feature set).
-    pub fn set_config(&mut self, config: JsonObj) {
-        self.config = config;
-    }
-
-    /// Appends one measured row (include `ns_per_op` and any speedups).
-    pub fn push(&mut self, row: JsonObj) {
-        self.rows.push(row);
-    }
-
-    /// Serialises the full report.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| format!("    {}", r.encode("    ")))
-            .collect();
-        format!(
-            "{{\n  \"name\": \"{}\",\n  \"config\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            json_escape(&self.name),
-            self.config.encode("  "),
-            rows.join(",\n")
-        )
-    }
-
-    /// When `enabled`, writes `BENCH_<name>.json` in the working
-    /// directory and returns its path; prints the destination so the
-    /// table and its machine-readable twin are cross-referenced.
-    pub fn write_if(&self, enabled: bool) -> Option<std::path::PathBuf> {
-        if !enabled {
-            return None;
-        }
-        let path = std::path::PathBuf::from(format!("BENCH_{}.json", self.name));
-        match std::fs::write(&path, self.to_json()) {
-            Ok(()) => {
-                println!("json report: {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("json report write failed ({}): {e}", path.display());
-                None
-            }
-        }
-    }
-}
-
 /// Pretty seconds: engineering-ish formatting matching the paper's
 /// log-scale plots.
 pub fn fmt_secs(s: f64) -> String {
@@ -264,36 +137,6 @@ mod tests {
         assert_eq!(reps_for_budget(0.1, 1.0, 100), 10);
         assert_eq!(reps_for_budget(10.0, 1.0, 100), 1);
         assert_eq!(reps_for_budget(0.0, 1.0, 7), 7);
-    }
-
-    #[test]
-    fn json_report_round_trips_structure() {
-        let mut rep = BenchReport::new("unit");
-        rep.set_config(JsonObj::new().int("n", 20).str("mode", "fast"));
-        rep.push(
-            JsonObj::new()
-                .str("circuit", "qft")
-                .num("ns_per_op", 12.5)
-                .num("speedup", f64::INFINITY),
-        );
-        let json = rep.to_json();
-        assert!(json.contains("\"name\": \"unit\""));
-        assert!(json.contains("\"n\": 20"));
-        assert!(json.contains("\"mode\": \"fast\""));
-        assert!(json.contains("\"ns_per_op\": 12.5"));
-        // Non-finite numbers must degrade to null, not invalid JSON.
-        assert!(json.contains("\"speedup\": null"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(json.matches(open).count(), json.matches(close).count());
-        }
-        assert!(rep.write_if(false).is_none());
-    }
-
-    #[test]
-    fn json_escaping() {
-        let row = JsonObj::new().str("k\"ey", "a\\b\nc");
-        assert_eq!(row.encode(""), "{\n  \"k\\\"ey\": \"a\\\\b\\nc\"\n}");
     }
 
     #[test]

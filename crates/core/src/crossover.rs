@@ -160,7 +160,7 @@ impl QpeCostModel {
 /// synthetic machine: the planner only compares them against each other,
 /// so only the ratios matter. The defaults are calibrated to a
 /// memory-bound state vector (≈10⁸–10⁹ entries/s) and hold up in the
-/// `hybrid_ablation` bench's predicted-vs-measured columns; for the real
+/// `perf_suite`'s `planner.pred_over_meas_*` rows; for the real
 /// host's constants — which shift whenever the SIMD kernels change the
 /// per-entry arithmetic cost — use [`CostModel::calibrated`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -780,8 +780,8 @@ mod tests {
 
     #[test]
     fn fused_timings_from_real_circuit_traffic() {
-        // Feed the advisor the actual traffic ratio of a fused QFT — the
-        // workflow the fusion_ablation bench reports.
+        // Feed the advisor the actual traffic of a fused QFT (the count
+        // `perf_suite` reports as `sim.touched_entries`).
         use qcemu_sim::{qft_circuit, FusionPolicy};
         let n = 10;
         let c = qft_circuit(n);

@@ -202,8 +202,8 @@ impl Executor for Emulator {
 /// emulation shortcut, FFT, dense QPE path, fused or plain gate-level
 /// simulation. [`HybridExecutor::run_with_report`] additionally returns
 /// the [`PlanReport`] (per-op backend, predicted vs measured cost) so the
-/// dispatch is auditable; the `hybrid_ablation` bench exercises it on a
-/// mixed Shor-style workload.
+/// dispatch is auditable; `perf_suite`'s `shor_mix` workload exercises it
+/// on a mixed Shor-style program.
 ///
 /// ## Plan caching
 ///

@@ -21,7 +21,7 @@
 //!    one-member ensemble;
 //! 3. execution emits a [`PlanReport`] with per-op backend, predicted and
 //!    measured cost, so every dispatch decision can be audited against
-//!    the clock (see the `hybrid_ablation` bench).
+//!    the clock (`examples/shor.rs` prints one).
 
 use crate::classical::{apply_classical_map, apply_controlled_rotation_batch, apply_phase_oracle};
 use crate::crossover::CostModel;

@@ -8,9 +8,10 @@
 //! and gives each one two implementations:
 //!
 //! * a **scalar** path, plain safe Rust over `C64`, bit-identical to the
-//!   loops the callers used to inline (and the only path on
-//!   non-x86-64 targets or when the `simd` cargo feature is off);
-//! * an **AVX2+FMA** path (`simd` feature, x86-64 only), using
+//!   loops the callers used to inline (the only path on non-x86-64
+//!   targets and on hosts without AVX2, and the reference every
+//!   equivalence test forces);
+//! * an **AVX2+FMA** path (compiled into every x86-64 build), using
 //!   `core::arch` intrinsics on a split-lane representation: four
 //!   complex numbers per register pair, real parts in one `__m256d`,
 //!   imaginary parts in the other, so a complex multiply is four fused
@@ -18,9 +19,10 @@
 //!
 //! Dispatch is *runtime*: the first call probes
 //! `is_x86_feature_detected!("avx2")` + `"fma"` and caches the verdict,
-//! so a `--features simd` binary still runs correctly (on the scalar
-//! path) on hosts without AVX2. [`force_scalar`] overrides the verdict
-//! for tests and the scalar-vs-SIMD benchmark rows.
+//! so the same binary runs correctly (on the scalar path) on hosts
+//! without AVX2. That probe is the only thing that selects a path;
+//! [`force_scalar`] overrides it for tests and the scalar-vs-SIMD
+//! benchmark rows.
 //!
 //! ## Layout
 //!
@@ -57,8 +59,8 @@ static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 /// 0 = not probed yet, 1 = scalar only, 2 = AVX2+FMA available.
 static DETECTED: AtomicU8 = AtomicU8::new(0);
 
-/// `true` when calls will take the AVX2+FMA path: the `simd` feature is
-/// compiled in, the host supports it, and [`force_scalar`] is off.
+/// `true` when calls will take the AVX2+FMA path: the host is x86-64 with
+/// AVX2 and FMA, and [`force_scalar`] is off.
 #[inline]
 pub fn simd_active() -> bool {
     !FORCE_SCALAR.load(Ordering::Relaxed) && avx2_available()
@@ -75,7 +77,7 @@ pub fn backend_name() -> &'static str {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx2_available() -> bool {
     match DETECTED.load(Ordering::Relaxed) {
@@ -89,7 +91,7 @@ fn avx2_available() -> bool {
     }
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[cfg(not(target_arch = "x86_64"))]
 #[inline]
 fn avx2_available() -> bool {
     // Keep the probe state machine alive so `backend_name` is honest.
@@ -122,7 +124,7 @@ pub fn butterfly_slices(lo: &mut [C64], hi: &mut [C64], m: &[[C64; 2]; 2]) {
     // the dropped products are exact multiplications by zero.
     if m[0][0].im == 0.0 && m[0][1].im == 0.0 && m[1][0].im == 0.0 && m[1][1].im == 0.0 {
         let r = [m[0][0].re, m[0][1].re, m[1][0].re, m[1][1].re];
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if simd_active() {
             // SAFETY: AVX2+FMA presence was verified at runtime.
             unsafe { avx2::butterfly_slices_real(lo, hi, &r) };
@@ -136,7 +138,7 @@ pub fn butterfly_slices(lo: &mut [C64], hi: &mut [C64], m: &[[C64; 2]; 2]) {
         }
         return;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: AVX2+FMA presence was verified at runtime.
         unsafe { avx2::butterfly_slices(lo, hi, m) };
@@ -175,7 +177,7 @@ pub fn rotate_lanes(lo: &mut [C64], hi: &mut [C64], cos: &[f64], sin: &[f64]) {
     assert_eq!(lo.len(), hi.len(), "rotation runs must have equal length");
     assert_eq!(cos.len(), 2 * lo.len(), "one cosine per f64 lane");
     assert_eq!(sin.len(), 2 * lo.len(), "one sine per f64 lane");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: AVX2+FMA presence was verified at runtime.
         unsafe { avx2::rotate_lanes(lo, hi, cos, sin) };
@@ -198,7 +200,7 @@ pub fn rotate_lanes_scalar(lo: &mut [C64], hi: &mut [C64], cos: &[f64], sin: &[f
 /// Multiplies every element of `xs` by the complex factor `f` — the
 /// diagonal/phase sweep over a contiguous run.
 pub fn scale_slice(xs: &mut [C64], f: C64) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: AVX2+FMA presence was verified at runtime.
         unsafe { avx2::scale_slice(xs, f) };
@@ -226,7 +228,7 @@ pub fn swap_slices(a: &mut [C64], b: &mut [C64]) {
 
 /// Multiplies every element of `xs` by a real factor (FFT normalisation).
 pub fn scale_slice_real(xs: &mut [C64], f: f64) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: AVX2+FMA presence was verified at runtime.
         unsafe { avx2::scale_slice_real(xs, f) };
@@ -245,7 +247,7 @@ pub fn scale_slice_real(xs: &mut [C64], f: f64) {
 /// the end, so the summation *order* differs from the scalar loop; both
 /// are exact for exact inputs and agree to rounding otherwise.
 pub fn cdot(a: &[C64], b: &[C64]) -> C64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: AVX2+FMA presence was verified at runtime.
         return unsafe { avx2::cdot(a, b) };
@@ -279,7 +281,7 @@ pub fn fft_butterfly(
         let last = start + (lo.len() - 1) * stride;
         assert!(last < twiddles.len(), "twiddle table too short");
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: AVX2+FMA presence was verified at runtime; bounds
         // were checked above.
@@ -299,10 +301,10 @@ pub fn fft_butterfly(
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA implementations (x86-64, `simd` feature).
+// AVX2 + FMA implementations (x86-64).
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::C64;
     use std::arch::x86_64::*;
@@ -776,6 +778,21 @@ mod tests {
         );
         force_scalar(true);
         assert!(backend_name().starts_with("scalar"));
+        force_scalar(false);
+    }
+
+    /// The CPU probe alone selects the path: no build switch stands
+    /// between an AVX2 host and the AVX2 code.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn cpu_probe_alone_selects_the_path() {
+        let _guard = SCALAR_TOGGLE.lock().unwrap();
+        force_scalar(false);
+        let host_has_avx2 = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        assert_eq!(simd_active(), host_has_avx2);
+        force_scalar(true);
+        assert!(!simd_active());
         force_scalar(false);
     }
 

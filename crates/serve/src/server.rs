@@ -370,9 +370,6 @@ impl ServerHandle {
                 "daemon is shutting down".into(),
             )));
         }
-        // Under QCEMU_POOL_DEBUG, leave a dispatch-counter trace behind
-        // (mirrors the QCEMU_CALIB_DEBUG reporting pattern).
-        rayon::pool::dump_stats_if_debug();
     }
 }
 

@@ -37,9 +37,8 @@
 //!
 //! Observability: [`stats`] exposes monotonic counters
 //! (`tasks_dispatched`, `blocks_stolen`, `parks`, `wakeups`,
-//! `peak_workers`), and [`dump_stats_if_debug`] prints them to stderr
-//! when `QCEMU_POOL_DEBUG` is set — mirroring the
-//! `calibration`/`QCEMU_CALIB_DEBUG` pattern in `qcemu-core`.
+//! `peak_workers`); the daemon's Stats frame and `perf_suite`'s `pool.*`
+//! rows read them.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -124,29 +123,6 @@ pub fn stats() -> PoolStats {
         wakeups: STATS.wakeups.load(Ordering::Relaxed),
         peak_workers: STATS.peak_workers.load(Ordering::Relaxed),
         threads: default_threads(),
-    }
-}
-
-/// `true` when the `QCEMU_POOL_DEBUG` env var is set non-empty.
-fn debug_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("QCEMU_POOL_DEBUG")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Prints the pool counters to stderr when `QCEMU_POOL_DEBUG` is set
-/// (no-op otherwise) — call at natural end-of-run points, the way
-/// `QCEMU_CALIB_DEBUG` reports rejected calibration loads.
-pub fn dump_stats_if_debug() {
-    if debug_enabled() {
-        let s = stats();
-        eprintln!(
-            "qcemu-pool: threads={} dispatched={} stolen={} parks={} wakeups={} peak={}",
-            s.threads, s.tasks_dispatched, s.blocks_stolen, s.parks, s.wakeups, s.peak_workers
-        );
     }
 }
 
@@ -397,12 +373,6 @@ fn pool() -> &'static Pool {
                     }
                 })
                 .expect("rayon-shim: failed to spawn pool worker");
-        }
-        if debug_enabled() {
-            eprintln!(
-                "qcemu-pool: started {workers} workers (threads={})",
-                workers + 1
-            );
         }
         Pool { shared, workers }
     })

@@ -7,7 +7,7 @@
 //! controlled — to a register inside a larger state.
 
 use crate::circuit::Circuit;
-use crate::kernels::{apply_gate_slice, scatter_index};
+use crate::kernels::{apply_gate_slice, parallel_ok, scatter_index, StatePtr, PAR_THRESHOLD};
 use qcemu_linalg::{CMatrix, C64};
 use rayon::prelude::*;
 
@@ -81,10 +81,7 @@ pub fn apply_dense_to_register(
 
     // Each batch owns a disjoint set of indices (a coset of the register
     // subspace), so parallel batches never alias.
-    struct Ptr(*mut C64);
-    unsafe impl Send for Ptr {}
-    unsafe impl Sync for Ptr {}
-    let ptr = Ptr(state.as_mut_ptr());
+    let ptr = StatePtr(state.as_mut_ptr());
     let process = |c: usize| {
         // Capture the Send+Sync wrapper, not the raw-pointer field.
         let p = &ptr;
@@ -106,7 +103,7 @@ pub fn apply_dense_to_register(
             unsafe { *p.0.add(idx) = *res };
         }
     };
-    if batches >= 2 && state.len() >= 1 << 12 {
+    if parallel_ok(state.len(), PAR_THRESHOLD) {
         (0..batches).into_par_iter().for_each(process);
     } else {
         (0..batches).for_each(process);
@@ -212,17 +209,28 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cphase(0, 1, 1.2);
         let u = circuit_to_dense(&c);
-        let input = random_state(8, &mut rng);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        // n = 14 and 16 sit on either side of PAR_THRESHOLD (2¹⁵): the
+        // serial and the parallel coset loops must both match gate level.
+        for n in [3usize, 14, 16] {
+            let input = random_state(1 << n, &mut rng);
 
-        // Controlled on qubit 2, register = qubits [0, 1].
-        let mut fast = input.clone();
-        apply_dense_to_register(&mut fast, 3, &[0, 1], &u, &[2]);
+            // Controlled on the top qubit, register = qubits [0, 1].
+            let mut fast = input.clone();
+            pool.install(|| apply_dense_to_register(&mut fast, n, &[0, 1], &u, &[n - 1]));
 
-        // Gate-level: controlled circuit.
-        let cc = c.controlled_by(2);
-        let mut sv = StateVector::from_amplitudes(input);
-        sv.apply_circuit(&cc);
-        assert!(qcemu_linalg::max_abs_diff(&fast, sv.amplitudes()) < 1e-11);
+            // Gate-level: controlled circuit.
+            let cc = c.controlled_by(n - 1);
+            let mut sv = StateVector::from_amplitudes(input);
+            sv.apply_circuit(&cc);
+            assert!(
+                qcemu_linalg::max_abs_diff(&fast, sv.amplitudes()) < 1e-11,
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

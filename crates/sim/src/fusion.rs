@@ -502,7 +502,7 @@ impl FusedCircuit {
         self.ops.iter().map(|op| op.touched_entries(n_qubits)).sum()
     }
 
-    /// Summary counts for reporting (see the `fusion_ablation` bench).
+    /// Summary counts for reporting.
     pub fn census(&self) -> FusionCensus {
         let mut census = FusionCensus::default();
         for op in &self.ops {
@@ -980,8 +980,8 @@ mod tests {
 
     #[test]
     fn fused_traffic_beats_unfused_on_the_benchmark_circuits() {
-        // The quantity the fusion_ablation bench measures in time, checked
-        // here in the traffic model: one fused sweep per block vs one
+        // The quantity `perf_suite`'s `sim.fused_s` row measures in time,
+        // checked here in the traffic model: one fused sweep per block vs one
         // (partial) sweep per gate.
         for n in [12, 16] {
             for circuit in [qft_circuit(n), entangle_circuit(n)] {

@@ -8,7 +8,7 @@
 //! contiguous-run vector path), random controls, and fused blocks at
 //! every width 1..=6.
 //!
-//! On hosts without AVX2 (or builds without `--features simd`) both
+//! On hosts without AVX2 (and off x86-64) both
 //! sides of each comparison run the scalar path and the tests degenerate
 //! to scalar self-consistency — they still pass, keeping the suite
 //! portable. The forced-fallback test at the bottom pins the scalar

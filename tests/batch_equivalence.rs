@@ -16,69 +16,15 @@ use qcemu::prelude::*;
 use qcemu_core::RotationOp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
+
+mod common;
+use common::{random_circuit, scalar_lock, ForcedScalar};
 
 /// Ragged batch widths: 1 (degenerate), sub-lane (3), exactly one AVX2
 /// register of complex lanes (4), one-past (5), and a multi-register run
 /// with a scalar tail (17).
 const RAGGED: [usize; 5] = [1, 3, 4, 5, 17];
-
-/// Serialises tests that toggle or depend on the global SIMD switch.
-fn scalar_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// RAII guard: forces the scalar backend for the guard's lifetime.
-struct ForcedScalar(#[allow(dead_code)] MutexGuard<'static, ()>);
-impl ForcedScalar {
-    fn engage() -> ForcedScalar {
-        let g = scalar_lock();
-        qcemu_linalg::simd::force_scalar(true);
-        ForcedScalar(g)
-    }
-}
-impl Drop for ForcedScalar {
-    fn drop(&mut self) {
-        qcemu_linalg::simd::force_scalar(false);
-    }
-}
-
-/// Strategy: a random circuit on `n` qubits over the full gate zoo —
-/// real (H, Ry), diagonal (Rz, phase, cphase), permutation (X, CNOT,
-/// Toffoli, SWAP) and generic unitaries all take distinct kernel paths.
-fn random_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = Circuit> {
-    let gate =
-        (0..9usize, 0..n, 0..n, 0..n, -3.0f64..3.0).prop_map(move |(kind, q1, q2, q3, theta)| {
-            let distinct2 = |a: usize, b: usize| if a == b { (a, (b + 1) % n) } else { (a, b) };
-            let (a, b) = distinct2(q1, q2);
-            match kind {
-                0 => Gate::h(a),
-                1 => Gate::x(a),
-                2 => Gate::rz(a, theta),
-                3 => Gate::ry(a, theta),
-                4 => Gate::phase(a, theta),
-                5 => Gate::cnot(a, b),
-                6 => Gate::cphase(a, b, theta),
-                7 => Gate::swap(a, b),
-                _ => {
-                    let c = if q3 == a || q3 == b { (b + 1) % n } else { q3 };
-                    if c != a && c != b {
-                        Gate::toffoli(a, c, b)
-                    } else {
-                        Gate::ry(a, theta)
-                    }
-                }
-            }
-        });
-    proptest::collection::vec(gate, 1..max_gates).prop_map(move |gates| {
-        let mut c = Circuit::new(n);
-        for g in gates {
-            c.push(g);
-        }
-        c
-    })
-}
 
 /// Distinct member start states: basis states walked through the space so
 /// no two members coincide (until the dimension wraps).

@@ -198,7 +198,7 @@ proptest! {
 // what predicted cost, on the programs the benches and `perf_suite` run.
 // ---------------------------------------------------------------------------
 
-/// The `hybrid_ablation` / `shor_mix` program: multiply, raw gate run,
+/// `perf_suite`'s `shor_mix` program: multiply, raw gate run,
 /// oracle, rotation, QFTs.
 fn shor_style_program(m: usize) -> QuantumProgram {
     let mut pb = ProgramBuilder::new();
@@ -232,7 +232,7 @@ fn shor_style_program(m: usize) -> QuantumProgram {
     pb.build().unwrap()
 }
 
-/// The `serve_throughput` / `serve_warm` program: two Hadamard layers, two
+/// `perf_suite`'s `serve_warm` program: two Hadamard layers, two
 /// deep register-local gate runs, multiply, add, rotation, QFT pair.
 fn serve_style_program(m: usize, depth: usize) -> QuantumProgram {
     let mut gates = Vec::with_capacity(2 * depth);
@@ -280,7 +280,7 @@ fn serve_style_program(m: usize, depth: usize) -> QuantumProgram {
     .unwrap()
 }
 
-/// One `batch_ablation` / `batch_sweep` member: amplitude-encoding
+/// One `perf_suite` `batch_sweep` member: amplitude-encoding
 /// rotation between Hadamard layers and two entangler rounds.
 fn sweep_style_program(m: usize) -> QuantumProgram {
     let mut pb = ProgramBuilder::new();
