@@ -1,14 +1,17 @@
-//! **Figure 5**: single-node QFT — our simulator vs qHiPSTER-like vs
-//! LIQUiD-like, n = 18..22 qubits.
+//! **Figure 5**: single-node QFT — the emulated QFT (one FFT) vs our
+//! simulator vs qHiPSTER-like vs LIQUiD-like, n = 18..22 qubits.
 //!
 //! Usage: `cargo run -p qcemu-bench --release --bin fig5_qft_single_node
 //!         [-- --min-n 18 --max-n 21 --skip-liquid]`
 //!
 //! Paper reference: our simulator ≈ 1.2–2× faster than qHiPSTER and
-//! ≈ 10–14× faster than LIQUi|⟩ on this range.
+//! ≈ 10–14× faster than LIQUi|⟩ on this range, and the emulator faster
+//! than every simulator. The run **asserts** that ordering — emulated <
+//! ours < qHiPSTER-like — at every n ≥ 18.
 
 use qcemu_baselines::{LiquidSim, QhipsterSim};
 use qcemu_bench::{fmt_secs, header, time_median, Args};
+use qcemu_fft::qft_subspace;
 use qcemu_sim::circuits::qft::qft_circuit;
 use qcemu_sim::StateVector;
 
@@ -19,17 +22,24 @@ fn main() {
     let skip_liquid = args.has("skip-liquid");
 
     header(
-        "Figure 5 — single-node QFT: ours vs qHiPSTER-like vs LIQUiD-like",
+        "Figure 5 — single-node QFT: emulated vs ours vs qHiPSTER-like vs LIQUiD-like",
         "same state-vector layout; only the kernel/architecture strategy differs",
     );
     println!(
-        "{:>3} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "n", "ours", "qHiPSTER", "LIQUiD", "vs qHiP", "vs LIQUiD"
+        "{:>3} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "n", "emulated", "ours", "qHiPSTER", "LIQUiD", "emu vs ours", "vs qHiP", "vs LIQUiD"
     );
 
     for n in min_n..=max_n {
         let circuit = qft_circuit(n);
         let reps = if n <= 19 { 3 } else { 1 };
+
+        let register: Vec<usize> = (0..n).collect();
+        let t_emu = time_median(reps, || {
+            let mut sv = StateVector::uniform_superposition(n);
+            qft_subspace(sv.amplitudes_mut(), n, &register);
+            std::hint::black_box(sv.amplitudes()[0]);
+        });
 
         let t_ours = time_median(reps, || {
             let mut sv = StateVector::uniform_superposition(n);
@@ -56,19 +66,29 @@ fn main() {
         };
 
         println!(
-            "{:>3} {:>12} {:>12} {:>12} {:>11.2}x {:>11}",
+            "{:>3} {:>12} {:>12} {:>12} {:>12} {:>11.2}x {:>11.2}x {:>11}",
             n,
+            fmt_secs(t_emu),
             fmt_secs(t_ours),
             fmt_secs(t_qhip),
             t_liq.map(fmt_secs).unwrap_or_else(|| "-".into()),
+            t_ours / t_emu,
             t_qhip / t_ours,
             t_liq
                 .map(|t| format!("{:.2}x", t / t_ours))
                 .unwrap_or_else(|| "-".into()),
         );
+        if n >= 18 {
+            assert!(
+                t_emu < t_ours && t_ours < t_qhip,
+                "n = {n}: expected emulated < ours < qHiPSTER-like, got \
+                 {t_emu:.4} s, {t_ours:.4} s, {t_qhip:.4} s"
+            );
+        }
     }
     println!();
-    println!("note: 'ours' exploits gate structure (controlled phases touch 1/4 of the");
+    println!("note: 'emulated' is the QFT shortcut, one cache-blocked FFT over the state;");
+    println!("      'ours' exploits gate structure (controlled phases touch 1/4 of the");
     println!("      state, controls compress the index space); qHiPSTER-like runs a");
     println!("      dense 2x2 kernel over every pair; LIQUiD-like applies boxed gate");
     println!("      matrices single-threaded with fusion. Paper Fig. 5: ~1.2-2x and");

@@ -1,7 +1,8 @@
 //! Distributed 1-D FFT with three all-to-all transposes (paper Eq. 5).
 //!
-//! Same four-step structure as `qcemu_fft::fourstep`, but the transposes
-//! are genuine all-to-all exchanges over the virtual cluster. The logical
+//! Bailey's four-step structure (the split is `qcemu_fft::square_split`),
+//! with the transposes as genuine all-to-all exchanges over the virtual
+//! cluster; the per-rank row transforms are `qcemu_fft::fft_inplace`. The logical
 //! vector of `N = N1·N2` amplitudes is viewed as an `N1×N2` row-major
 //! matrix; rank `r` holds `N1/P` contiguous rows, which is exactly the
 //! high-bit slice decomposition of [`crate::dist_state::DistributedState`].
@@ -143,7 +144,9 @@ mod tests {
                 let local = full_ref[start..start + my_rows * cols].to_vec();
                 distributed_transpose(&local, rows, cols, comm)
             });
-            let serial = qcemu_fft::transpose(&full, rows, cols);
+            let serial: Vec<C64> = (0..rows * cols)
+                .map(|i| full[(i % rows) * cols + i / rows])
+                .collect();
             let mut gathered = Vec::new();
             for (piece, _) in &results {
                 gathered.extend_from_slice(piece);

@@ -351,10 +351,23 @@ impl CostModel {
         values * (x_sweeps * dim + ry_entries) / self.entry_rate
     }
 
-    /// Emulated QFT on an `r_bits` register: an FFT pass per register bit
-    /// over the full state, each pass one pool dispatch.
+    /// Emulated QFT on an `r_bits` register, priced by what the FFT engine
+    /// (`qcemu_fft`) does, in the two-rate form of
+    /// [`CostModel::t_gates_segmented`]: the register is cut into
+    /// `⌈r / block⌉` passes of at most one cache block
+    /// (`qcemu_sim::DEFAULT_BLOCK_BITS`, the block the engine tiles by),
+    /// each of which streams the state once, preceded by one bit-reversal
+    /// pass when there is more than one; every amplitude is visited by
+    /// `⌈r / 2⌉` radix-4 stages, the first of each pass riding on the
+    /// streamed sweep and the rest replayed against a resident tile at
+    /// the cache rate. Each streamed pass is one pool dispatch.
     pub fn t_qft_emulated(&self, n_state: usize, r_bits: usize) -> f64 {
-        self.t_sweeps(r_bits * (1usize << n_state), r_bits, self.entry_rate)
+        let dim = 1usize << n_state;
+        let passes = r_bits.div_ceil(qcemu_sim::DEFAULT_BLOCK_BITS).max(1);
+        let streamed = passes + usize::from(passes > 1);
+        let replayed = r_bits.div_ceil(2).saturating_sub(passes);
+        self.t_sweeps(streamed * dim, streamed, self.entry_rate)
+            + (replayed * dim) as f64 / self.cache_rate
     }
 
     /// Unfused gate-level execution writing `unfused_entries` across
@@ -815,25 +828,35 @@ mod tests {
 
     #[test]
     fn cost_model_qft_crossover_depends_on_register_width() {
-        // r FFT passes versus ~r²/8 gate-sweep traffic: gates win for tiny
-        // registers, the FFT wins for wide ones.
+        // The FFT streams the state a fixed few times; the circuit's
+        // ~r²/8 gate-sweep traffic grows with the register. So the
+        // emulation advantage is large for wide registers and vanishes —
+        // without reversing — for tiny ones.
         let m = CostModel::default();
         let n = 20;
-        // Wide register: FFT's r sweeps beat the circuit's ~r²/8.
         let r = 16;
         let circuit = qcemu_sim::qft_circuit(r);
         let gates = m.t_gates(circuit.touched_entries(n), circuit.gate_count());
-        assert!(m.t_qft_emulated(n, r) < gates, "wide QFT must prefer FFT");
-        // Narrow register: the 4 gates fuse into one 2-qubit block — one
-        // blocked sweep beats 2 full FFT passes.
+        assert!(
+            4.0 * m.t_qft_emulated(n, r) < gates,
+            "wide QFT must prefer FFT by a wide margin"
+        );
+        // Narrow register: the 4 gates fuse into one 2-qubit block, one
+        // blocked sweep — and the FFT is one in-register radix-4 sweep.
         let r = 2;
         let circuit = qcemu_sim::qft_circuit(r);
         let fc = circuit.fuse(&qcemu_sim::FusionPolicy::greedy());
         let fused = m.t_gates_fused(fc.touched_entries(n), circuit.gate_count(), fc.ops().len());
+        let fft = m.t_qft_emulated(n, r);
         assert!(
-            fused < m.t_qft_emulated(n, r),
-            "narrow QFT must prefer fused gates"
+            fft <= fused && fused < 1.01 * fft,
+            "narrow QFT is one sweep either way: fft {fft}, fused {fused}"
         );
+        // A register wider than one cache block pays the reversal and a
+        // second pass, never a pass per bit.
+        let one_sweep = m.t_entries(1usize << 24);
+        assert!(m.t_qft_emulated(24, 24) < 4.0 * one_sweep);
+        assert!(m.t_qft_emulated(24, 24) > 3.0 * one_sweep);
     }
 
     #[test]

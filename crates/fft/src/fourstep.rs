@@ -1,99 +1,27 @@
-//! Bailey four-step FFT (the distributed-FFT algorithm skeleton).
+//! The `N1 × N2` view of a transform that the distributed FFT is built on.
 //!
 //! The paper's Eq. (5) models the distributed 1-D FFT as local work plus
-//! **three all-to-all transpositions** — this is exactly the four-step
-//! decomposition [Bailey 1990]: view the length-N input as an N1×N2 matrix,
-//! then
-//!
-//! 1. transpose,
-//! 2. N2 independent FFTs of length N1 (now rows),
-//! 3. twiddle by `e^{∓2πi j2·k1/N}` and transpose back,
-//! 4. N1 independent FFTs of length N2, and a final transpose.
-//!
-//! On a cluster each transpose is an all-to-all; here the same code runs
-//! with rayon over rows, and `qcemu-cluster` re-uses the identical step
-//! structure with real message passing.
+//! **three all-to-all transpositions** — Bailey's four-step decomposition
+//! [Bailey 1990] of the length-N input viewed as an N1×N2 matrix.
+//! `qcemu-cluster` runs that structure with real message passing and takes
+//! its split from [`square_split`]. On one node the transposes are not
+//! exchanges but cache misses, so [`fft_four_step`] does not perform them:
+//! it is the same transform by the cache-blocked engine
+//! ([`crate::engine`]), which applies the identical factorisation — column
+//! transforms, inter-step twiddle, row transforms — to tiles in place.
 
-use crate::plan::{Direction, FftPlan, Normalization};
-use crate::radix2::fft_inplace;
+use crate::plan::{Direction, Normalization};
+use crate::radix2::fft;
 use qcemu_linalg::C64;
-use rayon::prelude::*;
 
-/// Out-of-place matrix transpose of a row-major `rows × cols` buffer.
-pub fn transpose(input: &[C64], rows: usize, cols: usize) -> Vec<C64> {
-    assert_eq!(input.len(), rows * cols, "transpose: bad dimensions");
-    let mut out = vec![C64::ZERO; input.len()];
-    const B: usize = 64;
-    // Blocked to keep both streams cache-resident; serial is fine — the
-    // cluster crate replaces this with an all-to-all anyway.
-    for rb in (0..rows).step_by(B) {
-        for cb in (0..cols).step_by(B) {
-            for r in rb..(rb + B).min(rows) {
-                for c in cb..(cb + B).min(cols) {
-                    out[c * rows + r] = input[r * cols + c];
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Four-step FFT of `data` (length `n1 * n2`, both powers of two).
-///
-/// Produces bit-exact-compatible output with [`fft_inplace`] up to floating
-/// point rounding: the result is the DFT of the input in natural order.
-pub fn fft_four_step(
-    data: &mut Vec<C64>,
-    n1: usize,
-    n2: usize,
-    dir: Direction,
-    norm: Normalization,
-) {
-    let n = n1 * n2;
-    assert_eq!(data.len(), n, "fft_four_step: data length mismatch");
+/// FFT of `data` (length `n1 * n2`, both powers of two) — the DFT of the
+/// input in natural order, equal to [`crate::fft_inplace`] and to the
+/// distributed four-step with the same split up to floating-point
+/// rounding.
+pub fn fft_four_step(data: &mut [C64], n1: usize, n2: usize, dir: Direction, norm: Normalization) {
+    assert_eq!(data.len(), n1 * n2, "fft_four_step: data length mismatch");
     assert!(n1.is_power_of_two() && n2.is_power_of_two());
-    if n <= 1 {
-        return;
-    }
-
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-    let plan1 = FftPlan::new(n1);
-    let plan2 = FftPlan::new(n2);
-
-    // Step 0 (transpose #1): columns of the N1×N2 view become rows.
-    let mut t = transpose(data, n1, n2); // now N2 rows of length N1
-
-    // Step 1: N2 FFTs of length N1 (over the original j1 index).
-    t.par_chunks_mut(n1)
-        .for_each(|row| fft_inplace(&plan1, row, dir, Normalization::None));
-
-    // Step 2: twiddle t[j2][k1] *= e^{sign·2πi·j2·k1/N}.
-    let base = sign * std::f64::consts::TAU / n as f64;
-    t.par_chunks_mut(n1).enumerate().for_each(|(j2, row)| {
-        for (k1, z) in row.iter_mut().enumerate() {
-            *z *= C64::cis(base * (j2 * k1) as f64);
-        }
-    });
-
-    // Step 3 (transpose #2): back to N1 rows of length N2.
-    let mut u = transpose(&t, n2, n1);
-
-    // Step 4: N1 FFTs of length N2 (over the original j2 index).
-    u.par_chunks_mut(n2)
-        .for_each(|row| fft_inplace(&plan2, row, dir, Normalization::None));
-
-    // Step 5 (transpose #3): element [k1][k2] holds X[k2·N1 + k1]; transposing
-    // to an N2×N1 layout puts X in natural order when flattened.
-    let mut out = transpose(&u, n1, n2);
-
-    let factor = norm.factor(n);
-    if factor != 1.0 {
-        out.par_iter_mut().for_each(|z| *z *= factor);
-    }
-    *data = out;
+    fft(data, dir, norm);
 }
 
 /// Splits `n = 2^k` into the most square `(n1, n2)` pair, matching how the
@@ -112,26 +40,6 @@ mod tests {
     use qcemu_linalg::{max_abs_diff, random_state};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn transpose_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(60);
-        let v = random_state(6 * 10, &mut rng);
-        let t = transpose(&v, 6, 10);
-        let tt = transpose(&t, 10, 6);
-        assert!(max_abs_diff(&v, &tt) < 1e-15);
-    }
-
-    #[test]
-    fn transpose_indexing() {
-        // 2x3 matrix [[0,1,2],[3,4,5]] → 3x2 [[0,3],[1,4],[2,5]]
-        let v: Vec<C64> = (0..6).map(|k| qcemu_linalg::c64(k as f64, 0.0)).collect();
-        let t = transpose(&v, 2, 3);
-        let expect: Vec<f64> = vec![0.0, 3.0, 1.0, 4.0, 2.0, 5.0];
-        for (z, e) in t.iter().zip(expect.iter()) {
-            assert_eq!(z.re, *e);
-        }
-    }
 
     #[test]
     fn four_step_matches_radix2_square_split() {

@@ -1,10 +1,14 @@
-//! FFT plans: precomputed twiddle factors and bit-reversal tables.
+//! FFT plans: the pass structure and twiddle tables of one transform size.
 //!
 //! A [`FftPlan`] plays the role FFTW/MKL plans play in the paper: all
 //! trigonometry is hoisted out of the transform so the butterfly loops touch
-//! only memory and multiplies. Plans are cheap to build (O(N)) and reusable.
+//! only memory and multiplies. A plan holds per-stage contiguous twiddle
+//! tables for at most one cache block plus `O(√N)` roots for the inter-step
+//! twiddles of longer transforms (see [`crate::engine`]), so building one
+//! costs microseconds at any size and callers that plan per call lose
+//! nothing.
 
-use qcemu_linalg::C64;
+use crate::engine::AxisPlan;
 
 /// Transform direction. `Forward` uses the engineering sign convention
 /// `e^{-2πi jk/N}`; `Inverse` uses `e^{+2πi jk/N}`.
@@ -53,45 +57,25 @@ impl Normalization {
     }
 }
 
-/// Precomputed tables for a size-`2^log2n` transform.
+/// The planned passes and tables of a size-`2^log2n` transform.
 pub struct FftPlan {
     n: usize,
     log2n: u32,
-    /// `twiddles[k] = e^{-2πi k / N}` for `k < N/2` (forward sign; the
-    /// inverse transform conjugates on the fly).
-    twiddles: Vec<C64>,
-    /// Bit-reversal permutation of `0..N`.
-    bitrev: Vec<u32>,
+    axis: AxisPlan,
 }
 
 impl FftPlan {
-    /// Builds a plan for size `n`, which must be a power of two (and
-    /// ≤ 2³² entries so the bit-reversal table can use `u32`).
+    /// Builds a plan for size `n`, which must be a power of two.
     pub fn new(n: usize) -> FftPlan {
         assert!(
             n.is_power_of_two(),
             "FFT size must be a power of two, got {n}"
         );
-        assert!(
-            n <= (1usize << 32),
-            "FFT size too large for u32 bitrev table"
-        );
         let log2n = n.trailing_zeros();
-        let half = (n / 2).max(1);
-        let mut twiddles = Vec::with_capacity(half);
-        let step = -std::f64::consts::TAU / n as f64;
-        for k in 0..half {
-            twiddles.push(C64::cis(step * k as f64));
-        }
-        let mut bitrev = vec![0u32; n];
-        for (i, slot) in bitrev.iter_mut().enumerate() {
-            *slot = reverse_bits(i as u32, log2n);
-        }
         FftPlan {
             n,
             log2n,
-            twiddles,
-            bitrev,
+            axis: AxisPlan::new(0, log2n as usize),
         }
     }
 
@@ -113,18 +97,9 @@ impl FftPlan {
         self.log2n
     }
 
-    /// The precomputed length-`N/2` twiddle table (forward sign) — the
-    /// butterfly passes hand strided views of this to the complex-SIMD
-    /// primitives.
-    #[inline(always)]
-    pub(crate) fn twiddle_table(&self) -> &[C64] {
-        &self.twiddles
-    }
-
-    /// The bit-reversal table.
-    #[inline(always)]
-    pub(crate) fn bitrev(&self) -> &[u32] {
-        &self.bitrev
+    #[inline]
+    pub(crate) fn axis(&self) -> &AxisPlan {
+        &self.axis
     }
 }
 
@@ -140,6 +115,7 @@ pub fn reverse_bits(x: u32, bits: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcemu_linalg::C64;
 
     #[test]
     fn reverse_bits_basics() {
@@ -152,21 +128,29 @@ mod tests {
 
     #[test]
     fn bitrev_is_an_involution() {
-        let plan = FftPlan::new(64);
-        for i in 0..64u32 {
-            let r = plan.bitrev()[i as usize];
-            assert_eq!(plan.bitrev()[r as usize], i);
+        for bits in 0..=10 {
+            for i in 0..1u32 << bits {
+                let r = reverse_bits(i, bits);
+                assert!(r < 1 << bits);
+                assert_eq!(reverse_bits(r, bits), i);
+            }
         }
     }
 
     #[test]
     fn twiddles_are_unit_roots() {
-        let plan = FftPlan::new(16);
-        for k in 0..8 {
-            let t = plan.twiddle_table()[k];
-            assert!((t.abs() - 1.0).abs() < 1e-14);
-            let expect = C64::cis(-std::f64::consts::TAU * k as f64 / 16.0);
-            assert!(t.approx_eq(expect, 1e-14));
+        // A transform of a shifted impulse is the plan's twiddles laid out
+        // in order: X_k = e^{-2πi k/N}.
+        for n in [2usize, 16, 128, 1 << 15] {
+            let plan = FftPlan::new(n);
+            let mut data = vec![C64::ZERO; n];
+            data[1] = C64::ONE;
+            crate::fft_inplace(&plan, &mut data, Direction::Forward, Normalization::None);
+            for (k, t) in data.iter().enumerate() {
+                assert!((t.abs() - 1.0).abs() < 1e-14);
+                let expect = C64::cis(-std::f64::consts::TAU * k as f64 / n as f64);
+                assert!(t.approx_eq(expect, 1e-14), "n = {n}, k = {k}");
+            }
         }
     }
 

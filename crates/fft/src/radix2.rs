@@ -1,19 +1,22 @@
-//! In-place iterative radix-2 Cooley–Tukey FFT (decimation in time).
+//! The crate's whole-buffer entry points, and the textbook radix-2
+//! transform they are checked against.
 //!
-//! Bit-reversal permutation first, then `log₂N` butterfly passes. Large
-//! passes are parallelised with rayon: early passes (many small blocks) split
-//! over blocks, late passes (few large blocks) split the butterfly range of
-//! each block. This mirrors how the paper's node-local FFT saturates memory
-//! bandwidth — the transform is memory-bound, which is exactly why the
-//! emulated QFT beats the simulated one by `n·FLOPS/B_mem` (paper §4.3).
+//! [`fft_inplace`] hands the buffer to the cache-blocked engine
+//! ([`crate::engine`]): up to one cache block that is a single in-cache
+//! pass of radix-4 stages (radix-2 clean-up for odd `log₂N`); beyond it,
+//! the six-step composition, which streams the state three times up to
+//! 2²⁸ amplitudes. The transform is then a few memory-bound passes rather
+//! than `log₂N` of them — which is what lets the emulated QFT beat the
+//! simulated one by the `n·FLOPS/B_mem` of paper §4.3.
+//!
+//! [`radix2_reference`] is the plain bit-reverse-then-`log₂N`-sweeps
+//! Cooley–Tukey loop, serial and scalar, computing every twiddle where it
+//! is used. It shares no code with the engine and exists for the
+//! equivalence tests at sizes the O(N²) [`crate::dft_reference`] cannot
+//! reach.
 
-use crate::plan::{Direction, FftPlan, Normalization};
-use qcemu_linalg::{simd, C64};
-use rayon::prelude::*;
-
-/// Below this size everything runs serially — thread handoff costs more
-/// than the transform.
-const PAR_MIN_SIZE: usize = 1 << 14;
+use crate::plan::{reverse_bits, Direction, FftPlan, Normalization};
+use qcemu_linalg::C64;
 
 /// Transforms `data` in place according to `plan`, `dir`, `norm`.
 ///
@@ -26,91 +29,39 @@ pub fn fft_inplace(plan: &FftPlan, data: &mut [C64], dir: Direction, norm: Norma
         data.len(),
         plan.len()
     );
+    plan.axis().run(data, dir, norm);
+}
+
+/// Reference transform: in-place decimation-in-time radix-2, one serial
+/// sweep per stage. `data.len()` must be a power of two (≤ 2³²).
+pub fn radix2_reference(data: &mut [C64], dir: Direction, norm: Normalization) {
     let n = data.len();
-    if n <= 1 {
-        apply_norm(data, norm.factor(n));
-        return;
-    }
-
-    bit_reverse_permute(plan, data);
-
-    let parallel = n >= PAR_MIN_SIZE && rayon::current_num_threads() > 1;
-    let log2n = plan.log2_len();
-    for stage in 1..=log2n {
-        let block = 1usize << stage; // butterfly block size
-        let half = block >> 1;
-        let tw_stride = n >> stage; // stride into the length-N/2 twiddle table
-        if !parallel || n / block >= 2 {
-            // Many independent blocks: parallelise (or run serially) over them.
-            let run = |chunk: &mut [C64]| butterfly_block(chunk, half, tw_stride, plan, dir);
-            if parallel && n / block >= 2 {
-                data.par_chunks_mut(block).for_each(run);
-            } else {
-                data.chunks_mut(block).for_each(run);
-            }
-        } else {
-            // Single block spanning the whole buffer: split its butterfly
-            // range across threads in contiguous chunks of the two
-            // disjoint halves (each chunk vectorises independently).
-            let (lo, hi) = data.split_at_mut(half);
-            let chunk = half.div_ceil(rayon::current_num_threads().max(1));
-            lo.par_chunks_mut(chunk)
-                .zip(hi.par_chunks_mut(chunk))
-                .enumerate()
-                .for_each(|(c, (lo_chunk, hi_chunk))| {
-                    simd::fft_butterfly(
-                        lo_chunk,
-                        hi_chunk,
-                        plan.twiddle_table(),
-                        c * chunk * tw_stride,
-                        tw_stride,
-                        dir == Direction::Inverse,
-                    );
-                });
-        }
-    }
-
-    apply_norm(data, norm.factor(n));
-}
-
-#[inline]
-fn butterfly_block(
-    chunk: &mut [C64],
-    half: usize,
-    tw_stride: usize,
-    plan: &FftPlan,
-    dir: Direction,
-) {
-    let (lo, hi) = chunk.split_at_mut(half);
-    simd::fft_butterfly(
-        lo,
-        hi,
-        plan.twiddle_table(),
-        0,
-        tw_stride,
-        dir == Direction::Inverse,
-    );
-}
-
-fn bit_reverse_permute(plan: &FftPlan, data: &mut [C64]) {
-    let rev = plan.bitrev();
-    for i in 0..data.len() {
-        let r = rev[i] as usize;
+    assert!(n.is_power_of_two(), "FFT size must be a power of two");
+    let log2n = n.trailing_zeros();
+    for i in 0..n {
+        let r = reverse_bits(i as u32, log2n) as usize;
         if r > i {
             data.swap(i, r);
         }
     }
-}
-
-fn apply_norm(data: &mut [C64], factor: f64) {
-    if factor != 1.0 {
-        if data.len() >= PAR_MIN_SIZE && rayon::current_num_threads() > 1 {
-            let chunk = data.len().div_ceil(rayon::current_num_threads());
-            data.par_chunks_mut(chunk)
-                .for_each(|c| simd::scale_slice_real(c, factor));
-        } else {
-            simd::scale_slice_real(data, factor);
+    let sign = match dir {
+        Direction::Forward => -1.0,
+        Direction::Inverse => 1.0,
+    };
+    for stage in 1..=log2n {
+        let half = 1usize << (stage - 1);
+        let step = sign * std::f64::consts::PI / half as f64;
+        for block in data.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (j, (a, b)) in lo.iter_mut().zip(hi).enumerate() {
+                let t = C64::cis(step * j as f64) * *b;
+                (*a, *b) = (*a + t, *a - t);
+            }
         }
+    }
+    let factor = norm.factor(n);
+    if factor != 1.0 {
+        data.iter_mut().for_each(|z| *z = z.scale(factor));
     }
 }
 

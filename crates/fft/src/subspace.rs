@@ -2,13 +2,15 @@
 //!
 //! The emulator replaces a QFT circuit acting on an m-qubit register inside
 //! an n-qubit machine with a batched FFT over the 2^m-dimensional subspace,
-//! repeated for every assignment of the other n−m qubits. When the register
-//! occupies the low qubits the batches are contiguous and transform in
-//! place; otherwise the state is permuted so they are, transformed, and
-//! permuted back (two passes, both safe and parallel).
+//! repeated for every assignment of the other n−m qubits. A register on
+//! consecutive qubits `lo..lo+m` — every register a `QuantumProgram`
+//! declares — is exactly the engine's axis transform and runs in place
+//! whatever `lo` is: the `2^lo` low qubits index columns that share one
+//! transform. Only a scattered or reordered bit list is permuted so the
+//! register becomes the low qubits, transformed, and permuted back.
 
-use crate::plan::{Direction, FftPlan, Normalization};
-use crate::radix2::fft_inplace;
+use crate::engine::AxisPlan;
+use crate::plan::{Direction, Normalization};
 use qcemu_linalg::C64;
 use rayon::prelude::*;
 
@@ -58,16 +60,10 @@ pub fn fft_subspace(
         seen[b] = true;
     }
 
-    let dim = 1usize << m;
-    let plan = FftPlan::new(dim);
-
-    // Fast path: register is exactly the low qubits in order — every batch
-    // is a contiguous chunk.
-    let contiguous_low = bits.iter().enumerate().all(|(j, &b)| b == j);
-    if contiguous_low {
-        state
-            .par_chunks_mut(dim)
-            .for_each(|chunk| fft_inplace(&plan, chunk, dir, norm));
+    // Tables are built here, once per call; the engine allocates nothing
+    // per chunk.
+    if bits.iter().enumerate().all(|(j, &b)| b == bits[0] + j) {
+        AxisPlan::new(bits[0], m).run(state, dir, norm);
         return;
     }
 
@@ -80,15 +76,13 @@ pub fn fft_subspace(
     let mut permuted: Vec<C64> = (0..n)
         .into_par_iter()
         .map(|d| {
-            let v = d & (dim - 1);
+            let v = d & ((1usize << m) - 1);
             let c = d >> m;
             src[scatter_bits(v, bits) | scatter_bits(c, &comp)]
         })
         .collect();
 
-    permuted
-        .par_chunks_mut(dim)
-        .for_each(|chunk| fft_inplace(&plan, chunk, dir, norm));
+    AxisPlan::new(0, m).run(&mut permuted, dir, norm);
 
     // Inverse permutation back to the original bit layout.
     let out: Vec<C64> = (0..n)

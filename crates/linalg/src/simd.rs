@@ -33,6 +33,12 @@
 //! order `[z0, z2, z1, z3]` — permuted, but identically on load and
 //! store, so element-wise kernels and reductions never notice).
 //!
+//! The FFT stage kernels ([`fft_radix4_stage`], [`fft_radix2_stage`],
+//! [`mul_twiddles`]) are the exception: they keep `re, im` interleaved,
+//! two complex numbers per register, because a butterfly that loads and
+//! stores every leg once would spend more shuffles de-interleaving than
+//! multiplying.
+//!
 //! Results can differ from the scalar path by floating-point rounding
 //! only (FMA contraction, reassociated reduction order in [`cdot`]);
 //! the `simd_equivalence` proptests in `qcemu-sim` pin the agreement to
@@ -40,6 +46,7 @@
 
 use crate::complex::C64;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Complex elements processed per vector iteration by the accelerated
 /// paths (4 × `f64` re-lanes + 4 × `f64` im-lanes = one AVX2 register
@@ -48,6 +55,15 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 /// threshold of the contiguous-target butterfly fast path.
 pub const LANES: usize = 4;
 
+/// log2 of the cache block every blocked sweep in the workspace sizes
+/// itself by — the segment executor's replay block in `qcemu-sim` and the
+/// FFT engine's row length and tile budget in `qcemu-fft`: `2^14`
+/// amplitudes = 256 KiB of complex doubles, half a typical per-core L2 —
+/// big enough that per-block set-up amortises, small enough that a block
+/// plus the streaming write-back stays cache-resident. See
+/// `docs/PERFORMANCE.md` for the sweep of this value.
+pub const DEFAULT_BLOCK_BITS: usize = 14;
+
 /// Forces the scalar fallback even on AVX2 hosts (tests, benchmark
 /// baselines). Affects all threads; flip back with `force_scalar(false)`.
 pub fn force_scalar(on: bool) {
@@ -55,6 +71,37 @@ pub fn force_scalar(on: bool) {
 }
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
+
+/// Serialises code that toggles or depends on the process-wide
+/// [`force_scalar`] switch — tests in one binary run on parallel threads,
+/// and one test's toggle would otherwise void another's scalar (or
+/// native) leg. Hold the guard for as long as the backend must not change.
+pub fn scalar_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A panicking holder leaves the switch in a state its `Drop` restored.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// RAII guard: holds [`scalar_lock`] and forces the scalar backend until
+/// dropped.
+pub struct ForcedScalar {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl ForcedScalar {
+    /// Takes the lock and switches every SIMD primitive to its scalar path.
+    pub fn engage() -> ForcedScalar {
+        let _lock = scalar_lock();
+        force_scalar(true);
+        ForcedScalar { _lock }
+    }
+}
+
+impl Drop for ForcedScalar {
+    fn drop(&mut self) {
+        force_scalar(false);
+    }
+}
 
 /// 0 = not probed yet, 1 = scalar only, 2 = AVX2+FMA available.
 static DETECTED: AtomicU8 = AtomicU8::new(0);
@@ -259,44 +306,139 @@ pub fn cdot(a: &[C64], b: &[C64]) -> C64 {
     acc
 }
 
-/// Radix-2 FFT butterfly over two half-block runs with a strided
-/// twiddle table: for each `j`,
-/// `t = w_j · hi[j]; (lo[j], hi[j]) ← (lo[j] + t, lo[j] − t)` where
-/// `w_j = twiddles[start + j·stride]`, conjugated when `conj` is set
-/// (the inverse transform).
+/// One radix-4 decimation-in-time FFT stage over a contiguous buffer.
+///
+/// `data` is a whole number of blocks of `4·q·t` elements; element
+/// `(k, j, c)` of a block — leg `k < 4`, butterfly `j < q`, column
+/// `c < t` — sits at `(k·q + j)·t + c`. Every column of butterfly `j`
+/// is updated with the same three twiddles `w1 = tw[j]`,
+/// `w2 = tw[q + j]`, `w3 = tw[2q + j]` (`W^j`, `W^{2j}`, `W^{3j}` with
+/// `W = e^{-2πi/4q}`), conjugated when `inverse` is set:
+///
+/// ```text
+/// t1 = w2·x1   t2 = w1·x2   t3 = w3·x3          (legs in bit-reversed order)
+/// y0 = (x0+t1) + (t2+t3)    y1 = (x0−t1) ∓ i(t2−t3)
+/// y2 = (x0+t1) − (t2+t3)    y3 = (x0−t1) ± i(t2−t3)
+/// ```
+///
+/// which is two radix-2 stages (half-sizes `q·t` and `2q·t`) in one
+/// pass over the data. `t = 1` is the plain one-dimensional stage
+/// (vector twiddle loads; `q = 1` is done in-register); `t > 1` is the
+/// same stage along the high axis of a `t`-column tile, vectorised
+/// across the columns with splat twiddles.
 ///
 /// # Panics
 ///
-/// Panics if `lo.len() != hi.len()` or the twiddle table is too short.
-pub fn fft_butterfly(
-    lo: &mut [C64],
-    hi: &mut [C64],
-    twiddles: &[C64],
-    start: usize,
-    stride: usize,
-    conj: bool,
-) {
-    assert_eq!(lo.len(), hi.len(), "butterfly runs must have equal length");
-    if !lo.is_empty() {
-        let last = start + (lo.len() - 1) * stride;
-        assert!(last < twiddles.len(), "twiddle table too short");
-    }
+/// Panics if `data` is not a whole number of blocks or `tw` holds fewer
+/// than `3·q` entries.
+pub fn fft_radix4_stage(data: &mut [C64], q: usize, t: usize, tw: &[C64], inverse: bool) {
+    assert!(q > 0 && t > 0, "empty radix-4 stage");
+    assert_eq!(data.len() % (4 * q * t), 0, "radix-4 stage: partial block");
+    assert!(tw.len() >= 3 * q, "radix-4 twiddle table too short");
     #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2+FMA presence was verified at runtime; bounds
-        // were checked above.
-        unsafe { avx2::fft_butterfly(lo, hi, twiddles, start, stride, conj) };
+    if simd_active() && (t % 2 == 0 || (t == 1 && (q == 1 || q % 2 == 0))) {
+        // SAFETY: AVX2+FMA presence was verified at runtime; block and
+        // table sizes were checked above.
+        unsafe {
+            if inverse {
+                avx2::fft_radix4_stage::<true>(data, q, t, tw)
+            } else {
+                avx2::fft_radix4_stage::<false>(data, q, t, tw)
+            }
+        };
         return;
     }
-    for (j, (a, b)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-        let mut w = twiddles[start + j * stride];
-        if conj {
-            w = w.conj();
+    let run = q * t;
+    for block in data.chunks_exact_mut(4 * run) {
+        let (x0, rest) = block.split_at_mut(run);
+        let (x1, rest) = rest.split_at_mut(run);
+        let (x2, x3) = rest.split_at_mut(run);
+        for j in 0..q {
+            let (mut w1, mut w2, mut w3) = (tw[j], tw[q + j], tw[2 * q + j]);
+            if inverse {
+                (w1, w2, w3) = (w1.conj(), w2.conj(), w3.conj());
+            }
+            for i in j * t..(j + 1) * t {
+                let (t1, t2, t3) = (w2 * x1[i], w1 * x2[i], w3 * x3[i]);
+                let (s0, s1, s2, d) = (x0[i] + t1, x0[i] - t1, t2 + t3, t2 - t3);
+                // ∓i·d: −i forward, +i inverse.
+                let s3 = if inverse {
+                    C64::new(-d.im, d.re)
+                } else {
+                    C64::new(d.im, -d.re)
+                };
+                x0[i] = s0 + s2;
+                x1[i] = s1 + s3;
+                x2[i] = s0 - s2;
+                x3[i] = s1 - s3;
+            }
         }
-        let t = w * *b;
-        let u = *a;
-        *a = u + t;
-        *b = u - t;
+    }
+}
+
+/// One radix-2 decimation-in-time FFT stage in the layout of
+/// [`fft_radix4_stage`]: blocks of `2·h·t` elements, element `(k, j, c)`
+/// at `(k·h + j)·t + c`, `(lo, hi) ← (lo + w·hi, lo − w·hi)` with
+/// `w = tw[j] = e^{-2πi j/2h}` (conjugated when `inverse` is set). The
+/// clean-up stage of an odd-log₂ transform.
+///
+/// # Panics
+///
+/// Panics if `data` is not a whole number of blocks or `tw` holds fewer
+/// than `h` entries.
+pub fn fft_radix2_stage(data: &mut [C64], h: usize, t: usize, tw: &[C64], inverse: bool) {
+    assert!(h > 0 && t > 0, "empty radix-2 stage");
+    assert_eq!(data.len() % (2 * h * t), 0, "radix-2 stage: partial block");
+    assert!(tw.len() >= h, "radix-2 twiddle table too short");
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() && (t % 2 == 0 || (t == 1 && h % 2 == 0)) {
+        // SAFETY: AVX2+FMA presence was verified at runtime; block and
+        // table sizes were checked above.
+        unsafe {
+            if inverse {
+                avx2::fft_radix2_stage::<true>(data, h, t, tw)
+            } else {
+                avx2::fft_radix2_stage::<false>(data, h, t, tw)
+            }
+        };
+        return;
+    }
+    let run = h * t;
+    for block in data.chunks_exact_mut(2 * run) {
+        let (lo, hi) = block.split_at_mut(run);
+        for (j, w) in tw[..h].iter().enumerate() {
+            let w = if inverse { w.conj() } else { *w };
+            for i in j * t..(j + 1) * t {
+                let (u, v) = (lo[i], w * hi[i]);
+                lo[i] = u + v;
+                hi[i] = u - v;
+            }
+        }
+    }
+}
+
+/// Multiplies a `u.len() × t` tile by the outer-product twiddles
+/// `u[j]·v`: `xs[j·t + c] ← xs[j·t + c] · u[j] · v` — the inter-step
+/// twiddle of the six-step FFT, whose factor `W^{q·(j + j₁·2^c)}` splits
+/// into a per-row table `u` and one scalar `v` per `j₁`.
+///
+/// # Panics
+///
+/// Panics if `xs.len() != u.len() · t`.
+pub fn mul_twiddles(xs: &mut [C64], u: &[C64], v: C64, t: usize) {
+    assert_eq!(xs.len(), u.len() * t, "mul_twiddles: tile size mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() && (t == 1 || t % 2 == 0) {
+        // SAFETY: AVX2+FMA presence was verified at runtime; sizes were
+        // checked above.
+        unsafe { avx2::mul_twiddles(xs, u, v, t) };
+        return;
+    }
+    for (row, &uj) in xs.chunks_exact_mut(t).zip(u) {
+        let w = uj * v;
+        for z in row {
+            *z *= w;
+        }
     }
 }
 
@@ -365,24 +507,6 @@ mod avx2 {
         C64x4 {
             re: _mm256_fnmadd_pd(a.im, b.im, _mm256_fmadd_pd(a.re, b.re, c.re)),
             im: _mm256_fmadd_pd(a.im, b.re, _mm256_fmadd_pd(a.re, b.im, c.im)),
-        }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn add(a: C64x4, b: C64x4) -> C64x4 {
-        C64x4 {
-            re: _mm256_add_pd(a.re, b.re),
-            im: _mm256_add_pd(a.im, b.im),
-        }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn sub(a: C64x4, b: C64x4) -> C64x4 {
-        C64x4 {
-            re: _mm256_sub_pd(a.re, b.re),
-            im: _mm256_sub_pd(a.im, b.im),
         }
     }
 
@@ -534,54 +658,218 @@ mod avx2 {
         tail
     }
 
+    // --- FFT stages: interleaved lanes -----------------------------------
+    //
+    // The FFT kernels keep `re, im` interleaved (two complex numbers per
+    // register) instead of the split lanes above: a twiddle multiply is
+    // then one in-lane swap, one multiply and one `fmaddsub`, and nothing
+    // is shuffled on load or store — a radix-4 butterfly has four loads,
+    // four stores and three such products, so the split form's eight
+    // de/re-interleaves would be the larger half of its shuffle work.
+
+    /// `x·w` for two interleaved complex numbers, `w` given as its
+    /// duplicated real parts `wr` and duplicated imaginary parts `wi`;
+    /// `x·conj(w)` when `INV`.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn fft_butterfly(
-        lo: &mut [C64],
-        hi: &mut [C64],
-        twiddles: &[C64],
-        start: usize,
-        stride: usize,
-        conj: bool,
-    ) {
-        let n = lo.len();
-        let lp = lo.as_mut_ptr();
-        let hp = hi.as_mut_ptr();
-        let tp = twiddles.as_ptr();
-        let neg = if conj { -1.0 } else { 1.0 };
-        let mut j = 0;
-        while j + 4 <= n {
-            // Twiddles are strided; gather them scalar (four loads) into
-            // split lanes in the same permuted order as load4.
-            let k = start + j * stride;
-            let (w0, w1, w2, w3) = (
-                *tp.add(k),
-                *tp.add(k + stride),
-                *tp.add(k + 2 * stride),
-                *tp.add(k + 3 * stride),
-            );
-            let w = C64x4 {
-                re: _mm256_setr_pd(w0.re, w2.re, w1.re, w3.re),
-                im: _mm256_mul_pd(
-                    _mm256_setr_pd(w0.im, w2.im, w1.im, w3.im),
-                    _mm256_set1_pd(neg),
-                ),
-            };
-            let u = load4(lp.add(j));
-            let t = mul(w, load4(hp.add(j)));
-            store4(lp.add(j), add(u, t));
-            store4(hp.add(j), sub(u, t));
-            j += 4;
+    unsafe fn cmul2<const INV: bool>(x: __m256d, wr: __m256d, wi: __m256d) -> __m256d {
+        let p = _mm256_mul_pd(_mm256_permute_pd(x, 0b0101), wi);
+        if INV {
+            _mm256_fmsubadd_pd(x, wr, p)
+        } else {
+            _mm256_fmaddsub_pd(x, wr, p)
         }
-        while j < n {
-            let mut w = *tp.add(start + j * stride);
-            if conj {
-                w = w.conj();
+    }
+
+    /// `∓i·d` for two interleaved complex numbers (`−i` forward, `+i`
+    /// when `INV`).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn rot2<const INV: bool>(d: __m256d) -> __m256d {
+        let flip = if INV {
+            _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0)
+        } else {
+            _mm256_setr_pd(0.0, -0.0, 0.0, -0.0)
+        };
+        _mm256_xor_pd(_mm256_permute_pd(d, 0b0101), flip)
+    }
+
+    /// Radix-4 butterfly on one register per leg; `w[k]` is the
+    /// `(re, im)`-duplicated twiddle `w_{k+1}`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn radix4_at<const INV: bool>(
+        p0: *mut f64,
+        p1: *mut f64,
+        p2: *mut f64,
+        p3: *mut f64,
+        w: &[(__m256d, __m256d); 3],
+    ) {
+        let x0 = _mm256_loadu_pd(p0);
+        let t1 = cmul2::<INV>(_mm256_loadu_pd(p1), w[1].0, w[1].1);
+        let t2 = cmul2::<INV>(_mm256_loadu_pd(p2), w[0].0, w[0].1);
+        let t3 = cmul2::<INV>(_mm256_loadu_pd(p3), w[2].0, w[2].1);
+        let s0 = _mm256_add_pd(x0, t1);
+        let s1 = _mm256_sub_pd(x0, t1);
+        let s2 = _mm256_add_pd(t2, t3);
+        let s3 = rot2::<INV>(_mm256_sub_pd(t2, t3));
+        _mm256_storeu_pd(p0, _mm256_add_pd(s0, s2));
+        _mm256_storeu_pd(p1, _mm256_add_pd(s1, s3));
+        _mm256_storeu_pd(p2, _mm256_sub_pd(s0, s2));
+        _mm256_storeu_pd(p3, _mm256_sub_pd(s1, s3));
+    }
+
+    /// Duplicated parts of one twiddle broadcast to both complex slots.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn splat2(w: C64) -> (__m256d, __m256d) {
+        (_mm256_set1_pd(w.re), _mm256_set1_pd(w.im))
+    }
+
+    /// Duplicated parts of the two consecutive twiddles at `p`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dup2(p: *const C64) -> (__m256d, __m256d) {
+        let w = _mm256_loadu_pd(p as *const f64);
+        (_mm256_movedup_pd(w), _mm256_permute_pd(w, 0b1111))
+    }
+
+    /// Caller guarantees `t` even, or `t == 1` with `q` 1 or even; whole
+    /// blocks; a `3·q` twiddle table.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn fft_radix4_stage<const INV: bool>(
+        data: &mut [C64],
+        q: usize,
+        t: usize,
+        tw: &[C64],
+    ) {
+        let run = q * t;
+        let base = data.as_mut_ptr() as *mut f64;
+        let blocks = data.len() / (4 * run);
+        if run == 1 {
+            // Four adjacent elements per transform, all twiddles 1: the
+            // two radix-2 levels are done across the 128-bit halves.
+            for b in 0..blocks {
+                let p = base.add(8 * b);
+                let v0 = _mm256_loadu_pd(p); // x0 x1
+                let v1 = _mm256_loadu_pd(p.add(4)); // x2 x3
+                let a = _mm256_permute2f128_pd(v0, v1, 0x20); // x0 x2
+                let c = _mm256_permute2f128_pd(v0, v1, 0x31); // x1 x3
+                let sum = _mm256_add_pd(a, c); // s0 s2
+                let dif = _mm256_sub_pd(a, c); // s1 d
+                let dif = _mm256_blend_pd(dif, rot2::<INV>(dif), 0b1100); // s1 s3
+                let u = _mm256_permute2f128_pd(sum, dif, 0x20); // s0 s1
+                let v = _mm256_permute2f128_pd(sum, dif, 0x31); // s2 s3
+                _mm256_storeu_pd(p, _mm256_add_pd(u, v));
+                _mm256_storeu_pd(p.add(4), _mm256_sub_pd(u, v));
             }
-            let t = w * *hp.add(j);
-            let u = *lp.add(j);
-            *lp.add(j) = u + t;
-            *hp.add(j) = u - t;
-            j += 1;
+            return;
+        }
+        for b in 0..blocks {
+            let p0 = base.add(8 * run * b);
+            let (p1, p2, p3) = (p0.add(2 * run), p0.add(4 * run), p0.add(6 * run));
+            if t == 1 {
+                // q ≥ 2 and even: two butterflies per register.
+                let mut j = 0;
+                while j < q {
+                    let w = [
+                        dup2(tw.as_ptr().add(j)),
+                        dup2(tw.as_ptr().add(q + j)),
+                        dup2(tw.as_ptr().add(2 * q + j)),
+                    ];
+                    let o = 2 * j;
+                    radix4_at::<INV>(p0.add(o), p1.add(o), p2.add(o), p3.add(o), &w);
+                    j += 2;
+                }
+            } else {
+                for j in 0..q {
+                    let w = [
+                        splat2(*tw.get_unchecked(j)),
+                        splat2(*tw.get_unchecked(q + j)),
+                        splat2(*tw.get_unchecked(2 * q + j)),
+                    ];
+                    let mut o = 2 * j * t;
+                    let end = o + 2 * t;
+                    while o < end {
+                        radix4_at::<INV>(p0.add(o), p1.add(o), p2.add(o), p3.add(o), &w);
+                        o += 4;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Caller guarantees `t` even, or `t == 1` with `h` even; whole
+    /// blocks; an `h`-entry table.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn fft_radix2_stage<const INV: bool>(
+        data: &mut [C64],
+        h: usize,
+        t: usize,
+        tw: &[C64],
+    ) {
+        let run = h * t;
+        let base = data.as_mut_ptr() as *mut f64;
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn at<const INV: bool>(lo: *mut f64, hi: *mut f64, w: (__m256d, __m256d)) {
+            let u = _mm256_loadu_pd(lo);
+            let v = cmul2::<INV>(_mm256_loadu_pd(hi), w.0, w.1);
+            _mm256_storeu_pd(lo, _mm256_add_pd(u, v));
+            _mm256_storeu_pd(hi, _mm256_sub_pd(u, v));
+        }
+        for b in 0..data.len() / (2 * run) {
+            let lo = base.add(4 * run * b);
+            let hi = lo.add(2 * run);
+            if t % 2 == 0 {
+                for j in 0..h {
+                    let w = splat2(*tw.get_unchecked(j));
+                    let mut o = 2 * j * t;
+                    let end = o + 2 * t;
+                    while o < end {
+                        at::<INV>(lo.add(o), hi.add(o), w);
+                        o += 4;
+                    }
+                }
+            } else {
+                let mut j = 0;
+                while j < h {
+                    at::<INV>(lo.add(2 * j), hi.add(2 * j), dup2(tw.as_ptr().add(j)));
+                    j += 2;
+                }
+            }
+        }
+    }
+
+    /// Caller guarantees `t == 1 || t % 2 == 0` and
+    /// `xs.len() == u.len()·t`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn mul_twiddles(xs: &mut [C64], u: &[C64], v: C64, t: usize) {
+        let p = xs.as_mut_ptr() as *mut f64;
+        if t == 1 {
+            let (vr, vi) = splat2(v);
+            let pairs = u.len() / 2;
+            for j in 0..pairs {
+                let w =
+                    cmul2::<false>(_mm256_loadu_pd(u.as_ptr().add(2 * j) as *const f64), vr, vi);
+                let (wr, wi) = (_mm256_movedup_pd(w), _mm256_permute_pd(w, 0b1111));
+                let x = p.add(4 * j);
+                _mm256_storeu_pd(x, cmul2::<false>(_mm256_loadu_pd(x), wr, wi));
+            }
+            if u.len() % 2 == 1 {
+                let j = u.len() - 1;
+                xs[j] *= u[j] * v;
+            }
+        } else {
+            for (j, &uj) in u.iter().enumerate() {
+                let (wr, wi) = splat2(uj * v);
+                let mut o = 2 * j * t;
+                let end = o + 2 * t;
+                while o < end {
+                    _mm256_storeu_pd(p.add(o), cmul2::<false>(_mm256_loadu_pd(p.add(o)), wr, wi));
+                    o += 4;
+                }
+            }
         }
     }
 }
@@ -596,11 +884,6 @@ mod tests {
 
     const TOL: f64 = 1e-12;
 
-    /// Serialises every test that flips the process-global
-    /// [`force_scalar`] flag — the default parallel test runner would
-    /// otherwise let one test's toggle void another's scalar leg.
-    static SCALAR_TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn close(a: &[C64], b: &[C64]) -> bool {
         a.iter().zip(b).all(|(x, y)| x.approx_eq(*y, TOL))
     }
@@ -608,7 +891,7 @@ mod tests {
     /// Runs `f` twice — once forced scalar, once with whatever the host
     /// offers — and hands both results to `check`.
     fn both_paths<T>(f: impl Fn() -> T, check: impl Fn(T, T)) {
-        let _guard = SCALAR_TOGGLE.lock().unwrap();
+        let _guard = scalar_lock();
         force_scalar(true);
         let scalar = f();
         force_scalar(false);
@@ -745,22 +1028,74 @@ mod tests {
         }
     }
 
+    /// `W^j` for `j < count` with `W = e^{-2πi/order}`.
+    fn roots(order: usize, count: usize, power: usize) -> Vec<C64> {
+        (0..count)
+            .map(|j| C64::cis(-std::f64::consts::TAU * (power * j) as f64 / order as f64))
+            .collect()
+    }
+
+    fn radix4_table(q: usize) -> Vec<C64> {
+        (1..=3).flat_map(|k| roots(4 * q, q, k)).collect()
+    }
+
     #[test]
     fn fft_butterfly_matches_scalar_both_directions() {
         let mut rng = StdRng::seed_from_u64(14);
-        let twiddles: Vec<C64> = (0..64).map(|k| C64::cis(-0.098 * k as f64)).collect();
-        for (len, stride) in [(4usize, 1usize), (7, 2), (16, 3), (5, 4)] {
-            let lo0 = random_state(32, &mut rng)[..len].to_vec();
-            let hi0 = random_state(32, &mut rng)[..len].to_vec();
-            for conj in [false, true] {
+        // (h, t): vector twiddles, splat twiddles, and the odd shapes
+        // that stay scalar on every host.
+        for (h, t) in [
+            (1usize, 1usize),
+            (2, 1),
+            (8, 1),
+            (1, 2),
+            (4, 4),
+            (2, 8),
+            (3, 1),
+            (2, 3),
+        ] {
+            let tw = roots(2 * h, h, 1);
+            let x0 = random_state(64, &mut rng)[..2 * (2 * h * t)].to_vec();
+            for inverse in [false, true] {
                 both_paths(
                     || {
-                        let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
-                        fft_butterfly(&mut lo, &mut hi, &twiddles, 1, stride, conj);
-                        (lo, hi)
+                        let mut x = x0.clone();
+                        fft_radix2_stage(&mut x, h, t, &tw, inverse);
+                        x
                     },
-                    |(slo, shi), (nlo, nhi)| {
-                        assert!(close(&slo, &nlo) && close(&shi, &nhi));
+                    |s, n| assert!(close(&s, &n), "h = {h}, t = {t}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn radix4_stage_is_two_radix2_stages() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for (q, t) in [
+            (1usize, 1usize),
+            (2, 1),
+            (4, 1),
+            (16, 1),
+            (1, 2),
+            (1, 8),
+            (4, 4),
+            (3, 1),
+            (2, 3),
+        ] {
+            let x0 = random_state(512, &mut rng)[..2 * (4 * q * t)].to_vec();
+            for inverse in [false, true] {
+                let mut want = x0.clone();
+                fft_radix2_stage(&mut want, q, t, &roots(2 * q, q, 1), inverse);
+                fft_radix2_stage(&mut want, 2 * q, t, &roots(4 * q, 2 * q, 1), inverse);
+                both_paths(
+                    || {
+                        let mut x = x0.clone();
+                        fft_radix4_stage(&mut x, q, t, &radix4_table(q), inverse);
+                        x
+                    },
+                    |s, n| {
+                        assert!(close(&s, &n) && close(&n, &want), "q = {q}, t = {t}");
                     },
                 );
             }
@@ -768,8 +1103,31 @@ mod tests {
     }
 
     #[test]
+    fn mul_twiddles_matches_elementwise_product() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let v = c64(0.6, -0.8);
+        for (rows, t) in [(1usize, 1usize), (5, 1), (8, 1), (3, 2), (4, 8), (2, 3)] {
+            let u = random_state(8, &mut rng)[..rows].to_vec();
+            let x0 = random_state(64, &mut rng)[..rows * t].to_vec();
+            let want: Vec<C64> = x0
+                .iter()
+                .enumerate()
+                .map(|(i, x)| *x * (u[i / t] * v))
+                .collect();
+            both_paths(
+                || {
+                    let mut x = x0.clone();
+                    mul_twiddles(&mut x, &u, v, t);
+                    x
+                },
+                |s, n| assert!(close(&s, &want) && close(&n, &want), "{rows} x {t}"),
+            );
+        }
+    }
+
+    #[test]
     fn backend_name_reports_a_known_state() {
-        let _guard = SCALAR_TOGGLE.lock().unwrap();
+        let _guard = scalar_lock();
         force_scalar(false);
         let name = backend_name();
         assert!(
@@ -786,7 +1144,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn cpu_probe_alone_selects_the_path() {
-        let _guard = SCALAR_TOGGLE.lock().unwrap();
+        let _guard = scalar_lock();
         force_scalar(false);
         let host_has_avx2 = std::arch::is_x86_feature_detected!("avx2")
             && std::arch::is_x86_feature_detected!("fma");

@@ -49,11 +49,7 @@ use crate::kernels::{batch_bits, mask_of, parallel_ok, LocalOp};
 use qcemu_linalg::{simd, C64};
 use rayon::prelude::*;
 
-/// Default block size: `2^14` amplitudes = 256 KiB of complex doubles,
-/// half a typical per-core L2 — big enough that the per-block mask checks
-/// amortise, small enough that a block plus the streaming write-back stays
-/// cache-resident. See `docs/PERFORMANCE.md` for the sweep of this knob.
-pub const DEFAULT_BLOCK_BITS: usize = 14;
+pub use qcemu_linalg::simd::DEFAULT_BLOCK_BITS;
 
 /// Whether (and how) circuits are partitioned into cache-blocked segments
 /// before execution. Layered *above* fusion: gates that fall out of

@@ -16,7 +16,7 @@
 //! | [`qcemu_sim`] | state-vector simulator with structure-specialised kernels, circuits, measurement, decomposition |
 //! | [`qcemu_revarith`] | Cuccaro adders, multiplier, divider, comparators, Bennett compilation |
 //! | [`qcemu_linalg`] | complex GEMM, Strassen, Hessenberg + QR eigensolver (`zgemm`/`zgeev` stand-ins) |
-//! | [`qcemu_fft`] | radix-2 and four-step FFTs, subspace transforms (FFTW/MKL stand-in) |
+//! | [`qcemu_fft`] | the cache-blocked FFT engine and its subspace transforms (FFTW/MKL stand-in) |
 //! | [`qcemu_cluster`] | virtual cluster, distributed state & FFT, Eq. (5)/(6) machine models |
 //! | [`qcemu_baselines`] | qHiPSTER-like and LIQUi|⟩-like reference simulators |
 //! | [`qcemu_serve`] | multi-tenant daemon: wire protocol, admission control, cross-request plan cache |

@@ -3,28 +3,8 @@
 
 use proptest::prelude::*;
 use qcemu::prelude::*;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serialises tests that toggle or depend on the global SIMD switch.
-pub fn scalar_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// RAII guard: forces the scalar backend for the guard's lifetime.
-pub struct ForcedScalar(MutexGuard<'static, ()>);
-impl ForcedScalar {
-    pub fn engage() -> ForcedScalar {
-        let g = scalar_lock();
-        qcemu_linalg::simd::force_scalar(true);
-        ForcedScalar(g)
-    }
-}
-impl Drop for ForcedScalar {
-    fn drop(&mut self) {
-        qcemu_linalg::simd::force_scalar(false);
-    }
-}
+#[allow(unused_imports)] // each harness uses its own subset
+pub use qcemu_linalg::simd::{scalar_lock, ForcedScalar};
 
 /// Strategy: a random circuit on `n` qubits over the full gate zoo —
 /// real (H, Ry), diagonal (Rz, phase, cphase), permutation (X, CNOT,

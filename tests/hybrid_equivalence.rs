@@ -370,7 +370,11 @@ fn routing_table() -> String {
 /// functions became one walk and must not move, with one exception: an
 /// automatically chosen `simulate:mps` step whose prefix holds a
 /// non-`Gates` op is now dense, because its χ certificate assumed a
-/// product-state input the step does not receive.
+/// product-state input the step does not receive. (The `qft`/`iqft` and
+/// `qpe` rows were re-captured when `t_qft_emulated` began pricing the
+/// cache-blocked FFT engine's passes instead of a sweep per register
+/// bit; under `cheapest` that moved the 3- and 4-bit QFTs from
+/// `simulate:fused` to `emulate:fft`.)
 #[test]
 fn routing_matches_the_three_planner_snapshot() {
     let expected = include_str!("snapshots/routing.txt");
