@@ -3,11 +3,11 @@
 //! Parameter sweeps and shot ensembles run the *same program structure*
 //! many times — same registers, same op sequence, same gate lists — with
 //! only closure-carried parameters (rotation angles, classical maps)
-//! varying per member. The [`BatchExecutor`] exploits that: it lowers the
-//! batch through the [`HybridExecutor`] plan cache **once** per
-//! [`structure_hash`](QuantumProgram::structure_hash) (planning,
-//! cost-model evaluation, and gate fusion are all paid once per
-//! structure, not once per member), then advances all members together
+//! varying per member. The [`BatchExecutor`] exploits that: it takes the
+//! batch's plan from the [`HybridExecutor`] plan cache — keyed, for every
+//! executor, on [`structure_hash`](QuantumProgram::structure_hash), so
+//! planning, cost-model evaluation and gate fusion are paid once per
+//! structure, not once per member — then advances all members together
 //! through a [`BatchStateVector`] with the one run loop,
 //! [`PlanInterpreter::run_members`] — see there for which steps run once
 //! on the batch-major buffer and which member by member. The
@@ -26,8 +26,8 @@ use qcemu_sim::{BatchStateVector, SimConfig};
 /// [`structure_hash`](QuantumProgram::structure_hash); per-member
 /// variation flows through the closures the hash deliberately ignores
 /// (rotation angle functions, classical map bodies). Rebuilding the
-/// member programs between runs does **not** re-plan: the cache is keyed
-/// on structure, not instance, so
+/// member programs between runs does **not** re-plan: a plan is keyed on
+/// structure alone, so
 /// [`plan_cache_misses`](BatchExecutor::plan_cache_misses) stays at one
 /// across repeated sweeps of the same shape.
 ///
@@ -108,11 +108,11 @@ impl BatchExecutor {
         self.inner.plan_cache_misses()
     }
 
-    /// The structure-keyed plan a batch of `program`'s shape would run
-    /// (lowering and caching it if absent) — inspect or `{}`-print it to
-    /// see the per-op dispatch.
+    /// The plan a batch of `program`'s shape would run (lowering and
+    /// caching it if absent) — inspect or `{}`-print it to see the per-op
+    /// dispatch.
     pub fn plan(&self, program: &QuantumProgram) -> ExecutionPlan {
-        (*self.inner.plan_structural(program)).clone()
+        self.inner.plan(program)
     }
 
     /// Runs the ensemble and returns the final batched state.
@@ -138,7 +138,7 @@ impl BatchExecutor {
     ) -> Result<(BatchStateVector, PlanReport), EmuError> {
         let plan = self
             .inner
-            .plan_structural(members.first().ok_or_else(empty_ensemble)?);
+            .shared_plan(members.first().ok_or_else(empty_ensemble)?);
         PlanInterpreter::new(self.inner.config).run_members(members, &plan, initial)
     }
 }

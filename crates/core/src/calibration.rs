@@ -12,8 +12,8 @@
 //!   which simply narrows the fingerprint),
 //! * the available hardware parallelism,
 //! * the active SIMD backend (`qcemu_linalg::simd::backend_name`), which
-//!   changes with the `simd` feature and therefore with the kernels'
-//!   per-entry arithmetic cost.
+//!   the run-time CPU check selects (AVX2+FMA or scalar) and which sets
+//!   the kernels' per-entry arithmetic cost.
 //!
 //! The cache lives at `$XDG_CACHE_HOME/qcemu/calibration.json` (falling
 //! back to `$HOME/.cache/qcemu/calibration.json`). `QCEMU_CALIB_CACHE`
@@ -21,12 +21,10 @@
 //! disables persistence. Every failure mode — unreadable file, schema or
 //! fingerprint mismatch, non-finite or non-positive rate — falls back to
 //! re-measuring; a stale cache can cost one recalibration, never a wrong
-//! model. The fallback is silent by default but **observable**: every
-//! rejected (present-but-invalid) cache file bumps [`rejected_loads`],
-//! and setting `QCEMU_CALIB_DEBUG` to anything non-empty prints the
-//! rejection to stderr — so a cache that never hits (corrupt file,
-//! permissions churn, schema drift) shows up instead of silently costing
-//! a recalibration per process forever.
+//! model. The fallback is silent but **observable**: every rejected
+//! (present-but-invalid) cache file bumps [`rejected_loads`] — so a cache
+//! that never hits (corrupt file, permissions churn, schema drift) shows
+//! up instead of silently costing a recalibration per process forever.
 
 use crate::crossover::{CostModel, QpeCostModel};
 use std::fs;
@@ -53,21 +51,6 @@ static REJECTED_LOADS: AtomicUsize = AtomicUsize::new(0);
 /// be hitting the cache is the signature of a corrupt or stale file.
 pub fn rejected_loads() -> usize {
     REJECTED_LOADS.load(Ordering::Relaxed)
-}
-
-/// Records (and, under `QCEMU_CALIB_DEBUG`, reports) a rejected cache
-/// file.
-fn note_rejected(path: &Path, why: &str) {
-    REJECTED_LOADS.fetch_add(1, Ordering::Relaxed);
-    let debug = std::env::var("QCEMU_CALIB_DEBUG")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    if debug {
-        eprintln!(
-            "qcemu: calibration cache {} rejected ({why}); re-measuring",
-            path.display()
-        );
-    }
 }
 
 /// FNV-1a, good enough for a cache key and dependency-free.
@@ -116,9 +99,8 @@ pub(crate) fn cache_path() -> Option<PathBuf> {
 }
 
 /// Loads the cached model for this host, if a valid one exists. A file
-/// that exists but fails validation is counted via [`rejected_loads`]
-/// (and reported under `QCEMU_CALIB_DEBUG`); a missing file is a clean
-/// miss.
+/// that exists but fails validation is counted via [`rejected_loads`];
+/// a missing file is a clean miss.
 pub(crate) fn load_cached() -> Option<CostModel> {
     load_checked(&cache_path()?, &host_fingerprint())
 }
@@ -131,7 +113,7 @@ fn load_checked(path: &Path, fingerprint: &str) -> Option<CostModel> {
     }
     let loaded = load_from(path, fingerprint);
     if loaded.is_none() {
-        note_rejected(path, "corrupt, mismatched, or invalid");
+        REJECTED_LOADS.fetch_add(1, Ordering::Relaxed);
     }
     loaded
 }

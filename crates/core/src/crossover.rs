@@ -18,15 +18,6 @@
 //!
 //! and reports the smallest `b` at which each emulation path beats
 //! simulation — the lower panel of Table 2.
-//!
-//! **Gate fusion changes this comparison.** With the fusion engine
-//! (`qcemu_sim::fusion`) the gate-level path no longer pays one sweep per
-//! gate: runs of gates collapse into blocked sweeps, shrinking
-//! `t_apply_u` by the memory-traffic ratio of the fused circuit to the
-//! unfused one. An advisor that ignores fusion overestimates simulation
-//! cost and switches to emulation too early;
-//! [`QpeTimings::with_fused_apply`] rescales the timings so the
-//! emulate-vs-simulate switch stays honest.
 
 use crate::qpe::QpeStrategy;
 
@@ -61,27 +52,6 @@ impl QpeTimings {
     /// Eigendecomposition emulation cost (independent of `b`).
     pub fn t_eigendecomposition(&self) -> f64 {
         self.t_build_dense + self.t_eig
-    }
-
-    /// Accounts for gate fusion in the simulated (gate-level) path.
-    ///
-    /// At the sizes where the crossover matters the state vector no
-    /// longer fits in cache, so `t_apply_u` is memory-bound and scales
-    /// with the number of state-vector entries written per application of
-    /// `U` — not with the gate count. Unfused execution writes
-    /// `unfused_entries` (the sum of `qcemu_sim::touched_entries` over
-    /// the circuit); the fused circuit writes `fused_entries`
-    /// (`FusedCircuit::touched_entries`). Rescaling `t_apply_u` by their
-    /// ratio keeps the advisor honest: fusion makes simulation cheaper,
-    /// so the crossover precision `b` moves *up*, and an advisor that
-    /// skipped this correction would abandon simulation too early.
-    pub fn with_fused_apply(mut self, unfused_entries: usize, fused_entries: usize) -> QpeTimings {
-        assert!(
-            unfused_entries > 0 && fused_entries > 0,
-            "traffic estimates must be positive"
-        );
-        self.t_apply_u *= fused_entries as f64 / unfused_entries as f64;
-        self
     }
 
     /// Smallest `b` (≤ 64) at which repeated squaring beats simulation,
@@ -252,10 +222,10 @@ impl CostModel {
     /// path, generalised beyond QPE.
     ///
     /// Calibrating at startup is what keeps the planner honest across
-    /// kernel changes: enabling the `simd` feature speeds the fused
-    /// dense product up by more than the butterfly sweep and far more
-    /// than classical label evaluation, so crossover points genuinely
-    /// move — a [`HybridExecutor`](crate::executor::HybridExecutor) fed
+    /// kernel changes and hosts: the AVX2 kernels speed the fused dense
+    /// product up by more than the butterfly sweep and far more than
+    /// classical label evaluation, so crossover points genuinely move
+    /// between a CPU that has them and one that does not — a [`HybridExecutor`](crate::executor::HybridExecutor) fed
     /// this model (`HybridExecutor::calibrated()`) shifts its per-op
     /// backend choices automatically instead of trusting the hand-tuned
     /// [`CostModel::default`] ratios.
@@ -774,42 +744,6 @@ mod tests {
         // One step before the crossover simulation must still win.
         assert!(t.t_sim(x - 1) <= t.t_eigendecomposition());
         assert!(t.t_sim(x) > t.t_eigendecomposition());
-    }
-
-    #[test]
-    fn fusion_raises_the_simulation_crossover() {
-        // Fusion only makes the gate-level path cheaper, so every
-        // emulation crossover moves to a higher precision (or stays put).
-        let t = model().predict(10, 37);
-        let fused = t.with_fused_apply(4, 1); // 4× less traffic
-        assert!(fused.t_apply_u < t.t_apply_u);
-        let x = t.crossover_repeated_squaring().unwrap();
-        let xf = fused.crossover_repeated_squaring().unwrap();
-        assert!(xf >= x, "fused crossover {xf} must be ≥ unfused {x}");
-        let e = t.crossover_eigendecomposition().unwrap();
-        let ef = fused.crossover_eigendecomposition().unwrap();
-        assert!(ef >= e);
-    }
-
-    #[test]
-    fn fused_timings_from_real_circuit_traffic() {
-        // Feed the advisor the actual traffic of a fused QFT (the count
-        // `perf_suite` reports as `sim.touched_entries`).
-        use qcemu_sim::{qft_circuit, FusionPolicy};
-        let n = 10;
-        let c = qft_circuit(n);
-        let unfused = c.fuse(&FusionPolicy::Disabled).touched_entries(n);
-        let fused = c
-            .fuse(&FusionPolicy::Greedy {
-                max_fused_qubits: 5,
-            })
-            .touched_entries(n);
-        assert!(fused < unfused, "fusion must cut QFT traffic");
-        let t = model().predict(n, c.gate_count());
-        let tf = t.with_fused_apply(unfused, fused);
-        assert!(
-            tf.crossover_repeated_squaring().unwrap() >= t.crossover_repeated_squaring().unwrap()
-        );
     }
 
     #[test]

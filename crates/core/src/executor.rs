@@ -14,6 +14,12 @@
 //!   whichever backend the generalized [`CostModel`] predicts is
 //!   cheapest, and [`HybridExecutor::run_with_report`] returns the
 //!   per-op audit trail.
+//!
+//! A plan is a function of the program's structure, the cost model and
+//! the config — it holds nothing built from a closure — so the
+//! [`HybridExecutor`] memoises it by
+//! [`structure_hash`](QuantumProgram::structure_hash) alone: the same
+//! rule [`crate::batch::BatchExecutor`] and the daemon follow.
 
 use crate::crossover::{CostModel, QpeTimings};
 use crate::error::EmuError;
@@ -207,16 +213,16 @@ impl Executor for Emulator {
 ///
 /// ## Plan caching
 ///
-/// Planning is not free: the hybrid lowering runs the fusion engine to
-/// price the fused candidates, and re-ran on **every** `run()` before
-/// this cache existed. The executor memoises plans (which carry the
-/// fused circuits) in a [`SharedPlanCache`]: a bounded, LRU-evicted map
+/// Planning is not free: the hybrid lowering builds every gate impl and
+/// runs the fusion engine to price the fused candidates. The executor
+/// memoises plans in a [`SharedPlanCache`]: a bounded, LRU-evicted map
 /// keyed on the program's
 /// [`structure_hash`](QuantumProgram::structure_hash), validated against
-/// the model and config that produced each entry. Repeated `run()`s of
-/// the same program skip planning and fusion entirely; distinct
-/// structures occupy distinct slots up to the capacity bound; swapping
-/// the model or config ([`HybridExecutor::with_model`] /
+/// the model and config that produced each entry. A plan holds nothing
+/// built from a closure, so that key is the whole rule: repeated `run()`s
+/// of one program, and a sweep of distinct programs of one shape, lower
+/// once; distinct structures occupy distinct slots up to the capacity
+/// bound; swapping the model or config ([`HybridExecutor::with_model`] /
 /// [`HybridExecutor::with_config`]) detaches the executor onto a fresh
 /// cache. Clones of the executor share the cache, and an external cache
 /// can be attached with [`HybridExecutor::with_plan_cache`] so many
@@ -251,8 +257,8 @@ impl HybridExecutor {
     /// Hybrid executor driven by the **measured** host rates
     /// ([`CostModel::calibrated`]): the first call pays a few tens of
     /// milliseconds of micro-benchmarks, after which per-op dispatch
-    /// tracks what this machine (and this build — SIMD on or off)
-    /// actually does, not the hand-tuned default ratios.
+    /// tracks what this machine (and the kernels its CPU check selected,
+    /// AVX2 or scalar) actually does, not the hand-tuned default ratios.
     pub fn calibrated() -> HybridExecutor {
         HybridExecutor::new().with_model(CostModel::calibrated())
     }
@@ -309,18 +315,15 @@ impl HybridExecutor {
     /// The cost-model-driven plan for `program` — inspect (or `{}`-print)
     /// it to see the per-op dispatch before running anything.
     pub fn plan(&self, program: &QuantumProgram) -> ExecutionPlan {
-        (*self.plan_cached(program)).clone()
+        (*self.shared_plan(program)).clone()
     }
 
-    /// The memoised plan for `program`, if the cache currently holds one
-    /// that is valid for it (and for this executor's model/config).
+    /// The memoised plan for `program`'s structure, if the cache currently
+    /// holds one lowered under this executor's model/config — a peek: no
+    /// lowering, no hit or miss counted.
     pub fn cached_plan(&self, program: &QuantumProgram) -> Option<Arc<ExecutionPlan>> {
-        self.cache.peek(
-            program.structure_hash(),
-            &self.model,
-            &self.config,
-            Some(program.instance_id()),
-        )
+        self.cache
+            .peek(program.structure_hash(), &self.model, &self.config)
     }
 
     /// How many times a `run()`/`plan()` had to lower from scratch —
@@ -329,73 +332,40 @@ impl HybridExecutor {
         self.cache.misses()
     }
 
-    /// Returns a cached plan valid for `program`'s **structure** — the
-    /// batch and serving entry point
-    /// ([`crate::batch::BatchExecutor`],
-    /// [`HybridExecutor::run_structural`]).
-    ///
-    /// Unlike [`HybridExecutor::plan`], a cache hit does **not** require
-    /// the same `instance_id`: any program with the same
+    /// The plan for `program`'s **structure**: the cached one, or a fresh
+    /// lowering that is cached for every later program of the same
     /// [`structure_hash`](QuantumProgram::structure_hash) (under the same
-    /// model and config) reuses the lowering. This is safe only because
-    /// [`PlanInterpreter::run_members`] never executes a carried
-    /// closure-built artifact against a different instance. Misses count
-    /// toward
-    /// [`HybridExecutor::plan_cache_misses`] like any other lowering, and
-    /// concurrent misses on one structure collapse to a single lowering
-    /// (see [`SharedPlanCache`]).
-    pub fn plan_structural(&self, program: &QuantumProgram) -> Arc<ExecutionPlan> {
-        self.cache.get_or_plan(
-            program.structure_hash(),
-            &self.model,
-            &self.config,
-            None,
-            program.instance_id(),
-            || plan(program, &self.model, &self.config, Policy::Cheapest),
-        )
+    /// model and config). The one lookup behind `run`, `plan`,
+    /// [`crate::batch::BatchExecutor`] and the daemon. Misses count toward
+    /// [`HybridExecutor::plan_cache_misses`], and concurrent misses on one
+    /// structure collapse to a single lowering (see [`SharedPlanCache`]).
+    pub fn shared_plan(&self, program: &QuantumProgram) -> Arc<ExecutionPlan> {
+        self.cache
+            .get_or_plan(program.structure_hash(), &self.model, &self.config, || {
+                plan(program, &self.model, &self.config, Policy::Cheapest)
+            })
     }
 
-    /// Returns the cached plan or lowers (and caches) a fresh one.
-    fn plan_cached(&self, program: &QuantumProgram) -> Arc<ExecutionPlan> {
-        self.cache.get_or_plan(
-            program.structure_hash(),
-            &self.model,
-            &self.config,
-            Some(program.instance_id()),
-            program.instance_id(),
-            || plan(program, &self.model, &self.config, Policy::Cheapest),
-        )
-    }
-
-    /// Runs `program` under the **structure-keyed** plan cache: any
-    /// cached plan with the same
-    /// [`structure_hash`](QuantumProgram::structure_hash) is reused, even
-    /// if it was lowered from a different program instance (a different
-    /// request carrying different closure parameters). This is the
-    /// serving fast path — N requests with the same shape plan and fuse
-    /// once — at the cost of rebuilding closure-derived circuits when the
-    /// plan instance differs (see
-    /// [`PlanInterpreter::run_members`], of which this is the one-member
-    /// call).
+    /// Alias of [`HybridExecutor::run_with_report`], kept for `perf_suite`
+    /// and the serving tests, which call it by this name.
     pub fn run_structural(
         &self,
         program: &QuantumProgram,
         initial: StateVector,
     ) -> Result<(StateVector, PlanReport), EmuError> {
-        let plan = self.plan_structural(program);
-        PlanInterpreter::new(self.config).run_one(program, &plan, initial)
+        self.run_with_report(program, initial)
     }
 
     /// Runs the program and returns the final state together with the
     /// per-op audit report (backend, predicted and measured cost).
-    /// Repeated calls with the same program reuse the memoised plan —
-    /// planning and fusion are paid once.
+    /// Repeated calls with programs of one structure reuse the memoised
+    /// plan — planning and fusion are paid once.
     pub fn run_with_report(
         &self,
         program: &QuantumProgram,
         initial: StateVector,
     ) -> Result<(StateVector, PlanReport), EmuError> {
-        let plan = self.plan_cached(program);
+        let plan = self.shared_plan(program);
         self.run_plan(program, &plan, initial)
     }
 
@@ -647,20 +617,60 @@ mod tests {
     }
 
     #[test]
-    fn cached_plan_is_not_served_to_a_different_program_instance() {
-        // A structurally identical rebuild gets a fresh instance_id, so
-        // the cache misses (its steps may carry the old instance's
-        // closures) — and execution still succeeds.
+    fn alternating_same_structure_programs_plan_once_and_keep_their_own_closures() {
+        use crate::program::RotationOp;
+        // One shape, three closure parameters per program: the constant a
+        // map (named without it) XORs in, the slope of a rotation, the
+        // value an oracle marks.
+        let member = |k: u64, slope: f64| {
+            let mut pb = ProgramBuilder::new();
+            let x = pb.register("x", 3);
+            let y = pb.register("y", 3);
+            let ind = pb.register("ind", 1);
+            pb.hadamard_all(x);
+            pb.classical(stdops::xor_constant(y, k));
+            pb.rotation(RotationOp {
+                name: "sweep".into(),
+                x,
+                target: ind,
+                angle: Arc::new(move |v| slope * (v as f64 + 0.5)),
+                gate_impl: None,
+            });
+            pb.phase_oracle(stdops::phase_if(
+                "mark",
+                vec![x],
+                std::f64::consts::PI,
+                move |v| v[0] == k,
+            ));
+            pb.qft(y);
+            pb.build().unwrap()
+        };
+        let programs = [
+            member(1, 0.2),
+            member(6, 0.5),
+            member(3, 0.9),
+            member(5, 1.3),
+        ];
+        let initial = StateVector::zero_state(programs[0].n_qubits());
+        let references: Vec<StateVector> = programs
+            .iter()
+            .map(|p| Emulator::new().run(p, initial.clone()).unwrap())
+            .collect();
+        assert!(references[0].max_diff_up_to_phase(&references[1]) > 1e-2);
+
         let exec = HybridExecutor::new();
-        let prog_a = multiplication_program(2);
-        exec.run(&prog_a, StateVector::zero_state(prog_a.n_qubits()))
-            .unwrap();
-        let prog_b = multiplication_program(2);
-        assert_eq!(prog_a.structure_hash(), prog_b.structure_hash());
-        assert!(exec.cached_plan(&prog_b).is_none());
-        exec.run(&prog_b, StateVector::zero_state(prog_b.n_qubits()))
-            .unwrap();
-        assert_eq!(exec.plan_cache_misses(), 2);
+        for round in 0..2 {
+            for (i, (prog, reference)) in programs.iter().zip(&references).enumerate() {
+                let out = exec.run(prog, initial.clone()).unwrap();
+                let diff = out.max_diff_up_to_phase(reference);
+                assert!(diff < 1e-12, "round {round}, program {i}: {diff}");
+            }
+        }
+        assert_eq!(
+            exec.plan_cache_misses(),
+            1,
+            "four programs of one structure, alternating, share one lowering"
+        );
     }
 
     #[test]

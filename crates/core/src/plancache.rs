@@ -1,18 +1,19 @@
 //! Shared, bounded plan cache: one lowering per circuit structure.
 //!
-//! The [`HybridExecutor`](crate::executor::HybridExecutor) used to
-//! memoise a single plan — enough for "run the same program again", but
-//! not for a multi-tenant serving process where many clients submit the
-//! same circuit *shape* with different parameters. [`SharedPlanCache`] is
-//! the extraction of that cache into a first-class object:
+//! An [`ExecutionPlan`] is a function of a program's structure, the
+//! [`CostModel`] and the [`SimConfig`] — it holds nothing built from a
+//! closure — so there is one rule, for the solo executor, the batch
+//! executor and the daemon alike: a plan is looked up by those three and
+//! serves every program of that structure. [`SharedPlanCache`] is:
 //!
 //! * **keyed on [`structure_hash`](crate::program::QuantumProgram::structure_hash)** —
-//!   requests that differ only in closure-carried parameters (rotation
+//!   programs that differ only in closure-carried parameters (rotation
 //!   angles, classical map bodies) share one lowering, so planning,
 //!   cost-model evaluation, and gate fusion are paid once per shape;
 //! * **bounded, LRU-evicted** — a long-lived daemon serving thousands of
 //!   distinct shapes stays at a fixed memory footprint (each entry
-//!   carries fused circuits, which are not small);
+//!   carries the fused streams of its raw gate runs, which are not
+//!   small);
 //! * **single-flight** — when several threads miss on the same key
 //!   simultaneously, exactly one lowers the plan while the rest block on
 //!   a condition variable and then share the result. This is what makes
@@ -35,9 +36,9 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Default number of distinct structures a cache retains.
 ///
-/// Plans carry fused block streams and synthesized gate-impl circuits, so
-/// an entry for a wide arithmetic program can reach megabytes; 32 shapes
-/// comfortably covers a serving mix while bounding worst-case footprint.
+/// Plans carry the fused block streams of their raw gate runs, so an
+/// entry for a deep circuit can reach megabytes; 32 shapes comfortably
+/// covers a serving mix while bounding worst-case footprint.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 32;
 
 /// A bounded, structure-keyed, thread-shared cache of
@@ -70,11 +71,6 @@ struct CacheState {
 
 #[derive(Debug)]
 struct CacheEntry {
-    /// `instance_id` of the program the plan was lowered from. Structural
-    /// lookups ignore it; instance-strict lookups (the solo executor
-    /// path, whose plans may be executed with their carried closure-built
-    /// artifacts) require it to match.
-    instance_id: u64,
     model: CostModel,
     config: SimConfig,
     plan: Arc<ExecutionPlan>,
@@ -165,48 +161,35 @@ impl SharedPlanCache {
 
     /// The cached plan for `structure_hash` under `model`/`config`, if
     /// present — without counting a hit or a miss, and without waiting on
-    /// in-flight lowerings. When `require_instance` is set, the entry
-    /// must additionally have been lowered from that program instance.
+    /// in-flight lowerings.
     pub fn peek(
         &self,
         structure_hash: u64,
         model: &CostModel,
         config: &SimConfig,
-        require_instance: Option<u64>,
     ) -> Option<Arc<ExecutionPlan>> {
         let state = self.shared.state.lock().unwrap();
         state
             .entries
             .get(&structure_hash)
             .filter(|e| e.valid_for(model, config))
-            .filter(|e| require_instance.is_none_or(|id| e.instance_id == id))
             .map(|e| Arc::clone(&e.plan))
     }
 
     /// Returns the cached plan for `structure_hash`, lowering it with
     /// `lower` on a miss (single-flight: concurrent misses on the same
     /// key run `lower` exactly once and share the result).
-    ///
-    /// `require_instance` makes a hit additionally demand that the entry
-    /// was lowered from that specific program instance — the solo
-    /// executor path, whose plans are executed together with their
-    /// carried closure-built artifacts. `planned_instance` is recorded
-    /// with the entry when `lower` runs.
     pub fn get_or_plan(
         &self,
         structure_hash: u64,
         model: &CostModel,
         config: &SimConfig,
-        require_instance: Option<u64>,
-        planned_instance: u64,
         lower: impl FnOnce() -> ExecutionPlan,
     ) -> Arc<ExecutionPlan> {
         let mut state = self.shared.state.lock().unwrap();
         loop {
             if let Some(entry) = state.entries.get_mut(&structure_hash) {
-                if entry.valid_for(model, config)
-                    && require_instance.is_none_or(|id| entry.instance_id == id)
-                {
+                if entry.valid_for(model, config) {
                     state.tick += 1;
                     let tick = state.tick;
                     let entry = state.entries.get_mut(&structure_hash).unwrap();
@@ -215,9 +198,9 @@ impl SharedPlanCache {
                     self.shared.hits.fetch_add(1, Ordering::Relaxed);
                     return plan;
                 }
-                // Present but invalid (stale model/config, or a different
-                // instance on a strict lookup): fall through and re-plan;
-                // the insert below replaces the entry in place.
+                // Present but lowered under another model/config: fall
+                // through and re-plan; the insert below replaces the
+                // entry in place.
             }
             if state.in_flight.contains(&structure_hash) {
                 // Someone else is lowering this key: wait and re-check.
@@ -235,17 +218,16 @@ impl SharedPlanCache {
         };
         self.shared.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(lower());
-        self.insert_locked(structure_hash, planned_instance, model, config, &plan);
+        self.insert(structure_hash, model, config, &plan);
         drop(guard);
         plan
     }
 
     /// Upserts an entry, evicting the least-recently-used other entry if
     /// the capacity bound is exceeded.
-    fn insert_locked(
+    fn insert(
         &self,
         structure_hash: u64,
-        instance_id: u64,
         model: &CostModel,
         config: &SimConfig,
         plan: &Arc<ExecutionPlan>,
@@ -256,7 +238,6 @@ impl SharedPlanCache {
         state.entries.insert(
             structure_hash,
             CacheEntry {
-                instance_id,
                 model: *model,
                 config: *config,
                 plan: Arc::clone(plan),
@@ -309,8 +290,6 @@ mod tests {
             p.structure_hash(),
             &CostModel::default(),
             &SimConfig::fused(4),
-            None,
-            p.instance_id(),
             || lower(p),
         )
     }
@@ -340,15 +319,9 @@ mod tests {
         assert_eq!(cache.evictions(), 1);
         let model = CostModel::default();
         let config = SimConfig::fused(4);
-        assert!(cache
-            .peek(p3.structure_hash(), &model, &config, None)
-            .is_some());
-        assert!(cache
-            .peek(p4.structure_hash(), &model, &config, None)
-            .is_none());
-        assert!(cache
-            .peek(p5.structure_hash(), &model, &config, None)
-            .is_some());
+        assert!(cache.peek(p3.structure_hash(), &model, &config).is_some());
+        assert!(cache.peek(p4.structure_hash(), &model, &config).is_none());
+        assert!(cache.peek(p5.structure_hash(), &model, &config).is_some());
     }
 
     #[test]
@@ -361,46 +334,15 @@ mod tests {
             p.structure_hash(),
             &CostModel::default(),
             &other_config,
-            None,
-            p.instance_id(),
             || plan(&p, &CostModel::default(), &other_config, Policy::Cheapest),
         );
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 1, "same key: replaced, not duplicated");
         // The replacement is what peek now sees under the new config.
         let seen = cache
-            .peek(
-                p.structure_hash(),
-                &CostModel::default(),
-                &other_config,
-                None,
-            )
+            .peek(p.structure_hash(), &CostModel::default(), &other_config)
             .unwrap();
         assert!(Arc::ptr_eq(&plan, &seen));
-    }
-
-    #[test]
-    fn instance_strict_lookups_do_not_share_across_instances() {
-        let cache = SharedPlanCache::new(4);
-        let a = qft_program(3);
-        let b = qft_program(3);
-        let model = CostModel::default();
-        let config = SimConfig::fused(4);
-        cache.get_or_plan(
-            a.structure_hash(),
-            &model,
-            &config,
-            Some(a.instance_id()),
-            a.instance_id(),
-            || lower(&a),
-        );
-        assert!(cache
-            .peek(b.structure_hash(), &model, &config, Some(b.instance_id()))
-            .is_none());
-        // …but a structural peek shares freely.
-        assert!(cache
-            .peek(b.structure_hash(), &model, &config, None)
-            .is_some());
     }
 
     #[test]
@@ -418,8 +360,6 @@ mod tests {
                         p.structure_hash(),
                         &CostModel::default(),
                         &SimConfig::fused(4),
-                        None,
-                        p.instance_id(),
                         || {
                             lowered.fetch_add(1, Ordering::SeqCst);
                             lower(p)

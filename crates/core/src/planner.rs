@@ -135,27 +135,23 @@ pub struct PlanStep {
     /// Work qubits this step needs above the program space (simulation
     /// backends only).
     pub n_ancilla: usize,
-    /// Deferred-build circuit (classical/phase/rotation gate impls)
-    /// materialised during costing — carried so execution does not
-    /// rebuild it.
-    pub(crate) circuit: Option<Circuit>,
-    /// Fused block stream priced by the cost model — reused directly by
-    /// fused execution (fusion is semantics-preserving at any window, so
-    /// a cached stream is always state-correct).
+    /// Fused block stream of a raw gate run, as the cost model priced it —
+    /// reused directly by fused execution (the structure hash covers a raw
+    /// run bit for bit, and fusion is semantics-preserving at any window).
+    /// Nothing built from a closure is ever carried: such a step builds
+    /// its circuit from the member it is executing.
     pub(crate) fused: Option<FusedCircuit>,
 }
 
 /// A fully lowered program: an ordered list of [`PlanStep`]s plus the
-/// ancilla head-room their union requires.
+/// ancilla head-room their union requires. A plan holds nothing derived
+/// from a closure, so it serves every program of its structure.
 #[derive(Clone, Debug)]
 pub struct ExecutionPlan {
     steps: Vec<PlanStep>,
     n_ancilla: usize,
-    /// `instance_id` of the program this plan was lowered from: the only
-    /// instance whose closures the carried circuits were built from.
-    program_id: u64,
-    /// `structure_hash` of that program; execution refuses any other
-    /// structure (steps index its op list).
+    /// `structure_hash` of the program the plan was lowered from;
+    /// execution refuses any other structure (steps index its op list).
     structure: u64,
 }
 
@@ -177,22 +173,10 @@ impl ExecutionPlan {
         self.steps.iter().map(|s| s.predicted_s).sum()
     }
 
-    /// `instance_id` of the program this plan was lowered from.
-    ///
-    /// [`PlanInterpreter::execute`] refuses any other instance;
-    /// [`PlanInterpreter::run_members`] accepts every instance of the
-    /// same structure and uses this to decide, member by member, whether
-    /// carried closure-built artifacts may be executed directly or must
-    /// be re-derived.
-    pub fn planned_from(&self) -> u64 {
-        self.program_id
-    }
-
     fn from_steps(program: &QuantumProgram, steps: Vec<PlanStep>) -> ExecutionPlan {
         ExecutionPlan {
             n_ancilla: headroom(&steps),
             steps,
-            program_id: program.instance_id(),
             structure: program.structure_hash(),
         }
     }
@@ -469,18 +453,17 @@ fn op_label(program: &QuantumProgram, op: &HighLevelOp) -> String {
     }
 }
 
-/// An op's gate-level implementation, built once per op per walk and only
+/// An op's gate-level implementation, built once per [`plan`] call and only
 /// when some candidate simulates.
 enum GatePath<'p> {
     /// The op has none (or no candidate asked for it).
     None,
-    /// A concrete circuit on absolute program qubits: a raw gate run
-    /// (borrowed) or a closure-built gate impl (owned — the plan carries
-    /// it so execution does not rebuild it).
-    Absolute {
-        circuit: Cow<'p, Circuit>,
-        n_ancilla: usize,
-    },
+    /// A raw gate run on absolute program qubits, borrowed from the op.
+    Raw(&'p Circuit),
+    /// A gate impl built from the op's closure, on absolute program qubits
+    /// plus `n_ancilla` work qubits. Priced, never carried: execution
+    /// builds it again from the member it runs.
+    Built { circuit: Circuit, n_ancilla: usize },
     /// A register QFT on the register's *relative* qubits. Execution
     /// remaps it onto the program, so nothing built from it is carried,
     /// and it has no compressed candidate: QFT entanglement saturates any
@@ -494,15 +477,12 @@ enum GatePath<'p> {
 
 impl<'p> GatePath<'p> {
     fn of(program: &'p QuantumProgram, op: &'p HighLevelOp) -> GatePath<'p> {
-        let built = |gi: &crate::program::GateImpl| GatePath::Absolute {
-            circuit: Cow::Owned((gi.build)(program)),
+        let built = |gi: &crate::program::GateImpl| GatePath::Built {
+            circuit: (gi.build)(program),
             n_ancilla: gi.n_ancilla,
         };
         match op {
-            HighLevelOp::Gates(c) => GatePath::Absolute {
-                circuit: Cow::Borrowed(c),
-                n_ancilla: 0,
-            },
+            HighLevelOp::Gates(c) => GatePath::Raw(c),
             HighLevelOp::Classical(cm) => cm.gate_impl.as_ref().map_or(GatePath::None, built),
             HighLevelOp::Phase(po) => po.gate_impl.as_ref().map_or(GatePath::None, built),
             HighLevelOp::Rotation(ro) => ro.gate_impl.as_ref().map_or(
@@ -519,15 +499,76 @@ impl<'p> GatePath<'p> {
         }
     }
 
+    /// The path's circuit on absolute program qubits, if it is one.
+    fn absolute(&self) -> Option<&Circuit> {
+        match self {
+            GatePath::Raw(c) => Some(c),
+            GatePath::Built { circuit, .. } => Some(circuit),
+            _ => None,
+        }
+    }
+
     fn n_ancilla(&self) -> usize {
         match self {
-            GatePath::Absolute { n_ancilla, .. } => *n_ancilla,
+            GatePath::Built { n_ancilla, .. } => *n_ancilla,
             _ => 0,
         }
     }
 }
 
-/// What one op's candidates are priced against.
+/// Everything about one op that pricing needs and the ancilla head-room
+/// does not change, built once per [`plan`] call.
+struct Candidates<'p> {
+    op: &'p HighLevelOp,
+    /// The policy's candidate set, in tie-breaking order.
+    set: Vec<Backend>,
+    path: GatePath<'p>,
+    /// Whether the op's χ certificate covers the state it receives (see
+    /// `certify_prefix`); without it the compressed candidate is not
+    /// offered.
+    offer_mps: bool,
+}
+
+impl<'p> Candidates<'p> {
+    fn of_program(
+        program: &'p QuantumProgram,
+        model: &CostModel,
+        config: &SimConfig,
+        policy: Policy<'_>,
+    ) -> Vec<Candidates<'p>> {
+        let mut mps_prefix = match (policy, config.mps) {
+            (Policy::Cheapest, MpsPolicy::Auto { .. }) => Some(Circuit::new(program.n_qubits())),
+            _ => None,
+        };
+        program
+            .ops()
+            .iter()
+            .map(|op| {
+                let set = policy.candidates(program, op, model, config);
+                let path = if set.iter().any(|b| b.is_simulate()) {
+                    GatePath::of(program, op)
+                } else {
+                    GatePath::None
+                };
+                let offer_mps = match config.mps {
+                    MpsPolicy::Auto { max_bond } => {
+                        certify_prefix(&mut mps_prefix, op, &path, max_bond)
+                    }
+                    MpsPolicy::Forced { .. } => true,
+                    MpsPolicy::Disabled => false,
+                };
+                Candidates {
+                    op,
+                    set,
+                    path,
+                    offer_mps,
+                }
+            })
+            .collect()
+    }
+}
+
+/// What one walk prices every op against.
 struct Pricing<'a> {
     program: &'a QuantumProgram,
     model: &'a CostModel,
@@ -538,11 +579,6 @@ struct Pricing<'a> {
     /// Ancilla head-room the rest of the plan already commits to: every
     /// sweep in the run pays `2^{n + n_anc_plan}` entries.
     n_anc_plan: usize,
-    path: GatePath<'a>,
-    /// Whether the op's χ certificate covers the state it receives (see
-    /// `certify_prefix`); without it the compressed candidate is not
-    /// offered.
-    offer_mps: bool,
 }
 
 /// A priced candidate: model seconds, plus the fused block stream if
@@ -553,13 +589,13 @@ struct Priced {
 }
 
 impl Pricing<'_> {
-    /// Predicted cost of `op` on `backend`, or `None` when the backend
+    /// Predicted cost of `cand.op` on `backend`, or `None` when the backend
     /// cannot run the op (no shortcut, no gate-level implementation, no
     /// χ certificate). The only caller of the [`CostModel`] `t_*` laws.
-    fn price(&self, op: &HighLevelOp, backend: Backend) -> Option<Priced> {
+    fn price(&self, cand: &Candidates<'_>, backend: Backend) -> Option<Priced> {
         let (model, program) = (self.model, self.program);
         let n_state = program.n_qubits() + self.n_anc_plan;
-        let cost = match (backend, op) {
+        let cost = match (backend, cand.op) {
             (Backend::EmulateClassical, HighLevelOp::Classical(cm)) => {
                 let k: usize = cm.regs.iter().map(|&r| program.register(r).len).sum();
                 model.t_classical_emulated(n_state, k)
@@ -585,18 +621,18 @@ impl Pricing<'_> {
                 let b = program.register(qpe.phase).len;
                 model.t_qpe(n_state, m, qpe.unitary.gate_count().max(1), b, strategy)
             }
-            (b, _) if b.is_simulate() => return self.price_gate_path(b),
+            (b, _) if b.is_simulate() => return self.price_gate_path(cand, b),
             _ => return None,
         };
         Some(Priced { cost, fused: None })
     }
 
-    fn price_gate_path(&self, backend: Backend) -> Option<Priced> {
+    fn price_gate_path(&self, cand: &Candidates<'_>, backend: Backend) -> Option<Priced> {
         let model = self.model;
         // An op whose own gate path needs more ancillas than the plan
         // reserves is priced at its own (larger) width.
-        let n_sim = self.program.n_qubits() + self.n_anc_plan.max(self.path.n_ancilla());
-        let (c, absolute) = match &self.path {
+        let n_sim = self.program.n_qubits() + self.n_anc_plan.max(cand.path.n_ancilla());
+        let c = match &cand.path {
             GatePath::None => return None,
             GatePath::RotationExpansion { x_bits } => {
                 return (!matches!(backend, Backend::SimulateMps { .. })).then(|| Priced {
@@ -604,22 +640,23 @@ impl Pricing<'_> {
                     fused: None,
                 })
             }
-            GatePath::Absolute { circuit, .. } => (&**circuit, true),
-            GatePath::RegisterQft(c) => (c, false),
+            GatePath::Raw(c) => *c,
+            GatePath::Built { circuit, .. } | GatePath::RegisterQft(circuit) => circuit,
         };
         let mut fused = None;
         let cost = match backend {
             Backend::SimulateGateLevel => model.t_gates(c.touched_entries(n_sim), c.gate_count()),
             // The fused estimate actually runs the fusion engine (matrix
             // compose + classify per block), which is why each flavour is
-            // priced only when a candidate set asks for it.
+            // priced only when a candidate set asks for it. Only a raw
+            // run's stream is kept for the plan.
             Backend::SimulateFused => {
                 let fc = c.fuse(&FusionPolicy::Greedy {
                     max_fused_qubits: self.window,
                 });
                 let t =
                     model.t_gates_fused(fc.touched_entries(n_sim), c.gate_count(), fc.ops().len());
-                fused = absolute.then_some(fc);
+                fused = matches!(cand.path, GatePath::Raw(_)).then_some(fc);
                 t
             }
             // Priced with the policy `SimConfig::segmented()` executes
@@ -642,7 +679,9 @@ impl Pricing<'_> {
             // estimate means execution *would* truncate and fall back to
             // a dense re-run anyway — pricing that as "cheap" would bias
             // the planner toward a path it can never take.
-            Backend::SimulateMps { max_bond } if absolute && self.offer_mps => {
+            Backend::SimulateMps { max_bond }
+                if cand.offer_mps && cand.path.absolute().is_some() =>
+            {
                 let est = estimate_mps_cost(c, max_bond);
                 if !est.exact {
                     return None;
@@ -668,7 +707,7 @@ fn certify_prefix(
     path: &GatePath<'_>,
     max_bond: usize,
 ) -> bool {
-    let (Some(before), GatePath::Absolute { circuit, .. }) = (prefix.take(), path) else {
+    let (Some(before), Some(circuit)) = (prefix.take(), path.absolute()) else {
         return false;
     };
     // Only a gate impl with ancillas is wider than the program's own runs.
@@ -687,59 +726,21 @@ fn certify_prefix(
     exact
 }
 
-/// One pass over the program at head-room `n_anc_plan`: per op, build the
-/// gate path once, price the policy's candidates (or the one `fixed`
-/// backend), keep the cheapest.
-fn walk(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-    policy: Policy<'_>,
-    n_anc_plan: usize,
-    fixed: Option<&[Backend]>,
-) -> Vec<PlanStep> {
-    let window = match config.fusion {
-        FusionPolicy::Greedy { max_fused_qubits } => max_fused_qubits,
-        FusionPolicy::Disabled => DEFAULT_MAX_FUSED_QUBITS,
-    };
-    let mut mps_prefix = match (policy, config.mps) {
-        (Policy::Cheapest, MpsPolicy::Auto { .. }) => Some(Circuit::new(program.n_qubits())),
-        _ => None,
-    };
-    program
-        .ops()
-        .iter()
+/// One pass over the program at the head-room `pricing` carries: per op,
+/// price its candidate set (or the one `fixed` backend), keep the cheapest.
+fn walk(pricing: &Pricing<'_>, ops: &[Candidates<'_>], fixed: Option<&[Backend]>) -> Vec<PlanStep> {
+    ops.iter()
         .enumerate()
-        .map(|(i, op)| {
+        .map(|(i, cand)| {
             let set = match fixed {
-                Some(backends) => vec![backends[i]],
-                None => policy.candidates(program, op, model, config),
-            };
-            let path = if set.iter().any(|b| b.is_simulate()) {
-                GatePath::of(program, op)
-            } else {
-                GatePath::None
-            };
-            let offer_mps = match config.mps {
-                MpsPolicy::Auto { max_bond } => {
-                    certify_prefix(&mut mps_prefix, op, &path, max_bond)
-                }
-                MpsPolicy::Forced { .. } => true,
-                MpsPolicy::Disabled => false,
-            };
-            let pricing = Pricing {
-                program,
-                model,
-                window,
-                n_anc_plan,
-                path,
-                offer_mps,
+                Some(backends) => &backends[i..=i],
+                None => &cand.set[..],
             };
             // A fixed policy keeps an op its one backend cannot run, at
             // cost ∞; `Cheapest` always has a finite candidate.
             let (backend, priced) = set
                 .iter()
-                .filter_map(|&b| pricing.price(op, b).map(|p| (b, p)))
+                .filter_map(|&b| pricing.price(cand, b).map(|p| (b, p)))
                 .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
                 .unwrap_or((
                     set[0],
@@ -748,20 +749,14 @@ fn walk(
                         fused: None,
                     },
                 ));
-            // Only a simulated winner keeps what pricing built.
-            let (n_ancilla, circuit) = match pricing.path {
-                GatePath::Absolute { circuit, n_ancilla } if backend.is_simulate() => (
-                    n_ancilla,
-                    match circuit {
-                        Cow::Owned(c) => Some(c),
-                        Cow::Borrowed(_) => None,
-                    },
-                ),
-                _ => (0, None),
+            let n_ancilla = if backend.is_simulate() {
+                cand.path.n_ancilla()
+            } else {
+                0
             };
             // QPE always runs through `apply_qpe`; express a simulated
             // winner as the explicit gate-level strategy.
-            let backend = if matches!(op, HighLevelOp::Qpe(_)) && backend.is_simulate() {
+            let backend = if matches!(cand.op, HighLevelOp::Qpe(_)) && backend.is_simulate() {
                 Backend::EmulateQpe {
                     strategy: QpeStrategy::GateLevel,
                 }
@@ -770,11 +765,10 @@ fn walk(
             };
             PlanStep {
                 op_index: i,
-                op: op_label(program, op),
+                op: op_label(pricing.program, cand.op),
                 backend,
                 predicted_s: priced.cost,
                 n_ancilla,
-                circuit,
                 fused: priced.fused,
             }
         })
@@ -784,14 +778,21 @@ fn walk(
 /// Lowers `program` to an [`ExecutionPlan`]: each op goes to the cheapest
 /// backend, under `model`, among the candidates `policy` allows it.
 ///
+/// The plan is a function of the program's *structure*: what it reads from
+/// closures (a gate impl's circuit) only prices a candidate and is dropped,
+/// so the result serves every program of the same
+/// [`structure_hash`](QuantumProgram::structure_hash).
+///
 /// Backend choices couple through ancilla head-room: once any step
 /// simulates an op that needs `a` work qubits, *every* sweep in the run
 /// pays `2^{n+a}` entries. The coupling is resolved by fixed point: walk
 /// with the current head-room, recompute the head-room the chosen steps
 /// actually need, walk again until stable (the fixed policies are stable
-/// after one walk). Choices near a break-even can oscillate with the
-/// head-room (an op may simulate at width `n` but emulate at `n+1`), so
-/// iteration is capped; if no fixed point is reached, the last walk's
+/// after one walk). Each op's candidate set, gate path and χ certificate
+/// do not depend on the head-room and are built once, before the first
+/// walk; a walk only prices. Choices near a break-even can oscillate with
+/// the head-room (an op may simulate at width `n` but emulate at `n+1`),
+/// so iteration is capped; if no fixed point is reached, the last walk's
 /// choices are committed and re-priced at the head-room they will
 /// *actually* execute with, keeping the [`PlanReport`] audit consistent.
 pub fn plan(
@@ -800,13 +801,27 @@ pub fn plan(
     config: &SimConfig,
     policy: Policy<'_>,
 ) -> ExecutionPlan {
+    let ops = Candidates::of_program(program, model, config, policy);
+    let window = match config.fusion {
+        FusionPolicy::Greedy { max_fused_qubits } => max_fused_qubits,
+        FusionPolicy::Disabled => DEFAULT_MAX_FUSED_QUBITS,
+    };
+    let walk_at = |n_anc_plan: usize, fixed: Option<&[Backend]>| {
+        let pricing = Pricing {
+            program,
+            model,
+            window,
+            n_anc_plan,
+        };
+        walk(&pricing, &ops, fixed)
+    };
     let mut n_anc = match policy {
         Policy::Simulate => program.max_gate_ancillas(),
         _ => 0,
     };
     let mut steps = Vec::new();
     for _ in 0..5 {
-        steps = walk(program, model, config, policy, n_anc, None);
+        steps = walk_at(n_anc, None);
         let needed = headroom(&steps);
         if needed == n_anc {
             return ExecutionPlan::from_steps(program, steps);
@@ -814,7 +829,7 @@ pub fn plan(
         n_anc = needed;
     }
     let chosen: Vec<Backend> = steps.iter().map(|s| s.backend).collect();
-    let steps = walk(program, model, config, policy, n_anc, Some(&chosen));
+    let steps = walk_at(n_anc, Some(&chosen));
     ExecutionPlan::from_steps(program, steps)
 }
 
@@ -846,32 +861,12 @@ impl PlanInterpreter {
     }
 
     /// Runs `plan` over `program` from `initial`, returning the final
-    /// state and the per-step audit report: the one-member ensemble,
-    /// entered and left by moving the amplitude `Vec`.
-    ///
-    /// The plan must have been lowered from this exact program instance
-    /// (clones included); [`PlanInterpreter::run_members`] is the
-    /// structure-keyed entry point.
+    /// state and the per-step audit report:
+    /// [`PlanInterpreter::run_members`] for a lone program, entered and
+    /// left by moving the amplitude `Vec`. Any program of the plan's
+    /// structure will do — the plan holds nothing of the instance it was
+    /// lowered from.
     pub fn execute(
-        &self,
-        program: &QuantumProgram,
-        plan: &ExecutionPlan,
-        initial: StateVector,
-    ) -> Result<(StateVector, PlanReport), EmuError> {
-        if plan.program_id != program.instance_id() {
-            return Err(EmuError::PlanMismatch {
-                reason: format!(
-                    "plan was lowered from program instance {}, got {}",
-                    plan.program_id,
-                    program.instance_id()
-                ),
-            });
-        }
-        self.run_one(program, plan, initial)
-    }
-
-    /// [`PlanInterpreter::run_members`] for a lone program.
-    pub(crate) fn run_one(
         &self,
         program: &QuantumProgram,
         plan: &ExecutionPlan,
@@ -897,12 +892,8 @@ impl PlanInterpreter {
     /// other step — closure-bearing maps and oracles, QPE, emulated QFTs,
     /// gate impls built from closures — runs **member by member** between
     /// one de-interleave and one re-interleave, which at one member are
-    /// moves.
-    ///
-    /// Artifacts a plan carries from closures (gate-impl circuits and
-    /// their fused streams) are executed only for the member the plan was
-    /// lowered from ([`ExecutionPlan::planned_from`]); every other member
-    /// rebuilds them from its own ops.
+    /// moves; a simulated closure-bearing step builds its circuit from
+    /// the member it is executing.
     pub fn run_members<P: Borrow<QuantumProgram>>(
         &self,
         members: &[P],
@@ -951,7 +942,7 @@ impl PlanInterpreter {
         for step in &plan.steps {
             let t0 = Instant::now();
             let shared;
-            (state, shared) = self.run_step(state, &members, plan, step)?;
+            (state, shared) = self.run_step(state, &members, step)?;
             steps.push(StepReport {
                 op: step.op.clone(),
                 backend: step.backend,
@@ -1002,9 +993,9 @@ impl PlanInterpreter {
         }
     }
 
-    /// The fused block stream the planner priced, if the step carries one
-    /// and this interpreter can apply it directly (fused backend, no
-    /// elementary lowering).
+    /// The fused block stream the planner priced, if the step (a raw gate
+    /// run) carries one and this interpreter can apply it directly (fused
+    /// backend, no elementary lowering).
     fn priced_stream<'s>(&self, step: &'s PlanStep) -> Option<&'s FusedCircuit> {
         let usable = step.backend == Backend::SimulateFused && !self.elementary;
         step.fused.as_ref().filter(|_| usable)
@@ -1037,7 +1028,6 @@ impl PlanInterpreter {
         &self,
         mut state: BatchStateVector,
         members: &[&QuantumProgram],
-        plan: &ExecutionPlan,
         step: &PlanStep,
     ) -> Result<(BatchStateVector, bool), EmuError> {
         let first = members[0];
@@ -1084,8 +1074,7 @@ impl PlanInterpreter {
             _ => {
                 let mut states = state.into_states();
                 for (sv, &member) in states.iter_mut().zip(members) {
-                    let own = member.instance_id() == plan.program_id;
-                    self.member_step(sv, member, step, own)?;
+                    self.member_step(sv, member, step)?;
                 }
                 let state = match states.len() {
                     1 => BatchStateVector::from_single(states.pop().expect("one member")),
@@ -1097,32 +1086,19 @@ impl PlanInterpreter {
         Ok((state, true))
     }
 
-    /// Runs a per-member step on one member's own state. `own_artifacts`
-    /// says whether the plan's carried closure-built circuit and fused
-    /// stream were built from *this* member's closures.
+    /// Runs a per-member step on one member's own state, from that
+    /// member's own closures.
     fn member_step(
         &self,
         state: &mut StateVector,
         program: &QuantumProgram,
         step: &PlanStep,
-        own_artifacts: bool,
     ) -> Result<(), EmuError> {
         let op = &program.ops()[step.op_index];
         if step.backend.is_simulate() {
-            if let (Some(fused), true) = (self.priced_stream(step), own_artifacts) {
-                state.apply_fused_circuit(fused);
-                return Ok(());
-            }
-            let built;
-            let c = match &step.circuit {
-                Some(c) if own_artifacts => c,
-                _ => {
-                    built = gate_impl_circuit(program, op)?;
-                    &built
-                }
-            };
-            if !self.try_mps(state, c, step.backend) {
-                state.run(&self.lower(c), &self.step_config(step.backend));
+            let c = gate_impl_circuit(program, op)?;
+            if !self.try_mps(state, &c, step.backend) {
+                state.run(&self.lower(&c), &self.step_config(step.backend));
             }
             return Ok(());
         }
@@ -1682,6 +1658,82 @@ mod tests {
             .execute(&prog_b, &plan, StateVector::zero_state(prog_b.n_qubits()))
             .unwrap_err();
         assert!(matches!(err, EmuError::PlanMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_simulated_plan_runs_every_program_of_its_structure_from_its_own_closures() {
+        // `b ^= k` simulated through its X network: every `k` is one
+        // structure, and the QFT turns `k` into phases.
+        let member = |k: u64| {
+            let mut pb = ProgramBuilder::new();
+            let a = pb.register("a", 2);
+            let b = pb.register("b", 3);
+            pb.hadamard_all(a);
+            pb.classical(stdops::xor_constant(b, k));
+            pb.qft(b);
+            pb.build().unwrap()
+        };
+        let (prog_a, prog_b) = (member(5), member(3));
+        assert_eq!(prog_a.structure_hash(), prog_b.structure_hash());
+        let config = SimConfig::fused(4);
+        let plan_a = simulated(&prog_a, &model(), &config);
+        assert!(plan_a.steps().iter().all(|s| s.backend.is_simulate()));
+        let interp = PlanInterpreter::new(config);
+        let initial = StateVector::zero_state(prog_a.n_qubits());
+        for threads in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let (on_b, _) = interp.execute(&prog_b, &plan_a, initial.clone()).unwrap();
+                let own = simulated(&prog_b, &model(), &config);
+                let (reference, _) = interp.execute(&prog_b, &own, initial.clone()).unwrap();
+                assert!(on_b.max_diff_up_to_phase(&reference) < 1e-12);
+                let (on_a, _) = interp.execute(&prog_a, &plan_a, initial.clone()).unwrap();
+                assert!(on_a.max_diff_up_to_phase(&on_b) > 1e-2, "k must matter");
+            });
+        }
+    }
+
+    #[test]
+    fn a_gate_impl_is_built_once_per_plan_however_many_walks() {
+        use crate::program::{ClassicalMap, GateImpl, MapKind};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // One X through an ancilla-bearing gate impl: cheaper simulated
+        // than emulated, so the head-room moves 0 → 1 and the fixed point
+        // needs a second walk.
+        let builds = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&builds);
+        let mut pb = ProgramBuilder::new();
+        let a = pb.register("a", 10);
+        pb.hadamard_all(a);
+        pb.classical(ClassicalMap {
+            name: "flip0".into(),
+            regs: vec![a],
+            f: Arc::new(|v| v[0] ^= 1),
+            kind: MapKind::InPlaceBijection,
+            gate_impl: Some(GateImpl {
+                n_ancilla: 1,
+                build: Arc::new(move |p| {
+                    counted.fetch_add(1, Ordering::Relaxed);
+                    let mut c = Circuit::new(p.n_qubits() + 1);
+                    c.push(Gate::x(0));
+                    c
+                }),
+            }),
+        });
+        let prog = pb.build().unwrap();
+        let before = builds.load(Ordering::Relaxed);
+        let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
+        assert!(plan.steps()[1].backend.is_simulate(), "{plan}");
+        assert_eq!(
+            plan.n_ancilla(),
+            1,
+            "the head-room moved, so plan() walked twice"
+        );
+        assert_eq!(builds.load(Ordering::Relaxed) - before, 1);
     }
 
     #[test]

@@ -222,9 +222,6 @@ pub struct QuantumProgram {
     registers: Vec<ProgramRegister>,
     n_qubits: usize,
     ops: Vec<HighLevelOp>,
-    /// Unique per `ProgramBuilder::build` call (clones share it); lets an
-    /// execution plan prove it was lowered from this exact program.
-    instance_id: u64,
     /// Lazily computed [`QuantumProgram::structure_hash`], shared by
     /// clones (programs are immutable after `build`, so one walk
     /// suffices for the instance's lifetime).
@@ -232,13 +229,6 @@ pub struct QuantumProgram {
 }
 
 impl QuantumProgram {
-    /// Identity of this program instance: assigned once at build time and
-    /// shared by clones. Execution plans record it so a plan cannot be
-    /// run against a different program (ops are identified by index, and
-    /// plans may carry circuits built from the original's closures).
-    pub fn instance_id(&self) -> u64 {
-        self.instance_id
-    }
     /// Total architectural qubits (ancillas used by gate-level lowering of
     /// classical maps are *not* counted — they exist only on the simulator
     /// path).
@@ -295,14 +285,12 @@ impl QuantumProgram {
     /// hash differently (up to collisions); closures are opaque and
     /// represented by their op names only.
     ///
-    /// This is the plan-cache guard
-    /// ([`HybridExecutor`](crate::executor::HybridExecutor)): a cached
-    /// [`ExecutionPlan`](crate::planner::ExecutionPlan) is reused only
-    /// while both the [`QuantumProgram::instance_id`] (which pins the
-    /// closures) and this hash (which pins everything hashable) are
-    /// unchanged.
+    /// This is the plan-cache key
+    /// ([`SharedPlanCache`](crate::plancache::SharedPlanCache)): an
+    /// [`ExecutionPlan`](crate::planner::ExecutionPlan) holds nothing
+    /// built from a closure, so it serves every program of equal hash.
     ///
-    /// The walk is paid once per program instance (memoised, shared by
+    /// The walk is paid once per built program (memoised, shared by
     /// clones) — repeated `run()`s on the cache-hit path cost one atomic
     /// load, not a re-hash of every gate.
     pub fn structure_hash(&self) -> u64 {
@@ -518,13 +506,10 @@ impl ProgramBuilder {
 
     /// Finalises the program, validating register/op consistency.
     pub fn build(self) -> Result<QuantumProgram, EmuError> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let program = QuantumProgram {
             registers: self.registers,
             n_qubits: self.next_qubit,
             ops: self.ops,
-            instance_id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             structure_hash: Arc::new(std::sync::OnceLock::new()),
         };
         program.validate()?;
@@ -745,11 +730,10 @@ mod tests {
         let p1 = build(0.25);
         let p2 = build(0.25);
         let p3 = build(0.75);
-        // Deterministic, instance-independent, and clone-stable.
+        // Deterministic, the same for every build, and clone-stable.
         assert_eq!(p1.structure_hash(), p1.structure_hash());
         assert_eq!(p1.structure_hash(), p1.clone().structure_hash());
         assert_eq!(p1.structure_hash(), p2.structure_hash());
-        assert_ne!(p1.instance_id(), p2.instance_id());
         // An angle change (exact bit pattern) changes the hash.
         assert_ne!(p1.structure_hash(), p3.structure_hash());
         // So does an op-sequence change.

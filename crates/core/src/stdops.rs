@@ -165,6 +165,31 @@ pub fn apply_classical_fn_zero_targets(
     }
 }
 
+/// Test fixture: `reg ^= k` with its X-gate network. The name does not
+/// encode `k`, so every `k` gives one structure hash and only the two
+/// closures tell the programs apart.
+#[cfg(test)]
+pub(crate) fn xor_constant(reg: RegisterId, k: u64) -> ClassicalMap {
+    ClassicalMap {
+        name: "xor-const".into(),
+        regs: vec![reg],
+        f: Arc::new(move |v| v[0] ^= k),
+        kind: MapKind::InPlaceBijection,
+        gate_impl: Some(GateImpl {
+            n_ancilla: 0,
+            build: Arc::new(move |p| {
+                let mut c = Circuit::new(p.n_qubits());
+                for (j, q) in p.register(reg).bits().into_iter().enumerate() {
+                    if (k >> j) & 1 == 1 {
+                        c.push(Gate::x(q));
+                    }
+                }
+                c
+            }),
+        }),
+    }
+}
+
 /// Phase oracle marking a single register value: `|v⟩ ↦ e^{iθ}|v⟩` iff
 /// `v == value`. Carries a gate-level implementation (X-conjugated
 /// multi-controlled phase), so both executors can run it — the Grover

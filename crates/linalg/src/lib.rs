@@ -14,13 +14,13 @@
 //! * [`power`] — `U^{2^i}` sequences by repeated squaring (paper Eq. 7);
 //! * [`svd`](mod@svd) — one-sided Jacobi SVD (≈ `zgesvd` at small sizes), the
 //!   truncation engine of the MPS compressed backend;
-//! * [`simd`] — split-lane complex vector primitives (AVX2+FMA behind
-//!   the `simd` cargo feature, with runtime detection and a scalar
-//!   fallback) that the state-vector/FFT/dense kernels build on;
+//! * [`simd`] — split-lane complex vector primitives (AVX2+FMA chosen
+//!   by a run-time CPU check, with a scalar fallback) that the
+//!   state-vector/FFT/dense kernels build on;
 //! * [`complex`], [`matrix`], [`vector`], [`random`] — supporting types.
 //!
 //! Everything is pure Rust with no numeric dependencies; parallelism
-//! comes from rayon only, and the only `unsafe` is the feature-gated
+//! comes from rayon only, and the only `unsafe` is the x86-64
 //! `core::arch` intrinsics inside [`simd`].
 
 pub mod complex;

@@ -16,7 +16,7 @@
 //!    program ([`ErrorCode::Malformed`] / [`ErrorCode::InvalidProgram`]
 //!    on failure — a bad frame can never take the daemon down).
 //! 2. Admission control ([`AdmissionPolicy`]): qubit gate before
-//!    planning, then one `plan_structural` (cached), then the
+//!    planning, then one `shared_plan` lookup (cached), then the
 //!    cost gate classifies the job fast/queued or rejects it.
 //! 3. The job lands on the scheduler; a worker pops it (fast lane
 //!    first), waits out the batching window, and **coalesces** any
@@ -447,8 +447,8 @@ fn handle_submit(
 
     // Planning (cached, single-flight): note the warm/cold provenance
     // before the lookup so the response can report it.
-    let warm = shared.shared_cache_peek(&program).is_some();
-    let plan = shared.executor.plan_structural(&program);
+    let warm = shared.executor.cached_plan(&program).is_some();
+    let plan = shared.executor.shared_plan(&program);
 
     // Admission, stage 2: the cost gate, on the plan's predicted total.
     let lane = match shared
@@ -493,20 +493,6 @@ fn handle_submit(
     match outcome {
         Ok(result) => wire::write_frame(stream, FrameKind::Result, &result.encode()),
         Err((code, message)) => write_error(stream, code, &message),
-    }
-}
-
-impl Shared {
-    fn shared_cache_peek(
-        &self,
-        program: &QuantumProgram,
-    ) -> Option<std::sync::Arc<qcemu_core::ExecutionPlan>> {
-        self.cache.peek(
-            program.structure_hash(),
-            self.executor.model(),
-            self.executor.sim_config(),
-            None,
-        )
     }
 }
 
@@ -576,7 +562,7 @@ fn fail_batch(shared: &Shared, batch: Vec<Job>, message: String) {
 fn run_batch(shared: &Shared, batch: &[Job]) -> Result<Vec<RunResult>, String> {
     let members: Vec<&QuantumProgram> = batch.iter().map(|j| &j.program).collect();
     let initial = BatchStateVector::zero_state(members[0].n_qubits(), members.len());
-    let plan = shared.executor.plan_structural(members[0]);
+    let plan = shared.executor.shared_plan(members[0]);
     let (states, report) = PlanInterpreter::new(*shared.executor.sim_config())
         .run_members(&members, &plan, initial)
         .map_err(|e| e.to_string())?;

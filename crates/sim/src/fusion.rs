@@ -496,8 +496,8 @@ impl FusedCircuit {
     }
 
     /// Total state-vector entries written by one execution on an
-    /// `n_qubits` state — the memory-traffic estimate the crossover
-    /// heuristics consume (`QpeTimings::with_fused_apply`).
+    /// `n_qubits` state — the memory-traffic estimate the planner's
+    /// cost model prices fused candidates with.
     pub fn touched_entries(&self, n_qubits: usize) -> usize {
         self.ops.iter().map(|op| op.touched_entries(n_qubits)).sum()
     }

@@ -41,9 +41,9 @@
 //! complex-SIMD primitives of [`qcemu_linalg::simd`] consume. Runs shorter
 //! than [`simd::LANES`] (a single state with the gate on its lowest
 //! qubits) take an inline scalar loop instead of the SIMD dispatch. The
-//! primitives themselves dispatch at runtime (AVX2+FMA under the `simd`
-//! cargo feature, scalar everywhere else), so this module is
-//! feature-agnostic.
+//! primitives themselves dispatch at run time (AVX2+FMA where the CPU
+//! check finds it, scalar everywhere else), so this module never names
+//! an instruction set.
 
 use crate::gate::{Gate, GateStructure, Mat2};
 use qcemu_linalg::{simd, CMatrix, C64};

@@ -1,7 +1,7 @@
 //! SIMD ≡ scalar equivalence for every vectorised kernel.
 //!
-//! The contract behind the `simd` feature gate: whatever path the
-//! runtime dispatch picks — AVX2+FMA, or the scalar fallback — every
+//! The contract behind the run-time CPU check: whatever path the
+//! dispatch picks — AVX2+FMA, or the scalar fallback — every
 //! kernel produces the same state to 1e-12. Random states, targets both
 //! below `log2(LANES)` (where the pair runs are too short to vectorise
 //! and the per-pair scalar path must engage) and above it (the
