@@ -4,6 +4,10 @@
 //! phase estimations and reports where emulation actually starts winning,
 //! plus the advisor's prediction next to it.
 //!
+//! The run **asserts** that both dense strategies produce the gate-level
+//! state to 1e-8 at every `b`, and that both beat gate level at
+//! `b = max-b`.
+//!
 //! Usage: `cargo run -p qcemu-bench --release --bin ablation_qpe_strategies
 //!         [-- --n 5 --max-b 12]`
 
@@ -11,7 +15,7 @@ use qcemu_bench::{fmt_secs, header, time_once, Args};
 use qcemu_core::{
     Emulator, Executor, GateLevelSimulator, ProgramBuilder, QpeOp, QpeStrategy, QpeTimings,
 };
-use qcemu_linalg::{eig, gemm};
+use qcemu_linalg::{eig, gemm, max_abs_diff};
 use qcemu_sim::circuits::{tfim_gate_count, tfim_trotter_step, TfimParams};
 use qcemu_sim::{circuit_to_dense, StateVector};
 
@@ -55,7 +59,7 @@ fn main() {
     );
     let mut empirical_crossover: Option<usize> = None;
     for b in 2..=max_b {
-        let run = |strategy: Option<QpeStrategy>| -> f64 {
+        let run = |strategy: Option<QpeStrategy>| -> (f64, StateVector) {
             let mut pb = ProgramBuilder::new();
             let target = pb.register("t", n);
             let phase = pb.register("p", b);
@@ -73,12 +77,25 @@ fn main() {
                 None => GateLevelSimulator::new().run(&program, init.clone()),
                 Some(s) => Emulator::with_qpe_strategy(s).run(&program, init.clone()),
             });
-            out.expect("qpe run");
-            t
+            (t, out.expect("qpe run"))
         };
-        let t_gate = run(None);
-        let t_rs = run(Some(QpeStrategy::RepeatedSquaring));
-        let t_eig = run(Some(QpeStrategy::Eigendecomposition));
+        let (t_gate, reference) = run(None);
+        let (t_rs, rs) = run(Some(QpeStrategy::RepeatedSquaring));
+        let (t_eig, eig) = run(Some(QpeStrategy::Eigendecomposition));
+        for (name, state) in [("repeated squaring", &rs), ("eigendecomposition", &eig)] {
+            let diff = max_abs_diff(state.amplitudes(), reference.amplitudes());
+            assert!(
+                diff < 1e-8,
+                "b = {b}: {name} is off gate level by {diff:.2e}"
+            );
+        }
+        if b == max_b {
+            assert!(
+                t_rs < t_gate && t_eig < t_gate,
+                "b = {b}: expected both dense strategies to beat gate level, got \
+                 {t_gate:.4} s gate level, {t_rs:.4} s squaring, {t_eig:.4} s eigen"
+            );
+        }
         let winner = if t_gate <= t_rs && t_gate <= t_eig {
             "gate-level"
         } else if t_rs <= t_eig {

@@ -414,11 +414,12 @@ impl CostModel {
     /// the parts the per-strategy `QpeTimings` formulas leave out because
     /// they cancel in *their* comparison: the final inverse QFT on the
     /// phase register (paid by **every** strategy — as a gate circuit on
-    /// the gate-level path, as an FFT or folded into the analytic state
-    /// write-out on the dense paths), and the `b` controlled dense-power
-    /// applications of the two dense strategies. Omitting the inverse
-    /// QFT from the gate-level candidate would bias the planner toward
-    /// simulation exactly in the crossover region.
+    /// the gate-level path, as an FFT on the dense paths), and the one
+    /// state-sized GEMM pass (`8·2^{n_state}·2^m` flops) in which the two
+    /// dense strategies write the phase-register slices — the doubling
+    /// sweep, or `D·Vᵀ`. Omitting the inverse QFT from the gate-level
+    /// candidate would bias the planner toward simulation exactly in the
+    /// crossover region.
     pub fn t_qpe(
         &self,
         n_state: usize,
@@ -431,7 +432,7 @@ impl CostModel {
         let dim_state = (2f64).powi(n_state as i32);
         let dim_u = (2f64).powi(m_bits as i32);
         let iqft = self.t_qft_emulated(n_state, b);
-        let dense_apply = b as f64 * 8.0 * dim_state * dim_u / self.qpe.gemm_flops;
+        let dense_apply = 8.0 * dim_state * dim_u / self.qpe.gemm_flops;
         match strategy {
             QpeStrategy::GateLevel => t.t_sim(b as u32) + iqft,
             QpeStrategy::RepeatedSquaring => t.t_repeated_squaring(b as u32) + dense_apply + iqft,

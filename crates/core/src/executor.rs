@@ -115,15 +115,15 @@ impl Executor for GateLevelSimulator {
 /// The emulator: each op runs at its mathematical level (paper §3).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Emulator {
-    /// QPE strategy; `None` = decide per op via the crossover advisor:
-    /// measured [`QpeTimings`] when provided through
-    /// [`Emulator::with_timings`], the cheap static rule otherwise
-    /// (eigendecomposition for `b > 2n`, repeated squaring below —
-    /// paper §3.3).
+    /// QPE strategy; `None` = decide per op: by the crossover advisor
+    /// when measured [`QpeTimings`] are given through
+    /// [`Emulator::with_timings`], otherwise the cheaper dense strategy
+    /// under [`CostModel::default`]'s `t_qpe` — the comparison
+    /// `Policy::Cheapest` makes.
     pub qpe_strategy: Option<QpeStrategy>,
     /// Measured (or modelled) QPE primitive timings; when set, automatic
     /// strategy selection routes through
-    /// [`QpeTimings::best_strategy`] instead of the static rule — the
+    /// [`QpeTimings::best_strategy`] instead of the cost model — the
     /// Table 2 advisor actually driving execution.
     pub qpe_timings: Option<QpeTimings>,
     /// Execution configuration for the gate-level residue
@@ -149,8 +149,8 @@ impl Emulator {
     }
 
     /// Routes automatic QPE strategy selection through measured timings
-    /// (see [`crate::crossover`]): `best_strategy(b)` replaces the static
-    /// `b > 2n` rule. A fixed [`Emulator::with_qpe_strategy`] choice
+    /// (see [`crate::crossover`]): `best_strategy(b)` replaces the cost
+    /// model's choice. A fixed [`Emulator::with_qpe_strategy`] choice
     /// still wins over both.
     pub fn with_timings(mut self, timings: QpeTimings) -> Emulator {
         self.qpe_timings = Some(timings);
@@ -163,25 +163,18 @@ impl Emulator {
         self
     }
 
-    fn choose_qpe_strategy(&self, target_len: usize, phase_len: usize) -> QpeStrategy {
-        if let Some(strategy) = self.qpe_strategy {
-            return strategy;
-        }
-        if let Some(timings) = &self.qpe_timings {
-            return timings.best_strategy(phase_len as u32);
-        }
-        // Paper §3.3: eigendecomposition pays off for b ≳ 2n (one-shot
-        // O(2^{3n}) versus b GEMMs).
-        if phase_len > 2 * target_len {
-            QpeStrategy::Eigendecomposition
-        } else {
-            QpeStrategy::RepeatedSquaring
-        }
+    /// The QPE strategy fixed by the caller, if any; `None` leaves the
+    /// choice to the cost model.
+    fn choose_qpe_strategy(&self, phase_len: usize) -> Option<QpeStrategy> {
+        self.qpe_strategy.or_else(|| {
+            self.qpe_timings
+                .map(|timings| timings.best_strategy(phase_len as u32))
+        })
     }
 
     /// The fixed all-shortcuts plan this executor runs.
     pub fn plan(&self, program: &QuantumProgram) -> ExecutionPlan {
-        let choose_qpe = &|t, p| self.choose_qpe_strategy(t, p);
+        let choose_qpe = &|b| self.choose_qpe_strategy(b);
         plan(
             program,
             &CostModel::default(),
@@ -395,7 +388,8 @@ impl Executor for HybridExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::ProgramBuilder;
+    use crate::planner::Backend;
+    use crate::program::{ProgramBuilder, QpeOp};
     use crate::stdops;
 
     /// Build-and-run helper: multiplication program of the paper's Fig. 1.
@@ -697,9 +691,42 @@ mod tests {
     }
 
     #[test]
+    fn emulator_default_qpe_strategy_is_the_cost_model_comparison() {
+        // No fixed strategy, no timings: the cheaper dense strategy under
+        // the default model's `t_qpe` — squaring at b = 6 > 2m too, where
+        // a width rule would have picked eigendecomposition.
+        let model = CostModel::default();
+        let mut unitary = qcemu_sim::Circuit::new(2);
+        unitary.h(0).cphase(0, 1, 0.7);
+        for (m, b) in [(2, 3), (2, 6), (2, 12)] {
+            let mut pb = ProgramBuilder::new();
+            let target = pb.register("t", m);
+            let phase = pb.register("p", b);
+            pb.qpe(QpeOp {
+                unitary: unitary.clone(),
+                target,
+                phase,
+            });
+            let prog = pb.build().unwrap();
+            let price = |s| model.t_qpe(m + b, m, unitary.gate_count(), b, s);
+            assert!(
+                price(QpeStrategy::RepeatedSquaring) < price(QpeStrategy::Eigendecomposition),
+                "m = {m}, b = {b}"
+            );
+            assert_eq!(
+                Emulator::new().plan(&prog).steps()[0].backend,
+                Backend::EmulateQpe {
+                    strategy: QpeStrategy::RepeatedSquaring
+                },
+                "m = {m}, b = {b}"
+            );
+        }
+    }
+
+    #[test]
     fn emulator_with_timings_uses_the_advisor() {
         // Timings where simulation is essentially free: the advisor must
-        // choose gate-level QPE, overriding the static b > 2n rule.
+        // choose gate-level QPE, overriding the cost model.
         let timings = QpeTimings {
             n: 2,
             g: 4,
@@ -709,7 +736,7 @@ mod tests {
             t_eig: 10.0,
         };
         let emu = Emulator::new().with_timings(timings);
-        assert_eq!(emu.choose_qpe_strategy(2, 6), QpeStrategy::GateLevel);
+        assert_eq!(emu.choose_qpe_strategy(6), Some(QpeStrategy::GateLevel));
         // And the opposite machine: gates cost hours, dense paths are free.
         let timings = QpeTimings {
             n: 2,
@@ -720,13 +747,13 @@ mod tests {
             t_eig: 1e-9,
         };
         let emu = Emulator::new().with_timings(timings);
-        assert_ne!(emu.choose_qpe_strategy(2, 3), QpeStrategy::GateLevel);
+        assert_ne!(emu.choose_qpe_strategy(3), Some(QpeStrategy::GateLevel));
         // A fixed strategy still wins over timings.
         let emu =
             Emulator::with_qpe_strategy(QpeStrategy::Eigendecomposition).with_timings(timings);
         assert_eq!(
-            emu.choose_qpe_strategy(2, 3),
-            QpeStrategy::Eigendecomposition
+            emu.choose_qpe_strategy(3),
+            Some(QpeStrategy::Eigendecomposition)
         );
     }
 

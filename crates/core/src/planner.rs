@@ -355,10 +355,11 @@ pub fn truncate_ancillas(
 pub enum Policy<'a> {
     /// Every op on its emulation shortcut; raw gate runs, which have none,
     /// on the configured gate path. `choose_qpe` picks the QPE strategy
-    /// from `(target_len, phase_len)`.
+    /// from the phase register's width, or leaves it (`None`) to the cost
+    /// model's choice between the two dense strategies.
     Emulate {
         /// QPE strategy chooser.
-        choose_qpe: &'a dyn Fn(usize, usize) -> QpeStrategy,
+        choose_qpe: &'a dyn Fn(usize) -> Option<QpeStrategy>,
     },
     /// Every op on the configured gate path, with ancilla head-room for
     /// all of them reserved up front. Ops without a gate-level
@@ -368,6 +369,17 @@ pub enum Policy<'a> {
     /// Each op on its cheapest backend under the cost model.
     Cheapest,
 }
+
+/// The two dense QPE strategies, in tie-breaking order: the candidates
+/// of every QPE the cost model decides.
+const DENSE_QPE: [Backend; 2] = [
+    Backend::EmulateQpe {
+        strategy: QpeStrategy::RepeatedSquaring,
+    },
+    Backend::EmulateQpe {
+        strategy: QpeStrategy::Eigendecomposition,
+    },
+];
 
 /// The gate path a `config`-driven simulation step uses. A forced MPS
 /// policy wins outright (the caller explicitly asked for compressed
@@ -402,29 +414,22 @@ impl Policy<'_> {
                 vec![sim_backend(config)]
             }
             (Policy::Emulate { choose_qpe }, HighLevelOp::Qpe(qpe)) => {
-                let strategy = choose_qpe(
-                    program.register(qpe.target).len,
-                    program.register(qpe.phase).len,
-                );
-                vec![Backend::EmulateQpe { strategy }]
+                match choose_qpe(program.register(qpe.phase).len) {
+                    Some(strategy) => vec![Backend::EmulateQpe { strategy }],
+                    None => DENSE_QPE.to_vec(),
+                }
             }
             (Policy::Emulate { .. }, _) => vec![Backend::EmulateClassical, Backend::EmulateFft],
             (Policy::Cheapest, _) => {
-                let mut all = vec![
-                    Backend::EmulateClassical,
-                    Backend::EmulateFft,
-                    Backend::EmulateQpe {
-                        strategy: QpeStrategy::RepeatedSquaring,
-                    },
-                    Backend::EmulateQpe {
-                        strategy: QpeStrategy::Eigendecomposition,
-                    },
+                let mut all = vec![Backend::EmulateClassical, Backend::EmulateFft];
+                all.extend(DENSE_QPE);
+                all.extend([
                     Backend::SimulateFused,
                     Backend::SimulateGateLevel,
                     Backend::SimulateSegmented {
                         block_bits: model.block_bits,
                     },
-                ];
+                ]);
                 all.extend(
                     config
                         .mps
@@ -1012,8 +1017,16 @@ impl PlanInterpreter {
         let Backend::SimulateMps { max_bond } = backend else {
             return false;
         };
+        let mut circuit = self.lower(c);
+        // Ancilla head-room another step reserved can make the state wider
+        // than the circuit; the extra qubits stay |0⟩.
+        if circuit.n_qubits() < state.n_qubits() {
+            let mut wide = Circuit::new(state.n_qubits());
+            wide.extend(&circuit);
+            circuit = Cow::Owned(wide);
+        }
         let mut mps = MpsState::from_statevector(state, max_bond);
-        mps.run(&self.lower(c));
+        mps.run(&circuit);
         if mps.truncation_error() > MPS_EXACT_TOL {
             return false;
         }
@@ -1215,7 +1228,7 @@ mod tests {
         p: &QuantumProgram,
         m: &CostModel,
         c: &SimConfig,
-        choose_qpe: impl Fn(usize, usize) -> QpeStrategy,
+        choose_qpe: impl Fn(usize) -> Option<QpeStrategy>,
     ) -> ExecutionPlan {
         let choose_qpe = &choose_qpe;
         plan(p, m, c, Policy::Emulate { choose_qpe })
@@ -1235,11 +1248,40 @@ mod tests {
     }
 
     #[test]
+    fn compressed_gate_run_under_ancilla_head_room_matches_emulation() {
+        // A machine on which table passes crawl and every dense sweep is
+        // slow: the multiplier simulates, reserving its ancilla for the
+        // whole run, and the raw gate preludes go compressed — so a
+        // compressed step meets a state one qubit wider than its circuit.
+        let m = CostModel {
+            table_rate: 1.0,
+            fused_entry_rate: 1.0,
+            cache_rate: 1.0,
+            mps_rate: 1e15,
+            ..model()
+        };
+        let prog = mixed_program(3);
+        let plan = cheapest(&prog, &m, &SimConfig::default());
+        assert!(plan.n_ancilla() > 0, "{plan}");
+        assert!(matches!(
+            plan.steps()[0].backend,
+            Backend::SimulateMps { .. }
+        ));
+        let initial = StateVector::zero_state(prog.n_qubits());
+        let (state, _) = PlanInterpreter::default()
+            .execute(&prog, &plan, initial.clone())
+            .unwrap();
+        let reference = emulated(&prog, &model(), &SimConfig::unfused(), |_| None);
+        let (reference, _) = PlanInterpreter::default()
+            .execute(&prog, &reference, initial)
+            .unwrap();
+        assert!(state.max_diff_up_to_phase(&reference) < 1e-10);
+    }
+
+    #[test]
     fn emulated_plan_uses_shortcuts_everywhere() {
         let prog = mixed_program(3);
-        let plan = emulated(&prog, &model(), &SimConfig::unfused(), |_, _| {
-            QpeStrategy::RepeatedSquaring
-        });
+        let plan = emulated(&prog, &model(), &SimConfig::unfused(), |_| None);
         assert_eq!(plan.steps().len(), prog.ops().len());
         assert_eq!(plan.n_ancilla(), 0);
         assert_eq!(plan.steps()[2].backend, Backend::EmulateClassical);
@@ -1367,9 +1409,7 @@ mod tests {
             Backend::SimulateSegmented { .. }
         ));
         assert!(plan.steps()[0].predicted_s.is_finite());
-        let emu = emulated(&prog, &model(), &SimConfig::segmented(), |_, _| {
-            QpeStrategy::RepeatedSquaring
-        });
+        let emu = emulated(&prog, &model(), &SimConfig::segmented(), |_| None);
         assert!(matches!(
             emu.steps()[0].backend,
             Backend::SimulateSegmented { .. }
@@ -1592,13 +1632,7 @@ mod tests {
         let prog = mixed_program(2);
         let initial = StateVector::zero_state(prog.n_qubits());
         let m = model();
-        let emu_plan = emulated(&prog, &m, &SimConfig::unfused(), |t, p| {
-            if p > 2 * t {
-                QpeStrategy::Eigendecomposition
-            } else {
-                QpeStrategy::RepeatedSquaring
-            }
-        });
+        let emu_plan = emulated(&prog, &m, &SimConfig::unfused(), |_| None);
         let sim_plan = simulated(&prog, &m, &SimConfig::unfused());
         let hyb_plan = cheapest(&prog, &m, &SimConfig::fused(4));
         let interp = PlanInterpreter::default();

@@ -1,13 +1,23 @@
-//! Blocked, parallel complex matrix–matrix multiplication.
+//! Packed, parallel complex matrix–matrix multiplication.
 //!
 //! This is the stand-in for the paper's MKL `zgemm` calls (§3.3, Table 2):
-//! the repeated-squaring path of QPE emulation spends essentially all of its
-//! time here. The implementation is a cache-blocked `i-k-j` kernel with the
-//! row-panel loop parallelised by rayon; it is not MKL, but it has the right
-//! O(n³) constant behaviour so the paper's crossover analysis carries over.
+//! the dense QPE paths spend most of their time here — the `b − 1`
+//! squarings of `U` and the doubling sweep that fills the phase-register
+//! slices. The structure is the usual packed one: B is copied once into
+//! `GEMM_NR`-column panels and each `MC`-row panel of A into `GEMM_MR`-row
+//! panels, both in split real/imaginary form (zero-padded at the edges),
+//! and every output tile is one call of the micro-kernel
+//! [`simd::gemm_tile`] — AVX2+FMA on hosts that have it, scalar otherwise,
+//! chosen by the same run-time check as every other SIMD primitive. Row
+//! panels of C are the unit of parallel work.
+//!
+//! Every entry of C is summed in the same order (ascending `k`, in
+//! `KC`-wide blocks) however the rows are split among threads, so results
+//! are bit-identical across pool sizes and parallel thresholds.
 
 use crate::complex::C64;
 use crate::matrix::CMatrix;
+use crate::simd::{self, GEMM_MR as MR, GEMM_NR as NR};
 use rayon::prelude::*;
 
 /// Default parallelisation threshold of [`gemm_into`], in matrix **rows
@@ -21,11 +31,12 @@ use rayon::prelude::*;
 /// in unit. To tune per call, use [`gemm_into_with`], mirroring the
 /// `_with` kernel variants in `qcemu_sim`.
 pub const GEMM_PAR_THRESHOLD: usize = 64;
-/// Cache block for the reduction dimension (k). 16 bytes/entry × 256 ≈ 4 KiB
-/// per row panel, comfortably inside L1 together with the C row.
-const KC: usize = 256;
-/// Cache block for output columns (j).
-const NC: usize = 512;
+/// Reduction block: one packed A panel (`MC × KC`, split re/im) is 64 KiB
+/// and one B micro-panel (`KC × GEMM_NR`) 8 KiB, so the micro-panel stays
+/// in L1 while the A panel streams from L2.
+const KC: usize = 128;
+/// Most rows of C per packed A panel — the unit of parallel work.
+const MC: usize = 32;
 
 /// `C = A · B` with dimension checks. Allocates the output.
 pub fn gemm(a: &CMatrix, b: &CMatrix) -> CMatrix {
@@ -56,66 +67,134 @@ pub fn gemm_into_with(a: &CMatrix, b: &CMatrix, c: &mut CMatrix, par_threshold: 
         "gemm: output shape {:?} does not match ({m}, {n})",
         c.shape()
     );
-    for z in c.as_mut_slice().iter_mut() {
-        *z = C64::ZERO;
-    }
-    if m == 0 || n == 0 || ka == 0 {
-        return;
-    }
-
-    let k = ka;
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-
-    if m < par_threshold && n < par_threshold {
-        serial_block(a_data, b_data, c.as_mut_slice(), 0, m, k, n);
-        return;
-    }
-
-    // Parallelise over disjoint row panels of C. Each rayon task owns a
-    // contiguous `rows × n` slab of the output, so no synchronisation is
-    // needed inside the kernel.
-    let nthreads = rayon::current_num_threads().max(1);
-    let rows_per_panel = m.div_ceil(4 * nthreads).max(8);
-    c.as_mut_slice()
-        .par_chunks_mut(rows_per_panel * n)
-        .enumerate()
-        .for_each(|(panel, c_panel)| {
-            let i0 = panel * rows_per_panel;
-            let rows = c_panel.len() / n;
-            serial_block(a_data, b_data, c_panel, i0, rows, k, n);
-        });
+    gemm_slices_with(
+        a.as_slice(),
+        b.as_slice(),
+        c.as_mut_slice(),
+        (m, ka, n),
+        par_threshold,
+    );
 }
 
-/// Computes `rows` rows of C starting at global row `i0`.
-/// `c_panel` is the row-major slab for exactly those rows.
-fn serial_block(
+/// `C = A · B` on raw row-major slices — `a` is `m × k`, `b` is `k × n`,
+/// `c` is `m × n` and is overwritten — so a caller can multiply row ranges
+/// of a larger buffer (the QPE doubling sweep reads and writes the state
+/// itself) without copying them into a [`CMatrix`]. `par_threshold` as in
+/// [`gemm_into_with`].
+///
+/// Panics if a slice length does not match its shape.
+pub fn gemm_slices_with(
     a: &[C64],
     b: &[C64],
-    c_panel: &mut [C64],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
+    c: &mut [C64],
+    (m, k, n): (usize, usize, usize),
+    par_threshold: usize,
 ) {
-    // i-k-j order: the inner j loop streams one row of B and one row of C,
-    // both contiguous in memory; A is read once per (i, k).
+    assert_eq!(a.len(), m * k, "gemm: A is not {m}×{k}");
+    assert_eq!(b.len(), k * n, "gemm: B is not {k}×{n}");
+    assert_eq!(c.len(), m * n, "gemm: C is not {m}×{n}");
+    if m == 0 || n == 0 {
+        return;
+    }
+    if m < MR || n < NR || k == 0 {
+        thin(a, b, c, k, n);
+        return;
+    }
+    let bp = pack_b(b, k, n);
+    // Enough row panels for every thread to take several, none taller
+    // than `MC`. The split never changes an entry's summation order.
+    let rows = m
+        .div_ceil(4 * rayon::current_num_threads())
+        .next_multiple_of(MR)
+        .min(MC);
+    let panel = |(p, c_panel): (usize, &mut [C64])| {
+        row_panel(a, &bp, c_panel, p * rows, k, n);
+    };
+    if (m >= par_threshold || n >= par_threshold) && m > rows {
+        c.par_chunks_mut(rows * n).enumerate().for_each(panel);
+    } else {
+        c.chunks_mut(rows * n).enumerate().for_each(panel);
+    }
+}
+
+/// `C = A · B` row by row, each row of C a combination of the rows of B:
+/// the serial path for products with no full micro-tile (fewer than `MR`
+/// rows or `NR` columns — a single row of the QPE doubling sweep, the
+/// rank-2 Gram products of `mps::fast_svd`), where packing and padding
+/// would cost more than the kernel saves — and for the empty reduction.
+fn thin(a: &[C64], b: &[C64], c: &mut [C64], k: usize, n: usize) {
+    c.fill(C64::ZERO);
+    if k == 0 {
+        return;
+    }
+    for (a_row, c_row) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        // Zero entries are skipped: a Gram product of a sparse state's
+        // reshape is mostly zeros.
+        for (aik, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            if *aik == C64::ZERO {
+                continue;
+            }
+            for (cz, bz) in c_row.iter_mut().zip(b_row) {
+                *cz = aik.mul_add(*bz, *cz);
+            }
+        }
+    }
+}
+
+/// B as `⌈n / NR⌉` column panels, each `k` steps of `NR` real parts then
+/// `NR` imaginary parts, zero-padded past column `n`.
+fn pack_b(b: &[C64], k: usize, n: usize) -> Vec<f64> {
+    let panels = n.div_ceil(NR);
+    let mut bp = vec![0.0; panels * k * 2 * NR];
+    for (jp, panel) in bp.chunks_exact_mut(k * 2 * NR).enumerate() {
+        let j0 = jp * NR;
+        let cols = NR.min(n - j0);
+        for (p, step) in panel.chunks_exact_mut(2 * NR).enumerate() {
+            let (re, im) = step.split_at_mut(NR);
+            for (j, z) in b[p * n + j0..p * n + j0 + cols].iter().enumerate() {
+                re[j] = z.re;
+                im[j] = z.im;
+            }
+        }
+    }
+    bp
+}
+
+/// Rows `i0 .. i0 + rows` of C (`c_panel`, row-major), one `KC` block of
+/// the reduction at a time: pack that block of A's rows into `MR`-row
+/// panels, then one micro-tile per (`MR` rows, `NR` columns).
+fn row_panel(a: &[C64], bp: &[f64], c_panel: &mut [C64], i0: usize, k: usize, n: usize) {
+    let rows = c_panel.len() / n;
+    let row_panels = rows.div_ceil(MR);
+    let mut ap = vec![0.0; row_panels * KC.min(k) * 2 * MR];
     for kk in (0..k).step_by(KC) {
-        let kmax = (kk + KC).min(k);
-        for jj in (0..n).step_by(NC) {
-            let jmax = (jj + NC).min(n);
-            for i in 0..rows {
-                let a_row = &a[(i0 + i) * k..(i0 + i) * k + k];
-                let c_row = &mut c_panel[i * n + jj..i * n + jmax];
-                for kidx in kk..kmax {
-                    let aik = a_row[kidx];
-                    if aik == C64::ZERO {
-                        continue;
-                    }
-                    let b_row = &b[kidx * n + jj..kidx * n + jmax];
-                    // Manually split into re/im streams so LLVM can vectorise.
-                    for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-                        *cv = aik.mul_add(*bv, *cv);
+        let kc = KC.min(k - kk);
+        for (ip, panel) in ap
+            .chunks_exact_mut(kc * 2 * MR)
+            .take(row_panels)
+            .enumerate()
+        {
+            let r0 = ip * MR;
+            for (p, step) in panel.chunks_exact_mut(2 * MR).enumerate() {
+                let (re, im) = step.split_at_mut(MR);
+                for i in 0..MR.min(rows - r0) {
+                    let z = a[(i0 + r0 + i) * k + kk + p];
+                    re[i] = z.re;
+                    im[i] = z.im;
+                }
+            }
+        }
+        for jp in 0..n.div_ceil(NR) {
+            let j0 = jp * NR;
+            let b_panel = &bp[(jp * k + kk) * 2 * NR..][..kc * 2 * NR];
+            for ip in 0..row_panels {
+                let r0 = ip * MR;
+                let (re, im) = simd::gemm_tile(kc, &ap[ip * kc * 2 * MR..], b_panel);
+                for i in 0..MR.min(rows - r0) {
+                    let c_row = &mut c_panel[(r0 + i) * n + j0..];
+                    for (j, cz) in c_row.iter_mut().take(NR.min(n - j0)).enumerate() {
+                        let t = C64::new(re[i][j], im[i][j]);
+                        *cz = if kk == 0 { t } else { *cz + t };
                     }
                 }
             }
@@ -152,6 +231,7 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::random::random_matrix;
+    use crate::simd::{scalar_lock, ForcedScalar};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -166,33 +246,81 @@ mod tests {
         assert!(right.max_abs_diff(&a) < 1e-12);
     }
 
-    #[test]
-    fn matches_naive_on_random_square() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for n in [1, 2, 3, 5, 16, 33, 64, 100] {
-            let a = random_matrix(n, n, &mut rng);
-            let b = random_matrix(n, n, &mut rng);
-            let fast = gemm(&a, &b);
-            let slow = gemm_naive(&a, &b);
-            assert!(
-                fast.max_abs_diff(&slow) < 1e-9 * n as f64,
-                "mismatch at n = {n}"
-            );
+    /// Square sizes below, at and past one micro-tile, one row panel and
+    /// one reduction block.
+    const SQUARE: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 16, 17, 63, 64, 65, 128];
+    /// The QPE doubling sweep's tall product, a single row, and the two
+    /// Gram products of `mps::fast_svd`.
+    const RECTANGLES: [(usize, usize, usize); 4] =
+        [(1024, 128, 128), (1, 128, 128), (4, 4096, 4), (4, 4, 4096)];
+
+    /// Runs `f` with the scalar path forced, or on the native path while
+    /// holding the switch's lock so no other test flips it meanwhile.
+    fn in_mode<T>(scalar: bool, f: impl FnOnce() -> T) -> T {
+        let _native = (!scalar).then(scalar_lock);
+        let _forced = scalar.then(ForcedScalar::engage);
+        f()
+    }
+
+    /// The packed kernel against `gemm_naive`, native and forced scalar.
+    fn check_against_naive(shapes: impl IntoIterator<Item = (usize, usize, usize)>, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (m, k, n) in shapes {
+            let a = random_matrix(m, k, &mut rng);
+            let b = random_matrix(k, n, &mut rng);
+            let want = gemm_naive(&a, &b);
+            for scalar in [false, true] {
+                let err = in_mode(scalar, || gemm(&a, &b)).max_abs_diff(&want);
+                assert!(
+                    err < 1e-12 * k as f64,
+                    "(m, k, n) = ({m}, {k}, {n}), scalar = {scalar}: off naive by {err}"
+                );
+            }
         }
     }
 
     #[test]
+    fn matches_naive_on_random_square() {
+        check_against_naive(SQUARE.map(|s| (s, s, s)), 2);
+    }
+
+    #[test]
     fn matches_naive_on_rectangular() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for (m, k, n) in [(3, 7, 2), (70, 5, 130), (1, 64, 1), (65, 65, 1)] {
+        check_against_naive(RECTANGLES, 3);
+    }
+
+    #[test]
+    fn explicit_threshold_matches_default_either_side() {
+        // Within each mode, forced-serial and forced-parallel runs on any
+        // pool size agree bit-for-bit with the default-threshold result:
+        // the row split never changes an entry's summation order.
+        let mut rng = StdRng::seed_from_u64(6);
+        let pools = [1, 2, 3].map(|t| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .unwrap()
+        });
+        let shapes = SQUARE.map(|s| (s, s, s)).into_iter().chain(RECTANGLES);
+        for (m, k, n) in shapes {
             let a = random_matrix(m, k, &mut rng);
             let b = random_matrix(k, n, &mut rng);
-            let fast = gemm(&a, &b);
-            let slow = gemm_naive(&a, &b);
-            assert!(
-                fast.max_abs_diff(&slow) < 1e-9 * k as f64,
-                "mismatch at ({m},{k},{n})"
-            );
+            for scalar in [false, true] {
+                let _native = (!scalar).then(scalar_lock);
+                let _forced = scalar.then(ForcedScalar::engage);
+                let dflt = gemm(&a, &b);
+                for (pool, threads) in pools.iter().zip(1..) {
+                    for thr in [0, usize::MAX] {
+                        let mut c = random_matrix(m, n, &mut rng); // overwritten
+                        pool.install(|| gemm_into_with(&a, &b, &mut c, thr));
+                        assert!(
+                            c == dflt,
+                            "(m, k, n) = ({m}, {k}, {n}), scalar = {scalar}, \
+                             threads = {threads}, par_threshold = {thr}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -221,6 +349,10 @@ mod tests {
         let b = CMatrix::zeros(5, 3);
         let c = gemm(&a, &b);
         assert_eq!(c.shape(), (0, 3));
+        // An empty reduction is the zero matrix, not the old contents.
+        let mut c = CMatrix::identity(3);
+        gemm_into(&CMatrix::zeros(3, 0), &CMatrix::zeros(0, 3), &mut c);
+        assert_eq!(c, CMatrix::zeros(3, 3));
     }
 
     #[test]
@@ -242,23 +374,23 @@ mod tests {
     }
 
     #[test]
-    fn flops_model() {
-        assert_eq!(gemm_flops(2) as u64, 64);
+    fn slice_entry_multiplies_row_ranges_of_one_buffer() {
+        // Rows [0, 3) of a buffer times B into rows [3, 6) of the same
+        // buffer: the doubling step of the QPE sweep.
+        let mut rng = StdRng::seed_from_u64(7);
+        let a = random_matrix(3, 5, &mut rng);
+        let b = random_matrix(5, 5, &mut rng);
+        let mut buf = a.as_slice().to_vec();
+        buf.resize(30, C64::ZERO);
+        let (src, dst) = buf.split_at_mut(15);
+        gemm_slices_with(src, b.as_slice(), dst, (3, 5, 5), GEMM_PAR_THRESHOLD);
+        let want = gemm_naive(&a, &b);
+        assert!(crate::max_abs_diff(dst, want.as_slice()) < 1e-12);
+        assert_eq!(src, a.as_slice());
     }
 
     #[test]
-    fn explicit_threshold_matches_default_either_side() {
-        // Forced-serial and forced-parallel runs must agree bit-for-bit
-        // with the default-threshold result.
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = random_matrix(70, 40, &mut rng);
-        let b = random_matrix(40, 90, &mut rng);
-        let mut dflt = CMatrix::zeros(70, 90);
-        gemm_into(&a, &b, &mut dflt);
-        for thr in [0, usize::MAX] {
-            let mut c = CMatrix::zeros(70, 90);
-            gemm_into_with(&a, &b, &mut c, thr);
-            assert!(c.max_abs_diff(&dflt) == 0.0, "threshold {thr}");
-        }
+    fn flops_model() {
+        assert_eq!(gemm_flops(2) as u64, 64);
     }
 }

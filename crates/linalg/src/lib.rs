@@ -5,8 +5,9 @@
 //! Emulation of Quantum Circuits* (Häner, Steiger, Smelyanskiy, Troyer,
 //! SC 2016):
 //!
-//! * [`gemm`](mod@gemm) — cache-blocked, rayon-parallel complex GEMM (≈ `zgemm`), the
-//!   engine of the repeated-squaring QPE emulation path;
+//! * [`gemm`](mod@gemm) — packed, rayon-parallel complex GEMM on the
+//!   [`simd::gemm_tile`] micro-kernel (≈ `zgemm`), the engine of both
+//!   dense QPE emulation paths;
 //! * [`strassen`](mod@strassen) — sub-cubic multiplication that shifts the paper's
 //!   emulation crossover from `b ≥ 2n` to `b ≳ 1.8n` bits of precision;
 //! * [`hessenberg`](mod@hessenberg) + [`eig`](mod@eig) — Householder reduction and shifted-QR complex
@@ -37,7 +38,7 @@ pub mod vector;
 
 pub use complex::{c64, C64};
 pub use eig::{eig, eig_residual, eigenvalues, schur, Eig, EigError, Schur};
-pub use gemm::{gemm, gemm_into, gemm_into_with, gemm_naive, GEMM_PAR_THRESHOLD};
+pub use gemm::{gemm, gemm_into, gemm_into_with, gemm_naive, gemm_slices_with, GEMM_PAR_THRESHOLD};
 pub use hessenberg::{hessenberg, is_upper_hessenberg, Hessenberg};
 pub use matrix::CMatrix;
 pub use power::{matrix_power, matrix_power_naive, power_from_eig, powers_of_two};

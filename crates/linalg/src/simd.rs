@@ -3,7 +3,7 @@
 //!
 //! Every hot loop in the workspace — the state-vector butterfly, the
 //! diagonal/phase sweep, the fused-block gather–matvec–scatter, the FFT
-//! butterfly and the dense mat-vec — bottoms out in a handful of
+//! butterfly, the dense mat-vec and the GEMM tile — bottoms out in a handful of
 //! *slice-level* complex operations. This module owns those operations
 //! and gives each one two implementations:
 //!
@@ -37,7 +37,9 @@
 //! [`mul_twiddles`]) are the exception: they keep `re, im` interleaved,
 //! two complex numbers per register, because a butterfly that loads and
 //! stores every leg once would spend more shuffles de-interleaving than
-//! multiplying.
+//! multiplying. The GEMM micro-kernel ([`gemm_tile`]) reads `f64` panels
+//! the caller has already packed in split form, so it loads without
+//! shuffling at all.
 //!
 //! Results can differ from the scalar path by floating-point rounding
 //! only (FMA contraction, reassociated reduction order in [`cdot`]);
@@ -304,6 +306,54 @@ pub fn cdot(a: &[C64], b: &[C64]) -> C64 {
         acc = x.mul_add(*y, acc);
     }
     acc
+}
+
+/// Rows of the complex GEMM micro-tile [`gemm_tile`] accumulates.
+pub const GEMM_MR: usize = 4;
+/// Columns of the complex GEMM micro-tile [`gemm_tile`] accumulates (one
+/// AVX2 register of real parts, one of imaginary parts).
+pub const GEMM_NR: usize = 4;
+
+/// A `GEMM_MR × GEMM_NR` complex tile in split form: real parts, then
+/// imaginary parts, each indexed `[row][col]`.
+pub type GemmTile = ([[f64; GEMM_NR]; GEMM_MR], [[f64; GEMM_NR]; GEMM_MR]);
+
+/// The complex GEMM micro-kernel: `Σ_{p<kc} a_p ⊗ b_p` over packed
+/// split-re/im panels — step `p` of `a` is one column of an A panel,
+/// `GEMM_MR` real parts then `GEMM_MR` imaginary parts; step `p` of `b` is
+/// one row of a B panel, `GEMM_NR` real parts then `GEMM_NR` imaginary
+/// parts. Every tile entry is summed in ascending `p` whatever the caller's
+/// blocking, so a GEMM built on it is bit-identical across partitions.
+///
+/// # Panics
+///
+/// Panics if either panel holds fewer than `kc` steps.
+pub fn gemm_tile(kc: usize, a: &[f64], b: &[f64]) -> GemmTile {
+    assert!(a.len() >= 2 * GEMM_MR * kc, "gemm_tile: A panel too short");
+    assert!(b.len() >= 2 * GEMM_NR * kc, "gemm_tile: B panel too short");
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: AVX2+FMA presence was verified at runtime; panel lengths
+        // were checked above.
+        return unsafe { avx2::gemm_tile(kc, a, b) };
+    }
+    let mut re = [[0.0; GEMM_NR]; GEMM_MR];
+    let mut im = [[0.0; GEMM_NR]; GEMM_MR];
+    for (ap, bp) in a
+        .chunks_exact(2 * GEMM_MR)
+        .zip(b.chunks_exact(2 * GEMM_NR))
+        .take(kc)
+    {
+        let (ar, ai) = ap.split_at(GEMM_MR);
+        let (br, bi) = bp.split_at(GEMM_NR);
+        for i in 0..GEMM_MR {
+            for j in 0..GEMM_NR {
+                re[i][j] = re[i][j] + ar[i] * br[j] - ai[i] * bi[j];
+                im[i][j] = im[i][j] + ar[i] * bi[j] + ai[i] * br[j];
+            }
+        }
+    }
+    (re, im)
 }
 
 /// One radix-4 decimation-in-time FFT stage over a contiguous buffer.
@@ -656,6 +706,36 @@ mod avx2 {
             j += 1;
         }
         tail
+    }
+
+    /// Caller guarantees both panels hold `kc` steps (see
+    /// [`super::gemm_tile`]).
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gemm_tile(kc: usize, a: &[f64], b: &[f64]) -> super::GemmTile {
+        const MR: usize = super::GEMM_MR;
+        // One register of real parts, one of imaginary parts per B row.
+        const _: () = assert!(super::GEMM_NR == 4);
+        let mut re = [_mm256_setzero_pd(); MR];
+        let mut im = [_mm256_setzero_pd(); MR];
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        for p in 0..kc {
+            let br = _mm256_loadu_pd(bp.add(8 * p));
+            let bi = _mm256_loadu_pd(bp.add(8 * p + 4));
+            let a_re = ap.add(2 * MR * p);
+            let a_im = a_re.add(MR);
+            for i in 0..MR {
+                let ar = _mm256_broadcast_sd(&*a_re.add(i));
+                let ai = _mm256_broadcast_sd(&*a_im.add(i));
+                re[i] = _mm256_fnmadd_pd(ai, bi, _mm256_fmadd_pd(ar, br, re[i]));
+                im[i] = _mm256_fmadd_pd(ai, br, _mm256_fmadd_pd(ar, bi, im[i]));
+            }
+        }
+        let mut out = ([[0.0; super::GEMM_NR]; MR], [[0.0; super::GEMM_NR]; MR]);
+        for i in 0..MR {
+            _mm256_storeu_pd(out.0[i].as_mut_ptr(), re[i]);
+            _mm256_storeu_pd(out.1[i].as_mut_ptr(), im[i]);
+        }
+        out
     }
 
     // --- FFT stages: interleaved lanes -----------------------------------

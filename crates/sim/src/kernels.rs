@@ -90,10 +90,9 @@ const GROUP_TASKS_PER_THREAD: usize = 4;
 #[derive(Copy, Clone)]
 pub(crate) struct StatePtr(pub(crate) *mut C64);
 // SAFETY: `StatePtr` is only used by the run and group drivers in this
-// module and by `dense::apply_dense_to_register`, all of which guarantee
-// that distinct loop indices expand to disjoint buffer ranges (the
-// expansion is injective and the gate bits separate the runs of each
-// pair / group / coset). No two tasks ever alias.
+// module, which guarantee that distinct loop indices expand to disjoint
+// buffer ranges (the expansion is injective and the gate bits separate the
+// runs of each pair / group). No two tasks ever alias.
 unsafe impl Send for StatePtr {}
 unsafe impl Sync for StatePtr {}
 

@@ -33,8 +33,7 @@
 //!   vectors in the batch-major interleaved layout, so the kernels
 //!   vectorise across the batch dimension and pay per-gate fixed costs
 //!   once per ensemble;
-//! * [`dense`] — circuit → dense unitary (QPE emulation front-end) and
-//!   (controlled) dense-operator application to registers.
+//! * [`dense`] — circuit → dense unitary (the QPE emulation front-end).
 //!
 //! ### Qubit convention
 //! Little-endian throughout: qubit `k` is bit `k` of the basis index, so
@@ -60,7 +59,7 @@ pub use circuits::{
     tfim_gate_count, tfim_trotter_step, TfimParams,
 };
 pub use decompose::{decompose_circuit, decompose_gate, is_elementary, mat2_sqrt};
-pub use dense::{apply_dense_to_register, circuit_to_dense};
+pub use dense::circuit_to_dense;
 pub use fusion::{
     fuse_circuit, fuse_circuit_with_barriers, FusedCircuit, FusedGate, FusedOp, FusedStructure,
     FusionCensus, FusionPolicy, SimConfig, DEFAULT_MAX_FUSED_QUBITS,

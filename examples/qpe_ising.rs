@@ -142,7 +142,7 @@ fn main() -> Result<(), EmuError> {
     );
 
     // Close the loop: hand the measured timings to the emulator, so the
-    // advisor's verdict — not the static b > 2n rule — picks the strategy
+    // advisor's verdict — not the default cost model — picks the strategy
     // at execution time.
     let (program, _) = build(None)?;
     let advised = Emulator::new().with_timings(timings);

@@ -374,7 +374,9 @@ fn routing_table() -> String {
 /// `qpe` rows were re-captured when `t_qft_emulated` began pricing the
 /// cache-blocked FFT engine's passes instead of a sweep per register
 /// bit; under `cheapest` that moved the 3- and 4-bit QFTs from
-/// `simulate:fused` to `emulate:fft`.)
+/// `simulate:fused` to `emulate:fft`. The `qpe` rows' predicted cost was
+/// re-captured again when the dense strategies' slice write-out began to be
+/// priced as one state-sized GEMM pass instead of one per phase bit.)
 #[test]
 fn routing_matches_the_three_planner_snapshot() {
     let expected = include_str!("snapshots/routing.txt");
