@@ -98,24 +98,44 @@ pub(crate) fn cache_path() -> Option<PathBuf> {
     }
 }
 
+/// What one cache-file load found.
+#[derive(Debug, PartialEq)]
+enum Load {
+    Loaded(CostModel),
+    /// No file: a clean miss.
+    Missing,
+    /// A file that exists but fails validation.
+    Rejected,
+}
+
 /// Loads the cached model for this host, if a valid one exists. A file
 /// that exists but fails validation is counted via [`rejected_loads`];
 /// a missing file is a clean miss.
 pub(crate) fn load_cached() -> Option<CostModel> {
-    load_checked(&cache_path()?, &host_fingerprint())
+    count(load_checked(&cache_path()?, &host_fingerprint()))
 }
 
-/// [`load_from`] plus rejection accounting: only a file that is present
-/// and invalid counts as rejected.
-fn load_checked(path: &Path, fingerprint: &str) -> Option<CostModel> {
+/// [`load_from`], telling a missing file from a present-but-invalid one.
+fn load_checked(path: &Path, fingerprint: &str) -> Load {
     if !path.exists() {
-        return None;
+        return Load::Missing;
     }
-    let loaded = load_from(path, fingerprint);
-    if loaded.is_none() {
-        REJECTED_LOADS.fetch_add(1, Ordering::Relaxed);
+    match load_from(path, fingerprint) {
+        Some(m) => Load::Loaded(m),
+        None => Load::Rejected,
     }
-    loaded
+}
+
+/// Bumps [`rejected_loads`] for a rejected load; yields the model, if any.
+fn count(load: Load) -> Option<CostModel> {
+    match load {
+        Load::Loaded(m) => Some(m),
+        Load::Missing => None,
+        Load::Rejected => {
+            REJECTED_LOADS.fetch_add(1, Ordering::Relaxed);
+            None
+        }
+    }
 }
 
 /// Persists `m` for this host. Failures (read-only filesystem, missing
@@ -320,25 +340,27 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_counted_as_rejected_but_missing_is_not() {
+        // The assertions read what each call returned, not the
+        // process-global counter, which a concurrent
+        // `CostModel::calibrated()` may bump at any time.
         let path = test_path("rejection-counter");
         let _ = fs::remove_file(&path);
 
         // Clean miss: no file, no rejection.
-        let before = rejected_loads();
-        assert_eq!(load_checked(&path, "fp"), None);
-        assert_eq!(rejected_loads(), before, "missing file must not count");
+        assert_eq!(load_checked(&path, "fp"), Load::Missing);
 
         // Present-but-corrupt: refused AND counted, so the silent
         // re-measure fallback stays observable.
         fs::write(&path, "{ definitely not a calibration file").unwrap();
-        assert_eq!(load_checked(&path, "fp"), None);
+        let rejected = load_checked(&path, "fp");
+        assert_eq!(rejected, Load::Rejected);
+        let before = rejected_loads();
+        assert_eq!(count(rejected), None);
         assert!(rejected_loads() > before, "corrupt file must be counted");
 
-        // A valid file loads without touching the counter further.
-        let mid = rejected_loads();
+        // A valid file loads.
         store_to(&path, "fp", &model()).unwrap();
-        assert_eq!(load_checked(&path, "fp"), Some(model()));
-        assert_eq!(rejected_loads(), mid);
+        assert_eq!(load_checked(&path, "fp"), Load::Loaded(model()));
         fs::remove_file(&path).unwrap();
     }
 

@@ -2,19 +2,18 @@
 //!
 //! ```text
 //! qcemu-served [--addr HOST:PORT] [--workers N] [--max-qubits N]
-//!              [--batch-window-ms MS] [--cache-capacity N] [--calibrated]
+//!              [--cache-capacity N] [--calibrated]
 //! ```
 //!
 //! Binds, prints the listening address on stdout (so scripts can grab an
 //! OS-assigned port from `--addr 127.0.0.1:0`), and serves until killed.
 
 use qcemu_serve::{AdmissionPolicy, EmuServer, ServerConfig};
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
         "usage: qcemu-served [--addr HOST:PORT] [--workers N] [--max-qubits N]\n\
-         \x20                 [--batch-window-ms MS] [--cache-capacity N] [--calibrated]"
+         \x20                 [--cache-capacity N] [--calibrated]"
     );
     std::process::exit(2);
 }
@@ -41,9 +40,6 @@ fn main() {
             "--addr" => addr = parse(&mut args, "--addr"),
             "--workers" => config.workers = parse(&mut args, "--workers"),
             "--max-qubits" => policy.max_qubits = parse(&mut args, "--max-qubits"),
-            "--batch-window-ms" => {
-                config.batch_window = Duration::from_millis(parse(&mut args, "--batch-window-ms"))
-            }
             "--cache-capacity" => config.plan_cache_capacity = parse(&mut args, "--cache-capacity"),
             "--calibrated" => calibrated = true,
             "--help" | "-h" => usage(),

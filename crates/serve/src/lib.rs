@@ -8,10 +8,9 @@
 //! across *tenants*: a daemon ([`EmuServer`]) holds one
 //! [`SharedPlanCache`](qcemu_core::SharedPlanCache) for all connections,
 //! so N clients sweeping parameters over one program structure trigger
-//! exactly one lowering, and structurally identical in-flight requests
-//! are coalesced into one batched execution
-//! ([`PlanInterpreter::run_members`](qcemu_core::PlanInterpreter::run_members))
-//! within a small batching window.
+//! exactly one lowering, and structurally identical requests queued
+//! behind busy workers are coalesced into one batched execution
+//! ([`PlanInterpreter::run_members`](qcemu_core::PlanInterpreter::run_members)).
 //!
 //! The pieces:
 //!

@@ -18,11 +18,14 @@
 //! 2. Admission control ([`AdmissionPolicy`]): qubit gate before
 //!    planning, then one `shared_plan` lookup (cached), then the
 //!    cost gate classifies the job fast/queued or rejects it.
-//! 3. The job lands on the scheduler; a worker pops it (fast lane
-//!    first), waits out the batching window, and **coalesces** any
-//!    structurally identical in-flight jobs into one ensemble run
-//!    ([`PlanInterpreter::run_members`]; a lone job is the one-member
-//!    ensemble) — the batched-execution engine put behind a socket.
+//! 3. The job lands on the scheduler, carrying the plan it was admitted
+//!    with; a worker pops it (fast lane first) together with every
+//!    structurally identical job already waiting, and runs them at once
+//!    as one ensemble ([`PlanInterpreter::run_members`]; a lone job is
+//!    the one-member ensemble) — the batched-execution engine put
+//!    behind a socket. Nothing waits for stragglers: a batch forms only
+//!    from a backlog, when every worker was busy, which is the only time
+//!    batching can raise throughput.
 //! 4. Results (amplitudes on request, seeded measurement shots, the
 //!    per-op [`PlanReport`](qcemu_core::PlanReport) audit, and the
 //!    cache/batch provenance flags) stream back on the connection.
@@ -31,7 +34,9 @@ use crate::admission::{AdmissionPolicy, AdmitLane, RejectReason};
 use crate::wire::{
     self, ErrorCode, FrameKind, Lane, RunResult, StatsSnapshot, SubmitOptions, WireStepReport,
 };
-use qcemu_core::{CostModel, HybridExecutor, PlanInterpreter, QuantumProgram, SharedPlanCache};
+use qcemu_core::{
+    CostModel, ExecutionPlan, HybridExecutor, PlanInterpreter, QuantumProgram, SharedPlanCache,
+};
 use qcemu_sim::measure::sample_shots;
 use qcemu_sim::{BatchStateVector, SimConfig, StateVector};
 use rand::{rngs::StdRng, SeedableRng};
@@ -42,7 +47,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Duration;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -51,9 +55,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission policy (qubit bound, cost budget, queue bound).
     pub policy: AdmissionPolicy,
-    /// How long a worker holds a popped job open for structurally
-    /// identical arrivals before executing. Zero disables coalescing.
-    pub batch_window: Duration,
     /// Bound on distinct program structures the shared plan cache
     /// retains.
     pub plan_cache_capacity: usize,
@@ -70,7 +71,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 2,
             policy: AdmissionPolicy::default(),
-            batch_window: Duration::from_millis(2),
             plan_cache_capacity: qcemu_core::DEFAULT_PLAN_CACHE_CAPACITY,
             model: CostModel::default(),
             config: SimConfig::fused(qcemu_sim::DEFAULT_MAX_FUSED_QUBITS),
@@ -82,6 +82,9 @@ impl Default for ServerConfig {
 struct Job {
     program: QuantumProgram,
     structure_hash: u64,
+    /// The plan admission priced: execution runs it without a second
+    /// cache lookup, so an eviction in between cannot force a re-lowering.
+    plan: Arc<ExecutionPlan>,
     options: SubmitOptions,
     lane: Lane,
     warm: bool,
@@ -125,42 +128,35 @@ impl Scheduler {
         self.work.notify_one();
     }
 
-    /// Blocks until a job is available (fast lane first) or shutdown.
-    fn pop(&self) -> Option<Job> {
+    /// Blocks until a job is available (fast lane first) or shutdown,
+    /// and takes with it every job of the same structure already
+    /// waiting — both lanes, in arrival order within each lane.
+    fn pop_batch(&self) -> Option<Vec<Job>> {
+        /// Moves the jobs of `structure_hash` from `lane` to `out`,
+        /// keeping the order of the rest.
+        fn take(lane: &mut VecDeque<Job>, structure_hash: u64, out: &mut Vec<Job>) {
+            for job in std::mem::take(lane) {
+                if job.structure_hash == structure_hash {
+                    out.push(job);
+                } else {
+                    lane.push_back(job);
+                }
+            }
+        }
         let mut s = self.state.lock().unwrap();
         loop {
-            if let Some(job) = s.fast.pop_front() {
-                return Some(job);
-            }
-            if let Some(job) = s.queued.pop_front() {
-                return Some(job);
+            if let Some(job) = s.fast.pop_front().or_else(|| s.queued.pop_front()) {
+                let structure_hash = job.structure_hash;
+                let mut batch = vec![job];
+                take(&mut s.fast, structure_hash, &mut batch);
+                take(&mut s.queued, structure_hash, &mut batch);
+                return Some(batch);
             }
             if s.shutdown {
                 return None;
             }
             s = self.work.wait(s).unwrap();
         }
-    }
-
-    /// Removes every waiting job with the given structure hash, both
-    /// lanes, preserving arrival order within each lane.
-    fn drain_structure(&self, structure_hash: u64) -> Vec<Job> {
-        fn split(lane: &mut VecDeque<Job>, structure_hash: u64, out: &mut Vec<Job>) {
-            let mut keep = VecDeque::with_capacity(lane.len());
-            for job in lane.drain(..) {
-                if job.structure_hash == structure_hash {
-                    out.push(job);
-                } else {
-                    keep.push_back(job);
-                }
-            }
-            *lane = keep;
-        }
-        let mut s = self.state.lock().unwrap();
-        let mut out = Vec::new();
-        split(&mut s.fast, structure_hash, &mut out);
-        split(&mut s.queued, structure_hash, &mut out);
-        out
     }
 
     fn shutdown(&self) {
@@ -195,7 +191,6 @@ struct Shared {
     counters: Counters,
     cache: SharedPlanCache,
     policy: AdmissionPolicy,
-    batch_window: Duration,
     executor: HybridExecutor,
     stopping: AtomicBool,
 }
@@ -279,7 +274,6 @@ impl EmuServer {
             counters: Counters::default(),
             cache,
             policy: self.config.policy,
-            batch_window: self.config.batch_window,
             executor,
             stopping: AtomicBool::new(false),
         });
@@ -446,7 +440,8 @@ fn handle_submit(
     }
 
     // Planning (cached, single-flight): note the warm/cold provenance
-    // before the lookup so the response can report it.
+    // before the lookup so the response can report it. The peek is not
+    // counted; `shared_plan` is the request's one counted lookup.
     let warm = shared.executor.cached_plan(&program).is_some();
     let plan = shared.executor.shared_plan(&program);
 
@@ -478,6 +473,7 @@ fn handle_submit(
     shared.sched.push(Job {
         structure_hash: program.structure_hash(),
         program,
+        plan,
         options,
         lane,
         warm,
@@ -501,18 +497,7 @@ fn handle_submit(
 // ---------------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.sched.pop() {
-        // Coalescing: give structurally identical in-flight requests one
-        // batching window to arrive, then drain them all.
-        let mut batch = vec![job];
-        if !shared.batch_window.is_zero() {
-            let mut more = shared.sched.drain_structure(batch[0].structure_hash);
-            if more.is_empty() {
-                thread::sleep(shared.batch_window);
-                more = shared.sched.drain_structure(batch[0].structure_hash);
-            }
-            batch.extend(more);
-        }
+    while let Some(batch) = shared.sched.pop_batch() {
         execute_batch(shared, batch);
     }
 }
@@ -557,14 +542,13 @@ fn fail_batch(shared: &Shared, batch: Vec<Job>, message: String) {
 }
 
 /// Runs a structurally homogeneous batch (possibly of one) as one
-/// ensemble and builds the per-job responses. Returns `Err(message)` on a
-/// typed execution failure.
+/// ensemble under its first job's plan and builds the per-job responses.
+/// Returns `Err(message)` on a typed execution failure.
 fn run_batch(shared: &Shared, batch: &[Job]) -> Result<Vec<RunResult>, String> {
     let members: Vec<&QuantumProgram> = batch.iter().map(|j| &j.program).collect();
     let initial = BatchStateVector::zero_state(members[0].n_qubits(), members.len());
-    let plan = shared.executor.shared_plan(members[0]);
     let (states, report) = PlanInterpreter::new(*shared.executor.sim_config())
-        .run_members(&members, &plan, initial)
+        .run_members(&members, &batch[0].plan, initial)
         .map_err(|e| e.to_string())?;
     let steps: Vec<WireStepReport> = report
         .steps

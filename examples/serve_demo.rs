@@ -1,8 +1,8 @@
 //! The emulation daemon end-to-end: an in-process `qcemu-serve` server,
 //! a parameter sweep submitted by concurrent clients, and the daemon's
 //! counters showing what the serving layer did with it — one plan-cache
-//! miss for the whole sweep, coalesced batch execution, and a typed
-//! rejection for an over-width program.
+//! miss for the whole sweep, batch execution for requests that queued
+//! behind a busy worker, and a typed rejection for an over-width program.
 //!
 //! The same server can be started standalone with
 //! `cargo run --release -p qcemu-serve --bin qcemu-served`; clients then
@@ -13,7 +13,6 @@
 
 use qcemu::prelude::*;
 use std::thread;
-use std::time::Duration;
 
 /// A phase-estimation-flavoured sweep body: Hadamard prep, a
 /// parameter-carrying rotation onto an indicator qubit, and a QFT pair.
@@ -45,11 +44,10 @@ fn sweep_program(slope: f64) -> WireProgram {
 }
 
 fn main() {
-    // A small daemon: two workers, a 20 ms coalescing window, and an
-    // admission policy that refuses anything wider than 10 qubits.
+    // A small daemon: two workers and an admission policy that refuses
+    // anything wider than 10 qubits.
     let config = ServerConfig {
         workers: 2,
-        batch_window: Duration::from_millis(20),
         policy: AdmissionPolicy {
             max_qubits: 10,
             ..AdmissionPolicy::default()
@@ -70,8 +68,9 @@ fn main() {
     };
 
     // Eight tenants sweep the rotation slope concurrently. Structure is
-    // identical across the sweep, so the daemon lowers the program once
-    // and coalesces simultaneous arrivals into batch runs.
+    // identical across the sweep, so the daemon lowers the program once;
+    // requests that queue up behind a busy worker are coalesced into one
+    // batch run, the rest run the moment a worker is free.
     thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|i| {

@@ -10,11 +10,11 @@
 
 use qcemu::prelude::*;
 use qcemu::qcemu_serve::wire::{self, ErrorCode, FrameKind};
-use qcemu::qcemu_serve::ServeError;
+use qcemu::qcemu_serve::{RunResult, ServeError, ServerHandle, StatsSnapshot};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A parameter sweep's program: same structure for every `slope`, so the
 /// daemon should plan it once.
@@ -43,7 +43,7 @@ fn sweep_program(slope: f64) -> WireProgram {
     }
 }
 
-fn start_server(config: ServerConfig) -> qcemu::qcemu_serve::ServerHandle {
+fn start_server(config: ServerConfig) -> ServerHandle {
     EmuServer::bind("127.0.0.1:0", config)
         .expect("bind")
         .start()
@@ -54,7 +54,6 @@ fn start_server(config: ServerConfig) -> qcemu::qcemu_serve::ServerHandle {
 fn concurrent_same_structure_requests_cost_one_plan_miss_and_match_local_runs() {
     let handle = start_server(ServerConfig {
         workers: 2,
-        batch_window: Duration::from_millis(3),
         ..ServerConfig::default()
     });
     let addr = handle.addr();
@@ -119,41 +118,106 @@ fn concurrent_same_structure_requests_cost_one_plan_miss_and_match_local_runs() 
     handle.shutdown();
 }
 
+const BLOCKER_QFT_PAIRS: usize = 6;
+
+/// A long job with a structure of its own: `pairs` QFT/inverse-QFT
+/// passes over a 22-qubit register, amplitudes not requested. At
+/// `BLOCKER_QFT_PAIRS` it keeps a lone worker busy for well over 0.3 s,
+/// so requests sent after it queue up.
+fn blocker_program(pairs: usize) -> WireProgram {
+    WireProgram {
+        registers: vec![WireRegister {
+            name: "wide".into(),
+            len: 22,
+        }],
+        ops: (0..pairs)
+            .flat_map(|_| [WireOp::Qft(0), WireOp::InverseQft(0)])
+            .collect(),
+    }
+}
+
+fn submit_blocker(addr: SocketAddr, pairs: usize) -> Result<RunResult, ServeError> {
+    let options = SubmitOptions {
+        want_amplitudes: false,
+        ..SubmitOptions::default()
+    };
+    EmuClient::connect(addr)?.submit(&blocker_program(pairs), &options)
+}
+
+/// The cost the daemon's admission control predicts for `program`.
+fn predicted_s(program: &WireProgram) -> f64 {
+    let config = ServerConfig::default();
+    HybridExecutor::new()
+        .with_model(config.model)
+        .with_config(config.config)
+        .shared_plan(&program.to_program().unwrap())
+        .total_predicted_s()
+}
+
+/// Polls the daemon's counters until `done` holds for them.
+fn wait_until(handle: &ServerHandle, done: impl Fn(&StatsSnapshot) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let stats = handle.stats();
+        if done(&stats) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon never reached the awaited state: {stats:?}"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
-fn coalescing_window_batches_simultaneous_requests() {
+fn twins_queued_behind_a_busy_worker_run_as_one_batch() {
+    // One worker, and one lane, so the blocker is ahead of the twins
+    // even if the worker has not yet woken to take it.
     let handle = start_server(ServerConfig {
         workers: 1,
-        batch_window: Duration::from_millis(200),
+        policy: AdmissionPolicy {
+            fast_lane_cost_s: -1.0, // nothing qualifies as fast
+            ..AdmissionPolicy::default()
+        },
         ..ServerConfig::default()
     });
     let addr = handle.addr();
+    let slopes: Vec<f64> = (0..4).map(|i| 0.3 + 0.1 * i as f64).collect();
 
-    let results: Vec<_> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
+    let results: Vec<RunResult> = thread::scope(|scope| {
+        let blocker = scope.spawn(move || submit_blocker(addr, BLOCKER_QFT_PAIRS));
+        wait_until(&handle, |s| s.queued == 1);
+        let twins: Vec<_> = slopes
+            .iter()
+            .map(|&slope| {
                 scope.spawn(move || {
-                    let mut client = EmuClient::connect(addr).expect("connect");
-                    client
-                        .submit(
-                            &sweep_program(0.3 + 0.1 * i as f64),
-                            &SubmitOptions::default(),
-                        )
+                    EmuClient::connect(addr)
+                        .expect("connect")
+                        .submit(&sweep_program(slope), &SubmitOptions::default())
                         .expect("submit")
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        wait_until(&handle, |s| s.queued == 5);
+        assert_eq!(
+            handle.stats().served,
+            0,
+            "the blocker finished before all four twins were admitted"
+        );
+        blocker.join().unwrap().expect("blocker");
+        twins.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // With one worker and a generous window, the simultaneous arrivals
-    // coalesce: at least one response reports batched execution, and the
-    // batched members still match local runs.
-    assert!(
-        results.iter().any(|r| r.batched && r.batch_size >= 2),
-        "expected at least one coalesced batch"
-    );
-    for (i, result) in results.iter().enumerate() {
-        let program = sweep_program(0.3 + 0.1 * i as f64).to_program().unwrap();
+    // The worker found all four twins waiting and ran them as one batch,
+    // whose members still match local runs.
+    let stats = handle.stats();
+    assert_eq!(stats.batches, 1, "{stats:?}");
+    assert_eq!(stats.batched_requests, 4, "{stats:?}");
+    for (slope, result) in slopes.iter().zip(&results) {
+        assert!(result.batched);
+        assert_eq!(result.batch_size, 4);
+        let program = sweep_program(*slope).to_program().unwrap();
         let local = HybridExecutor::new()
             .run_structural(&program, StateVector::zero_state(program.n_qubits()))
             .unwrap()
@@ -163,9 +227,45 @@ fn coalescing_window_batches_simultaneous_requests() {
             assert!((a.re - b.re).abs() <= 1e-12 && (a.im - b.im).abs() <= 1e-12);
         }
     }
-    let stats = handle.stats();
-    assert!(stats.batches >= 1);
-    assert_eq!(stats.plan_misses, 1);
+    // One lowering for the blocker, one for the twins' shared structure.
+    assert_eq!(stats.plan_misses, 2);
+    handle.shutdown();
+}
+
+#[test]
+fn a_lone_client_is_served_without_waiting_for_company() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = EmuClient::connect(handle.addr()).unwrap();
+    let options = SubmitOptions {
+        want_amplitudes: false,
+        ..SubmitOptions::default()
+    };
+    // Plan the structure first, so the timed requests are warm.
+    client.submit(&sweep_program(0.1), &options).unwrap();
+
+    // Each request finds an idle worker and nothing queued with it: it
+    // must run at once. A worker that held every request open for
+    // company for 2 ms would spend the whole budget on that alone, in
+    // every round; the best of three rounds only forgives a busy host.
+    let requests = 40;
+    let budget = requests * Duration::from_millis(2);
+    let fastest = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            for i in 0..requests {
+                let result = client
+                    .submit(&sweep_program(0.2 + 0.01 * i as f64), &options)
+                    .unwrap();
+                assert_eq!(result.batch_size, 1);
+            }
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < budget,
+        "{requests} sequential requests took {fastest:?} at best, budget {budget:?}"
+    );
     handle.shutdown();
 }
 
@@ -285,47 +385,36 @@ fn over_budget_programs_are_rejected_with_a_typed_error() {
 
 #[test]
 fn queue_overflow_is_a_typed_error_and_the_daemon_recovers() {
-    // One worker, everything forced onto the queued lane, queue bounded
-    // at a single waiter, and a long batching window to hold the worker
-    // occupied deterministically.
+    // One worker, a queue bounded at a single waiter, and blocker A on
+    // the fast lane, which the bound does not count: whether the worker
+    // has taken A yet cannot change what B and C find. The longer
+    // blockers B and C are priced above the fast lane.
+    let (short, long) = (BLOCKER_QFT_PAIRS, BLOCKER_QFT_PAIRS + 1);
+    let fast_lane_cost_s = predicted_s(&blocker_program(short));
+    assert!(predicted_s(&blocker_program(long)) > fast_lane_cost_s);
     let handle = start_server(ServerConfig {
         workers: 1,
-        batch_window: Duration::from_millis(400),
         policy: AdmissionPolicy {
-            fast_lane_cost_s: -1.0, // nothing qualifies as fast
+            fast_lane_cost_s,
             max_queue_depth: 1,
             ..AdmissionPolicy::default()
         },
         ..ServerConfig::default()
     });
     let addr = handle.addr();
+    // Plan B's structure up front, so that B and C are admitted from the
+    // cache in well under A's run time.
+    submit_blocker(addr, long).unwrap();
 
     thread::scope(|scope| {
-        // Job A: popped immediately; the worker then sits in its
-        // batching window for 400ms.
-        let a = scope.spawn(move || {
-            EmuClient::connect(addr)
-                .unwrap()
-                .submit(&sweep_program(0.1), &SubmitOptions::default())
-        });
-        thread::sleep(Duration::from_millis(100));
-        // Job B (different structure — it will not be coalesced into A):
-        // occupies the single queue slot.
-        let b = scope.spawn(move || {
-            let mut p = sweep_program(0.2);
-            p.ops.push(WireOp::Qft(0));
-            EmuClient::connect(addr)
-                .unwrap()
-                .submit(&p, &SubmitOptions::default())
-        });
-        thread::sleep(Duration::from_millis(100));
+        // Job A holds the worker.
+        let a = scope.spawn(move || submit_blocker(addr, short));
+        wait_until(&handle, |s| s.fast_lane == 1);
+        // Job B occupies the single queue slot until A is done.
+        let b = scope.spawn(move || submit_blocker(addr, long));
+        wait_until(&handle, |s| s.queued == 2);
         // Job C: the queue is full → typed overflow rejection.
-        let mut p = sweep_program(0.3);
-        p.ops.push(WireOp::Qft(0));
-        match EmuClient::connect(addr)
-            .unwrap()
-            .submit(&p, &SubmitOptions::default())
-        {
+        match submit_blocker(addr, long) {
             Err(ServeError::Server { code, .. }) => assert_eq!(code, ErrorCode::QueueFull),
             other => panic!("expected QueueFull, got {other:?}"),
         }
@@ -335,12 +424,9 @@ fn queue_overflow_is_a_typed_error_and_the_daemon_recovers() {
     });
 
     // After the burst drains, the daemon admits queued work again.
-    let mut client = EmuClient::connect(addr).unwrap();
-    client
-        .submit(&sweep_program(0.4), &SubmitOptions::default())
-        .expect("daemon must stay serviceable after a queue overflow");
+    submit_blocker(addr, long).expect("daemon must stay serviceable after a queue overflow");
     let stats = handle.stats();
     assert_eq!(stats.rejected_queue_full, 1);
-    assert!(stats.served >= 3);
+    assert_eq!((stats.fast_lane, stats.queued, stats.served), (1, 3, 4));
     handle.shutdown();
 }
