@@ -41,6 +41,11 @@
 //! complex-SIMD primitives of [`qcemu_linalg::simd`] consume. Runs shorter
 //! than [`simd::LANES`] (a single state with the gate on its lowest
 //! qubits) take an inline scalar loop instead of the SIMD dispatch. The
+//! gathering fused kernels ([`apply_fused`] and the general-block replay)
+//! first lift the state bits below a block's lowest qubit into the batch,
+//! so their gathers copy contiguous runs and their replayed ops take the
+//! same slice primitives; only a block on qubit 0 of a lone state replays
+//! on the scalar loop. The
 //! primitives themselves dispatch at run time (AVX2+FMA where the CPU
 //! check finds it, scalar everywhere else), so this module never names
 //! an instruction set.
@@ -74,6 +79,11 @@ pub const MAX_FUSED_QUBITS: usize = 6;
 /// cut into aligned pieces so that every sweep has many tasks to split
 /// across the pool (a top-qubit gate is otherwise one single run).
 const MAX_RUN: usize = 1 << 12;
+
+/// Largest gathered group (in buffer elements, 32 KiB) the fused gather
+/// grows a block's group to by lifting low state bits into the batch: an
+/// L1's worth (`MAX_RUN`'s 64 KiB measured slower).
+const LIFT_GROUP: usize = 1 << 11;
 
 /// A sweep whose controls select fewer than `par_threshold / MIN_PAR_SHARE`
 /// elements stays serial however long the buffer is: a gate with a dozen
@@ -558,13 +568,22 @@ fn for_each_group<F>(
 }
 
 /// Gathers every group of a fused block into the first `2^k·batch`
-/// elements of a scratch buffer (`spare` more follow), runs `f(scratch)`
-/// on it in cache, and scatters those elements back. Local index `v` of
-/// member `j` lands at `v·batch + j` — the gathered group is itself
-/// batch-major. The block's low qubits `0..r` (those equal to their own
-/// position) address a contiguous `2^r`-amplitude prefix of every group,
-/// so gather/scatter moves `batch · 2^r`-element memcpy-class runs and
-/// only the remaining high qubits pay a strided offset.
+/// elements of a scratch buffer (`spare` more follow), runs
+/// `f(scratch, batch)` on it in cache, and scatters those elements back.
+/// Local index `v` of member `j` lands at `v·batch + j` — the gathered
+/// group is itself batch-major.
+///
+/// First the `s` state bits below the block's lowest qubit are **lifted
+/// into the batch dimension**: the block never touches them, and in the
+/// batch-major layout `batch` members over `n` qubits are the same memory
+/// as `batch << s` members over `n − s` qubits, old qubit `q` at `q − s`.
+/// `f` receives that lifted batch, so every gathered run is at least
+/// `batch << s` contiguous elements and every replayed op works on slices
+/// at least that long — the SIMD tier of [`LocalOp::apply`]. `s` is capped
+/// at a `LIFT_GROUP`-element group; a block on qubit 0 has `s = 0`. After
+/// the lift, the block's low qubits `0..r` (those equal to their own
+/// position) address a contiguous prefix of every group, so only the
+/// remaining high qubits pay a strided offset.
 fn for_each_gathered_group<F>(
     state: &mut [C64],
     batch: usize,
@@ -573,8 +592,16 @@ fn for_each_gathered_group<F>(
     par_threshold: usize,
     f: F,
 ) where
-    F: Fn(&mut [C64]) + Sync + Send,
+    F: Fn(&mut [C64], usize) + Sync + Send,
 {
+    let cap = (LIFT_GROUP / (batch << qubits.len())).max(1).ilog2() as usize;
+    let s = qubits[0].min(cap);
+    let batch = batch << s;
+    let mut lifted = [0; MAX_FUSED_QUBITS];
+    for (l, &q) in lifted.iter_mut().zip(qubits) {
+        *l = q - s;
+    }
+    let qubits = &lifted[..qubits.len()];
     let run_bits = qubits
         .iter()
         .enumerate()
@@ -601,7 +628,7 @@ fn for_each_gathered_group<F>(
                     let src = p.0.add(base + off) as *const C64;
                     std::ptr::copy_nonoverlapping(src, scratch.as_mut_ptr().add(w * run), run);
                 }
-                f(scratch);
+                f(scratch, batch);
                 for (w, &off) in offs.iter().enumerate() {
                     let dst = p.0.add(base + off);
                     std::ptr::copy_nonoverlapping(scratch.as_ptr().add(w * run), dst, run);
@@ -614,11 +641,13 @@ fn for_each_gathered_group<F>(
 /// Applies a dense `2^k × 2^k` matrix to the register formed by the `k`
 /// ascending `qubits` — every amplitude group gets one gather / product /
 /// scatter, so the whole block costs a single blocked pass over the state
-/// regardless of how many gates were fused into the matrix. The product
-/// `out[r·batch+j] = Σ_c M[r,c]·in[c·batch+j]` is the FLOP-dense loop of
-/// the whole fusion engine: member by member, each (contiguous) matrix row
-/// is reduced against the member's `2^k` gathered amplitudes through the
-/// vectorised [`simd::cdot`].
+/// regardless of how many gates were fused into the matrix. The state bits
+/// below `qubits[0]` are lifted into the batch first (up to an L1-sized
+/// group), so each gather copies contiguous runs of at least that many
+/// lanes. The product `out[r·batch+j] = Σ_c M[r,c]·in[c·batch+j]` is the
+/// FLOP-dense loop of the whole fusion engine: lane by lane, each
+/// (contiguous) matrix row is reduced against the lane's `2^k` gathered
+/// amplitudes through the vectorised [`simd::cdot`].
 ///
 /// Prefer [`crate::fusion`]'s structure-aware dispatch over calling this
 /// directly: diagonal and permutation blocks have far cheaper appliers.
@@ -659,16 +688,16 @@ pub fn apply_fused(
         "fused matrix must be 2^k x 2^k for k = {}",
         qubits.len()
     );
-    for_each_gathered_group(state, batch, qubits, dim, par_threshold, |scratch| {
-        let (x, member) = scratch.split_at_mut(dim * batch);
-        for j in 0..batch {
-            for (c, z) in member.iter_mut().enumerate() {
-                *z = x[c * batch + j];
+    for_each_gathered_group(state, batch, qubits, dim, par_threshold, |buf, lanes| {
+        let (x, lane) = buf.split_at_mut(dim * lanes);
+        for j in 0..lanes {
+            for (c, z) in lane.iter_mut().enumerate() {
+                *z = x[c * lanes + j];
             }
-            // Member `j`'s inputs are all in `member` now, so its outputs
-            // can overwrite them in place.
+            // Lane `j`'s inputs are all in `lane` now, so its outputs can
+            // overwrite them in place.
             for r in 0..dim {
-                x[r * batch + j] = simd::cdot(m.row(r), member);
+                x[r * lanes + j] = simd::cdot(m.row(r), lane);
             }
         }
     });
@@ -1061,7 +1090,10 @@ fn lowest_bit(mask: usize) -> usize {
 /// Applies a fused block by gathering each group into a scratch buffer,
 /// running the block's precompiled ops on it in cache, and scattering the
 /// result back — one memory sweep for the whole gate run, with exactly the
-/// same per-amplitude arithmetic as unfused execution.
+/// same per-amplitude arithmetic as unfused execution. With the state bits
+/// below `qubits[0]` lifted into the batch, every op runs on the SIMD
+/// slices of [`LocalOp::apply`]; a block on qubit 0 of a lone state keeps
+/// the scalar walk.
 pub(crate) fn apply_fused_local(
     state: &mut [C64],
     batch: usize,
@@ -1070,9 +1102,9 @@ pub(crate) fn apply_fused_local(
     par_threshold: usize,
 ) {
     fused_dim(state.len(), batch, qubits);
-    for_each_gathered_group(state, batch, qubits, 0, par_threshold, |buf| {
+    for_each_gathered_group(state, batch, qubits, 0, par_threshold, |buf, lanes| {
         for op in ops {
-            op.apply(buf, batch);
+            op.apply(buf, lanes);
         }
     });
 }
