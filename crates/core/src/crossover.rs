@@ -155,7 +155,10 @@ pub struct CostModel {
     pub table_rate: f64,
     /// One-off cost per gate of fusing + classifying a circuit
     /// (matrix compose and structure detection, paid before the first
-    /// fused sweep).
+    /// fused sweep). Charged only where a run pays it: segmented steps
+    /// and fused steps on a built circuit compile per run, while a raw
+    /// gate run's fused step applies the stream its plan carries and is
+    /// priced with no compile term.
     pub fuse_per_gate: f64,
     /// Contraction work units per second of the compressed MPS backend
     /// (`qcemu_sim::mps`): the unit convention of
@@ -349,7 +352,9 @@ impl CostModel {
     /// Fused gate-level execution: `sweeps` blocked sweeps (the fused
     /// circuit's op count, each one pool dispatch at the fused kernels'
     /// own measured rate) writing `fused_entries`, plus the one-off
-    /// fuse/classify cost of the circuit's `gate_count` gates.
+    /// fuse/classify cost of `gate_count` gates. The planner passes the
+    /// gates the run itself compiles: a circuit built per run counts all
+    /// of them, a raw gate run whose stream the plan carries counts 0.
     pub fn t_gates_fused(&self, fused_entries: usize, gate_count: usize, sweeps: usize) -> f64 {
         self.t_sweeps(fused_entries, sweeps, self.fused_entry_rate)
             + gate_count as f64 * self.fuse_per_gate

@@ -138,9 +138,21 @@ pub struct PlanStep {
     /// Fused block stream of a raw gate run, as the cost model priced it —
     /// reused directly by fused execution (the structure hash covers a raw
     /// run bit for bit, and fusion is semantics-preserving at any window).
-    /// Nothing built from a closure is ever carried: such a step builds
-    /// its circuit from the member it is executing.
+    /// Because every run applies it as built, the step's `predicted_s`
+    /// holds no fusion compile. An interpreter with
+    /// [`elementary`](PlanInterpreter::elementary) set decomposes the run
+    /// and fuses it again instead, so its predictions for these steps are
+    /// low. Nothing built from a closure is ever carried: such a step
+    /// builds its circuit from the member it is executing.
     pub(crate) fused: Option<FusedCircuit>,
+}
+
+impl PlanStep {
+    /// The fused block stream this step carries, if any (read-only: a
+    /// plan's streams are built from its own program's raw runs).
+    pub fn carried_stream(&self) -> Option<&FusedCircuit> {
+        self.fused.as_ref()
+    }
 }
 
 /// A fully lowered program: an ordered list of [`PlanStep`]s plus the
@@ -654,14 +666,17 @@ impl Pricing<'_> {
             // The fused estimate actually runs the fusion engine (matrix
             // compose + classify per block), which is why each flavour is
             // priced only when a candidate set asks for it. Only a raw
-            // run's stream is kept for the plan.
+            // run's stream is kept for the plan, so only a raw run's price
+            // drops the compile: every run of the plan applies the stream
+            // as built here, while a built circuit is fused again per run.
             Backend::SimulateFused => {
                 let fc = c.fuse(&FusionPolicy::Greedy {
                     max_fused_qubits: self.window,
                 });
-                let t =
-                    model.t_gates_fused(fc.touched_entries(n_sim), c.gate_count(), fc.ops().len());
-                fused = matches!(cand.path, GatePath::Raw(_)).then_some(fc);
+                let carried = matches!(cand.path, GatePath::Raw(_));
+                let compiled = if carried { 0 } else { c.gate_count() };
+                let t = model.t_gates_fused(fc.touched_entries(n_sim), compiled, fc.ops().len());
+                fused = carried.then_some(fc);
                 t
             }
             // Priced with the policy `SimConfig::segmented()` executes
@@ -1003,7 +1018,7 @@ impl PlanInterpreter {
     /// backend, no elementary lowering).
     fn priced_stream<'s>(&self, step: &'s PlanStep) -> Option<&'s FusedCircuit> {
         let usable = step.backend == Backend::SimulateFused && !self.elementary;
-        step.fused.as_ref().filter(|_| usable)
+        step.carried_stream().filter(|_| usable)
     }
 
     /// Attempts compressed execution of a [`Backend::SimulateMps`] step.
@@ -1768,6 +1783,55 @@ mod tests {
             "the head-room moved, so plan() walked twice"
         );
         assert_eq!(builds.load(Ordering::Relaxed) - before, 1);
+    }
+
+    #[test]
+    fn a_fused_step_is_charged_the_compile_only_when_a_run_pays_it() {
+        use crate::program::{ClassicalMap, GateImpl, MapKind};
+        use std::sync::Arc;
+        // The same 3-gate body as a raw run (plan carries its stream)
+        // and as a gate impl with an ancilla (execution fuses it again).
+        let body = |n: usize| {
+            let mut c = Circuit::new(n);
+            c.h(0).cnot(0, 1).rz(1, 0.3);
+            c
+        };
+        let mut pb = ProgramBuilder::new();
+        let a = pb.register("a", 6);
+        pb.gates(|c| *c = body(6));
+        pb.classical(ClassicalMap {
+            name: "body".into(),
+            regs: vec![a],
+            f: Arc::new(|_| {}),
+            kind: MapKind::InPlaceBijection,
+            gate_impl: Some(GateImpl {
+                n_ancilla: 1,
+                build: Arc::new(move |p| body(p.n_qubits() + 1)),
+            }),
+        });
+        let prog = pb.build().unwrap();
+        let m = model();
+        let plan = simulated(&prog, &m, &SimConfig::fused(4));
+        assert_eq!(plan.n_ancilla(), 1, "{plan}");
+        let window = FusionPolicy::Greedy {
+            max_fused_qubits: 4,
+        };
+        let (raw, built) = (&plan.steps()[0], &plan.steps()[1]);
+        assert_eq!(raw.backend, Backend::SimulateFused);
+        assert_eq!(built.backend, Backend::SimulateFused);
+        // Every sweep runs under the plan's head-room: 7 qubits.
+        let fc = body(6).fuse(&window);
+        assert_eq!(
+            raw.predicted_s,
+            m.t_gates_fused(fc.touched_entries(7), 0, fc.ops().len())
+        );
+        assert!(raw.carried_stream().is_some());
+        let fc = body(7).fuse(&window);
+        assert_eq!(
+            built.predicted_s,
+            m.t_gates_fused(fc.touched_entries(7), 3, fc.ops().len())
+        );
+        assert!(built.carried_stream().is_none());
     }
 
     #[test]

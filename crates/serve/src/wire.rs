@@ -818,7 +818,7 @@ impl WireProgram {
                             .try_push(g.clone())
                             .map_err(WireError::InvalidGate)?;
                     }
-                    pb.gates(|c| c.extend(&circuit));
+                    pb.gates(|c| *c = circuit);
                 }
                 WireOp::Hadamard(r) => {
                     pb.hadamard_all(reg(*r)?);

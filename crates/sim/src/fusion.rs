@@ -207,7 +207,9 @@ enum BlockKind {
         target: Vec<usize>,
         factor: Vec<C64>,
     },
-    General,
+    General {
+        ops: Vec<LocalOp>,
+    },
     Dense,
 }
 
@@ -221,7 +223,6 @@ enum BlockKind {
 pub struct FusedGate {
     qubits: Vec<usize>,
     matrix: CMatrix,
-    local_ops: Vec<LocalOp>,
     kind: BlockKind,
     gate_count: usize,
 }
@@ -261,11 +262,10 @@ impl FusedGate {
             }
         }
 
-        let kind = classify(&matrix, dim, gates.len());
+        let kind = classify(&matrix, dim, local_ops);
         FusedGate {
             qubits,
             matrix,
-            local_ops,
             kind,
             gate_count: gates.len(),
         }
@@ -291,7 +291,7 @@ impl FusedGate {
         match self.kind {
             BlockKind::Diagonal { .. } => FusedStructure::Diagonal,
             BlockKind::Permutation { .. } => FusedStructure::Permutation,
-            BlockKind::General => FusedStructure::General,
+            BlockKind::General { .. } => FusedStructure::General,
             BlockKind::Dense => FusedStructure::Dense,
         }
     }
@@ -345,8 +345,8 @@ impl FusedGate {
             BlockKind::Permutation { target, factor } => {
                 apply_fused_permutation(state, batch, qubits, target, factor, par_threshold)
             }
-            BlockKind::General => {
-                apply_fused_local(state, batch, qubits, &self.local_ops, par_threshold)
+            BlockKind::General { ops } => {
+                apply_fused_local(state, batch, qubits, ops, par_threshold)
             }
             BlockKind::Dense => apply_fused(state, batch, qubits, &self.matrix, par_threshold),
         }
@@ -376,7 +376,7 @@ impl FusedGate {
                 .enumerate()
                 .filter(|&(v, &t)| t != v || factor[v] != C64::ONE)
                 .count(),
-            BlockKind::General | BlockKind::Dense => 1usize << k,
+            BlockKind::General { .. } | BlockKind::Dense => 1usize << k,
         };
         fused_touched_entries(n_qubits, k, local)
     }
@@ -402,11 +402,12 @@ fn remap_gate(gate: &Gate, f: &impl Fn(usize) -> usize) -> Gate {
     }
 }
 
-/// Classifies a composed block matrix. Diagonal/permutation detection uses
-/// exact zero tests: diagonal and permutation gates produce exact zeros
-/// under composition, while general gates leave numerically non-zero dust
-/// that correctly demotes the block to the general path.
-fn classify(matrix: &CMatrix, dim: usize, gate_count: usize) -> BlockKind {
+/// Classifies a composed block matrix, keeping the block's per-gate `ops`
+/// only when the general (replay) path will read them. Diagonal/permutation
+/// detection uses exact zero tests: diagonal and permutation gates produce
+/// exact zeros under composition, while general gates leave numerically
+/// non-zero dust that correctly demotes the block to the general path.
+fn classify(matrix: &CMatrix, dim: usize, ops: Vec<LocalOp>) -> BlockKind {
     let mut target = vec![0usize; dim];
     let mut factor = vec![C64::ZERO; dim];
     let mut monomial = true;
@@ -433,12 +434,12 @@ fn classify(matrix: &CMatrix, dim: usize, gate_count: usize) -> BlockKind {
         }
         return BlockKind::Permutation { target, factor };
     }
-    if gate_count >= dim {
+    if ops.len() >= dim {
         // Enough gates that one dense mat-vec (2^k multiplies per entry)
         // beats replaying them (≥1 multiply per entry per gate).
         BlockKind::Dense
     } else {
-        BlockKind::General
+        BlockKind::General { ops }
     }
 }
 
@@ -901,6 +902,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn only_general_blocks_hold_ops() {
+        // A plan carries its fused streams, so a block keeps its per-gate
+        // replay ops only when its kind reads them: one of each class.
+        let mut c = Circuit::new(9);
+        c.cphase(0, 1, 0.3).rz(1, 0.2); // diagonal
+        c.cnot(2, 3).swap(3, 4); // permutation
+        c.h(5).cnot(5, 6); // general
+        for _ in 0..3 {
+            c.h(7).ry(8, 0.1); // dense
+        }
+        let fused = c.fuse(&FusionPolicy::Greedy {
+            max_fused_qubits: 3,
+        });
+        let mut seen = Vec::new();
+        for op in fused.ops() {
+            let FusedOp::Block(b) = op else { continue };
+            seen.push(b.structure());
+            match &b.kind {
+                BlockKind::General { ops } => assert_eq!(ops.len(), b.gate_count()),
+                _ => assert_ne!(b.structure(), FusedStructure::General),
+            }
+        }
+        for s in [
+            FusedStructure::Diagonal,
+            FusedStructure::Permutation,
+            FusedStructure::General,
+            FusedStructure::Dense,
+        ] {
+            assert!(seen.contains(&s), "{s:?} missing from {seen:?}");
+        }
+        check_fused_equals_unfused(&c, 3, 907);
     }
 
     #[test]

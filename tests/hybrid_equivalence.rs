@@ -234,7 +234,8 @@ fn shor_style_program(m: usize) -> QuantumProgram {
 
 /// `perf_suite`'s `serve_warm` program: two Hadamard layers, two
 /// deep register-local gate runs, multiply, add, rotation, QFT pair.
-fn serve_style_program(m: usize, depth: usize) -> QuantumProgram {
+/// `slope` (the rotation's angle law) is not part of the structure.
+fn serve_style_program(m: usize, depth: usize, slope: f64) -> QuantumProgram {
     let mut gates = Vec::with_capacity(2 * depth);
     for block in 0..2usize {
         for i in 0..depth {
@@ -269,7 +270,7 @@ fn serve_style_program(m: usize, depth: usize) -> QuantumProgram {
             WireOp::Rotation {
                 x: 0,
                 target: 4,
-                slope: 0.3,
+                slope,
                 intercept: 0.05,
             },
             WireOp::Qft(2),
@@ -335,7 +336,7 @@ fn qpe_style_program() -> QuantumProgram {
 fn routing_table() -> String {
     let programs = [
         ("shor m=4", shor_style_program(4)),
-        ("serve m=3 depth=60", serve_style_program(3, 60)),
+        ("serve m=3 depth=60", serve_style_program(3, 60, 0.3)),
         ("sweep m=6", sweep_style_program(6)),
         ("qpe tfim", qpe_style_program()),
     ];
@@ -367,38 +368,82 @@ fn routing_table() -> String {
 }
 
 /// The table was captured at the commit before the three lowering
-/// functions became one walk and must not move, with one exception: an
-/// automatically chosen `simulate:mps` step whose prefix holds a
-/// non-`Gates` op is now dense, because its χ certificate assumed a
-/// product-state input the step does not receive. (The `qft`/`iqft` and
-/// `qpe` rows were re-captured when `t_qft_emulated` began pricing the
-/// cache-blocked FFT engine's passes instead of a sweep per register
-/// bit; under `cheapest` that moved the 3- and 4-bit QFTs from
-/// `simulate:fused` to `emulate:fft`. The `qpe` rows' predicted cost was
-/// re-captured again when the dense strategies' slice write-out began to be
-/// priced as one state-sized GEMM pass instead of one per phase bit.)
+/// functions became one walk, and every re-capture since is listed here;
+/// it is now compared exactly.
+///
+/// - When one walk replaced the three lowerings, a `cheapest` step
+///   chosen as `simulate:mps` with a non-`Gates` op before it went dense,
+///   because its χ certificate assumed a product-state input the step
+///   does not receive (`shor` `gates[108]` and `sweep` `gates[22]` ×2).
+/// - The `qft`/`iqft` and `qpe` rows were re-captured when
+///   `t_qft_emulated` began pricing the cache-blocked FFT engine's passes
+///   instead of a sweep per register bit: under `cheapest` the 3- and
+///   4-bit QFTs moved from `simulate:fused` to `emulate:fft`. The `qpe`
+///   rows' cost moved again when the dense strategies' slice write-out
+///   was priced as one state-sized GEMM pass instead of one per phase bit.
+/// - A raw gate run's `simulate:fused` price dropped its per-gate fusion
+///   compile, because the plan carries the stream and no run compiles it
+///   again. Every `gates[…]` row of the `simulate fused` sections is
+///   repriced. Under `cheapest`, `serve` `gates[120]`, `sweep` `gates[6]`
+///   and `gates[4]` and `qpe tfim` `gates[3]` moved from `simulate:mps`
+///   to `simulate:fused`, and `shor` `gates[108]` and `sweep` `gates[22]`
+///   ×2 moved from `simulate:segmented` to `simulate:fused`.
 #[test]
 fn routing_matches_the_three_planner_snapshot() {
     let expected = include_str!("snapshots/routing.txt");
     let actual = routing_table();
     assert_eq!(expected.lines().count(), actual.lines().count());
-    let mut after_non_gates = false;
     let mut section = "";
     for (want, got) in expected.lines().zip(actual.lines()) {
         if want.starts_with("== ") {
-            (section, after_non_gates) = (want, false);
+            section = want;
         }
-        let is_step = want.as_bytes().get(2).is_some_and(u8::is_ascii_digit);
-        if want != got {
-            let mps_went_dense = section.ends_with("cheapest")
-                && after_non_gates
-                && want.contains("simulate:mps")
-                && got.contains("simulate:")
-                && !got.contains("simulate:mps");
-            assert!(mps_went_dense, "{section}\n  was: {want}\n  now: {got}");
-        }
-        if is_step && !want[4..].starts_with("gates[") {
-            after_non_gates = true;
+        assert_eq!(want, got, "{section}");
+    }
+}
+
+/// The daemon's request shape (13 qubits, two 600-gate runs on 3-qubit
+/// registers) under the daemon's own model and config: the deep run's
+/// fused stream is carried by the plan, so it is priced without a
+/// compile and wins over the compressed route. Solo and as a batch of
+/// two slopes, the plan matches the unfused gate-level reference.
+#[test]
+fn the_serve_shaped_deep_run_takes_its_carried_fused_stream() {
+    let server = ServerConfig::default();
+    let members: Vec<QuantumProgram> = [0.3, 0.45]
+        .iter()
+        .map(|&slope| serve_style_program(3, 600, slope))
+        .collect();
+    let n = members[0].n_qubits();
+    assert_eq!(n, 13);
+    let batch = BatchExecutor::new()
+        .with_model(server.model)
+        .with_config(server.config);
+    let plan = batch.plan(&members[0]);
+    let step = plan
+        .steps()
+        .iter()
+        .find(|s| s.op == "gates[1200]")
+        .expect("the deep run is one step");
+    assert_eq!(step.backend, Backend::SimulateFused, "{plan}");
+    assert!(step.carried_stream().is_some(), "{plan}");
+    let references: Vec<StateVector> = members
+        .iter()
+        .map(|p| {
+            GateLevelSimulator::new()
+                .run(p, StateVector::zero_state(n))
+                .unwrap()
+        })
+        .collect();
+    for b in [1, 2] {
+        let (out, report) = batch
+            .run_with_report(&members[..b], BatchStateVector::zero_state(n, b))
+            .unwrap();
+        let deep = report.steps.iter().find(|s| s.op == "gates[1200]").unwrap();
+        assert_eq!(deep.backend, Backend::SimulateFused);
+        for (j, reference) in references[..b].iter().enumerate() {
+            let diff = out.member(j).max_diff_up_to_phase(reference);
+            assert!(diff <= 1e-10, "B = {b}, member {j}: {diff:.3e}");
         }
     }
 }
