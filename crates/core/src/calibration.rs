@@ -83,8 +83,12 @@ pub(crate) fn host_fingerprint() -> String {
 
 /// Resolved cache file path, or `None` when persistence is disabled
 /// (explicitly via `QCEMU_CALIB_CACHE`, or because no home directory is
-/// known).
+/// known). Always `None` in this crate's unit-test build, so its tests
+/// neither read nor write the user's cache.
 pub(crate) fn cache_path() -> Option<PathBuf> {
+    if cfg!(test) {
+        return None;
+    }
     match std::env::var("QCEMU_CALIB_CACHE") {
         Ok(v) if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") => None,
         Ok(v) => Some(PathBuf::from(v)),

@@ -43,9 +43,11 @@ pub enum EmuError {
         /// Provided qubit count.
         got: usize,
     },
-    /// Ancilla qubits were not restored to |0⟩ by the gate-level run —
+    /// Ancilla qubits were not restored to |0⟩ by a gate-level step —
     /// indicates a broken reversible circuit.
     AncillaNotClean {
+        /// Index of the plan step that left them dirty.
+        step: usize,
         /// Residual probability mass on non-zero ancilla values.
         leaked: f64,
     },
@@ -88,10 +90,10 @@ impl fmt::Display for EmuError {
                     "initial state has {got} qubits, program needs {expected}"
                 )
             }
-            EmuError::AncillaNotClean { leaked } => {
+            EmuError::AncillaNotClean { step, leaked } => {
                 write!(
                     f,
-                    "ancillas not restored to |0⟩ (leaked probability {leaked:.3e})"
+                    "step {step}: ancillas not restored to |0⟩ (leaked probability {leaked:.3e})"
                 )
             }
             EmuError::Eigensolver(msg) => write!(f, "eigensolver: {msg}"),

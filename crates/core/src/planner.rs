@@ -40,7 +40,7 @@ use std::borrow::{Borrow, Cow};
 use std::fmt;
 use std::time::Instant;
 
-/// Probability mass tolerated on non-|0⟩ ancilla values after a run.
+/// Probability mass tolerated on non-|0⟩ ancilla values after a step.
 const ANCILLA_LEAK_TOL: f64 = 1e-9;
 
 /// Execution backend of one plan step.
@@ -132,8 +132,10 @@ pub struct PlanStep {
     /// execution then fails with the same error the legacy executor
     /// raised).
     pub predicted_s: f64,
-    /// Work qubits this step needs above the program space (simulation
-    /// backends only).
+    /// Work qubits this step runs with above the program space
+    /// (simulation backends only). The interpreter widens the state to
+    /// `n + n_ancilla` qubits for this step alone and checks the ancillas
+    /// are back in |0⟩ after it.
     pub n_ancilla: usize,
     /// Fused block stream of a raw gate run, as the cost model priced it —
     /// reused directly by fused execution (the structure hash covers a raw
@@ -155,13 +157,12 @@ impl PlanStep {
     }
 }
 
-/// A fully lowered program: an ordered list of [`PlanStep`]s plus the
-/// ancilla head-room their union requires. A plan holds nothing derived
-/// from a closure, so it serves every program of its structure.
+/// A fully lowered program: an ordered list of [`PlanStep`]s. A plan
+/// holds nothing derived from a closure, so it serves every program of
+/// its structure.
 #[derive(Clone, Debug)]
 pub struct ExecutionPlan {
     steps: Vec<PlanStep>,
-    n_ancilla: usize,
     /// `structure_hash` of the program the plan was lowered from;
     /// execution refuses any other structure (steps index its op list).
     structure: u64,
@@ -173,35 +174,17 @@ impl ExecutionPlan {
         &self.steps
     }
 
-    /// Ancilla qubits the interpreter must append above the program space
-    /// (the `2^anc` memory factor of paper Fig. 2) — the maximum over the
-    /// plan's *simulated* steps, zero for all-emulated plans.
+    /// Ancilla qubits of the widest step (the `2^anc` memory factor of
+    /// paper Fig. 2, paid only while that step runs): zero for plans that
+    /// simulate no ancilla-bearing op.
     pub fn n_ancilla(&self) -> usize {
-        self.n_ancilla
+        self.steps.iter().map(|s| s.n_ancilla).max().unwrap_or(0)
     }
 
     /// Sum of the per-step cost predictions (model seconds).
     pub fn total_predicted_s(&self) -> f64 {
         self.steps.iter().map(|s| s.predicted_s).sum()
     }
-
-    fn from_steps(program: &QuantumProgram, steps: Vec<PlanStep>) -> ExecutionPlan {
-        ExecutionPlan {
-            n_ancilla: headroom(&steps),
-            steps,
-            structure: program.structure_hash(),
-        }
-    }
-}
-
-/// Ancilla head-room a step list needs: the widest simulated step.
-fn headroom(steps: &[PlanStep]) -> usize {
-    steps
-        .iter()
-        .filter(|s| s.backend.is_simulate())
-        .map(|s| s.n_ancilla)
-        .max()
-        .unwrap_or(0)
 }
 
 impl fmt::Display for ExecutionPlan {
@@ -221,7 +204,7 @@ impl fmt::Display for ExecutionPlan {
                 fmt_model_secs(step.predicted_s),
             )?;
         }
-        write!(f, "ancillas: {}", self.n_ancilla)
+        write!(f, "ancillas: {}", self.n_ancilla())
     }
 }
 
@@ -313,49 +296,50 @@ fn fmt_model_secs(s: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Ancilla head-room, on the batch-major buffer: ancillas are the top
-// qubits, so every member's ancilla-excited amplitudes form the tail.
+// Ancilla head-room, per step, on the batch-major buffer: ancillas are the
+// top qubits, so every member's ancilla-excited amplitudes form the tail.
 // ---------------------------------------------------------------------------
 
-/// Extends every member with `n_anc` |0⟩ ancilla qubits above its own —
-/// the memory the paper's Fig. 2 is about: the gate-level path pays
-/// `2^anc ×`.
-pub fn extend_with_ancillas(state: BatchStateVector, n_anc: usize) -> BatchStateVector {
-    if n_anc == 0 {
+/// Resizes every member to `width` qubits. Widening appends |0⟩ ancillas
+/// (the memory the paper's Fig. 2 is about: a gate path with `a` work
+/// qubits pays `2^a ×`); narrowing drops an ancilla tail that
+/// [`check_ancillas`] found clean. The buffer keeps its capacity, so the
+/// next wide step does not reallocate.
+fn with_width(state: BatchStateVector, width: usize) -> BatchStateVector {
+    if state.n_qubits() == width {
         return state;
     }
     let batch = state.batch();
     let mut amps = state.into_amplitudes();
-    amps.resize(amps.len() << n_anc, C64::ZERO);
+    amps.resize(batch << width, C64::ZERO);
     BatchStateVector::from_amplitudes(amps, batch)
 }
 
 /// Validates that every member's ancillas above the `n_program`-qubit
-/// space returned to |0⟩ and truncates the ensemble back down; a leak
-/// indicates a broken reversible circuit.
-pub fn truncate_ancillas(
-    state: BatchStateVector,
-    n_program: usize,
-) -> Result<BatchStateVector, EmuError> {
-    if state.n_qubits() == n_program {
-        return Ok(state);
-    }
+/// space are back in |0⟩ after plan step `step`; a leak indicates a
+/// broken reversible circuit.
+fn check_ancillas(state: &BatchStateVector, n_program: usize, step: usize) -> Result<(), EmuError> {
     let batch = state.batch();
-    let keep = batch << n_program;
     let mut leaks = vec![0.0f64; batch];
-    for run in state.amplitudes()[keep..].chunks_exact(batch) {
+    for run in state.amplitudes()[batch << n_program..].chunks_exact(batch) {
         for (leak, z) in leaks.iter_mut().zip(run) {
             *leak += z.norm_sqr();
         }
     }
     let leaked = leaks.into_iter().fold(0.0, f64::max);
     if leaked > ANCILLA_LEAK_TOL {
-        return Err(EmuError::AncillaNotClean { leaked });
+        return Err(EmuError::AncillaNotClean { step, leaked });
     }
-    let mut amps = state.into_amplitudes();
-    amps.truncate(keep);
+    Ok(())
+}
+
+/// Drops the ancillas of a run that widened (already checked clean) and
+/// returns the wide buffer to the allocator.
+fn truncate_ancillas(state: BatchStateVector, n_program: usize) -> BatchStateVector {
+    let batch = state.batch();
+    let mut amps = with_width(state, n_program).into_amplitudes();
     amps.shrink_to_fit();
-    Ok(BatchStateVector::from_amplitudes(amps, batch))
+    BatchStateVector::from_amplitudes(amps, batch)
 }
 
 // ---------------------------------------------------------------------------
@@ -373,10 +357,10 @@ pub enum Policy<'a> {
         /// QPE strategy chooser.
         choose_qpe: &'a dyn Fn(usize) -> Option<QpeStrategy>,
     },
-    /// Every op on the configured gate path, with ancilla head-room for
-    /// all of them reserved up front. Ops without a gate-level
-    /// implementation are kept (predicted cost `∞`) and fail at execution
-    /// with [`EmuError::NoGateImplementation`].
+    /// Every op on the configured gate path, each with its own ancilla
+    /// head-room. Ops without a gate-level implementation are kept
+    /// (predicted cost `∞`) and fail at execution with
+    /// [`EmuError::NoGateImplementation`].
     Simulate,
     /// Each op on its cheapest backend under the cost model.
     Cheapest,
@@ -533,8 +517,7 @@ impl<'p> GatePath<'p> {
     }
 }
 
-/// Everything about one op that pricing needs and the ancilla head-room
-/// does not change, built once per [`plan`] call.
+/// Everything about one op that pricing needs.
 struct Candidates<'p> {
     op: &'p HighLevelOp,
     /// The policy's candidate set, in tie-breaking order.
@@ -546,46 +529,7 @@ struct Candidates<'p> {
     offer_mps: bool,
 }
 
-impl<'p> Candidates<'p> {
-    fn of_program(
-        program: &'p QuantumProgram,
-        model: &CostModel,
-        config: &SimConfig,
-        policy: Policy<'_>,
-    ) -> Vec<Candidates<'p>> {
-        let mut mps_prefix = match (policy, config.mps) {
-            (Policy::Cheapest, MpsPolicy::Auto { .. }) => Some(Circuit::new(program.n_qubits())),
-            _ => None,
-        };
-        program
-            .ops()
-            .iter()
-            .map(|op| {
-                let set = policy.candidates(program, op, model, config);
-                let path = if set.iter().any(|b| b.is_simulate()) {
-                    GatePath::of(program, op)
-                } else {
-                    GatePath::None
-                };
-                let offer_mps = match config.mps {
-                    MpsPolicy::Auto { max_bond } => {
-                        certify_prefix(&mut mps_prefix, op, &path, max_bond)
-                    }
-                    MpsPolicy::Forced { .. } => true,
-                    MpsPolicy::Disabled => false,
-                };
-                Candidates {
-                    op,
-                    set,
-                    path,
-                    offer_mps,
-                }
-            })
-            .collect()
-    }
-}
-
-/// What one walk prices every op against.
+/// What the walk prices every op against.
 struct Pricing<'a> {
     program: &'a QuantumProgram,
     model: &'a CostModel,
@@ -593,9 +537,6 @@ struct Pricing<'a> {
     /// streams built) with: the config's own greedy window if it has one,
     /// the default otherwise.
     window: usize,
-    /// Ancilla head-room the rest of the plan already commits to: every
-    /// sweep in the run pays `2^{n + n_anc_plan}` entries.
-    n_anc_plan: usize,
 }
 
 /// A priced candidate: model seconds, plus the fused block stream if
@@ -609,9 +550,10 @@ impl Pricing<'_> {
     /// Predicted cost of `cand.op` on `backend`, or `None` when the backend
     /// cannot run the op (no shortcut, no gate-level implementation, no
     /// χ certificate). The only caller of the [`CostModel`] `t_*` laws.
+    /// Emulated ops run on the `2^n` program space.
     fn price(&self, cand: &Candidates<'_>, backend: Backend) -> Option<Priced> {
         let (model, program) = (self.model, self.program);
-        let n_state = program.n_qubits() + self.n_anc_plan;
+        let n_state = program.n_qubits();
         let cost = match (backend, cand.op) {
             (Backend::EmulateClassical, HighLevelOp::Classical(cm)) => {
                 let k: usize = cm.regs.iter().map(|&r| program.register(r).len).sum();
@@ -644,11 +586,19 @@ impl Pricing<'_> {
         Some(Priced { cost, fused: None })
     }
 
+    /// A gate path runs on the program space plus its own ancillas. A
+    /// step with ancillas also pays one sweep of its wide state: the
+    /// interpreter widens the state before it and checks the ancillas
+    /// after it.
     fn price_gate_path(&self, cand: &Candidates<'_>, backend: Backend) -> Option<Priced> {
         let model = self.model;
-        // An op whose own gate path needs more ancillas than the plan
-        // reserves is priced at its own (larger) width.
-        let n_sim = self.program.n_qubits() + self.n_anc_plan.max(cand.path.n_ancilla());
+        let n_anc = cand.path.n_ancilla();
+        let n_sim = self.program.n_qubits() + n_anc;
+        let widen = if n_anc > 0 {
+            model.t_entries(1 << n_sim)
+        } else {
+            0.0
+        };
         let c = match &cand.path {
             GatePath::None => return None,
             GatePath::RotationExpansion { x_bits } => {
@@ -710,7 +660,10 @@ impl Pricing<'_> {
             }
             _ => return None,
         };
-        Some(Priced { cost, fused })
+        Some(Priced {
+            cost: cost + widen,
+            fused,
+        })
     }
 }
 
@@ -746,24 +699,48 @@ fn certify_prefix(
     exact
 }
 
-/// One pass over the program at the head-room `pricing` carries: per op,
-/// price its candidate set (or the one `fixed` backend), keep the cheapest.
-fn walk(pricing: &Pricing<'_>, ops: &[Candidates<'_>], fixed: Option<&[Backend]>) -> Vec<PlanStep> {
-    ops.iter()
+/// The one pass over the program: per op, build its candidate set, its
+/// gate path (only when some candidate simulates) and its χ certificate,
+/// price every candidate, keep the cheapest.
+fn walk(pricing: &Pricing<'_>, config: &SimConfig, policy: Policy<'_>) -> Vec<PlanStep> {
+    let (program, model) = (pricing.program, pricing.model);
+    let mut mps_prefix = match (policy, config.mps) {
+        (Policy::Cheapest, MpsPolicy::Auto { .. }) => Some(Circuit::new(program.n_qubits())),
+        _ => None,
+    };
+    program
+        .ops()
+        .iter()
         .enumerate()
-        .map(|(i, cand)| {
-            let set = match fixed {
-                Some(backends) => &backends[i..=i],
-                None => &cand.set[..],
+        .map(|(i, op)| {
+            let set = policy.candidates(program, op, model, config);
+            let path = if set.iter().any(|b| b.is_simulate()) {
+                GatePath::of(program, op)
+            } else {
+                GatePath::None
+            };
+            let offer_mps = match config.mps {
+                MpsPolicy::Auto { max_bond } => {
+                    certify_prefix(&mut mps_prefix, op, &path, max_bond)
+                }
+                MpsPolicy::Forced { .. } => true,
+                MpsPolicy::Disabled => false,
+            };
+            let cand = Candidates {
+                op,
+                set,
+                path,
+                offer_mps,
             };
             // A fixed policy keeps an op its one backend cannot run, at
             // cost ∞; `Cheapest` always has a finite candidate.
-            let (backend, priced) = set
+            let (backend, priced) = cand
+                .set
                 .iter()
-                .filter_map(|&b| pricing.price(cand, b).map(|p| (b, p)))
+                .filter_map(|&b| pricing.price(&cand, b).map(|p| (b, p)))
                 .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
                 .unwrap_or((
-                    set[0],
+                    cand.set[0],
                     Priced {
                         cost: f64::INFINITY,
                         fused: None,
@@ -776,7 +753,7 @@ fn walk(pricing: &Pricing<'_>, ops: &[Candidates<'_>], fixed: Option<&[Backend]>
             };
             // QPE always runs through `apply_qpe`; express a simulated
             // winner as the explicit gate-level strategy.
-            let backend = if matches!(cand.op, HighLevelOp::Qpe(_)) && backend.is_simulate() {
+            let backend = if matches!(op, HighLevelOp::Qpe(_)) && backend.is_simulate() {
                 Backend::EmulateQpe {
                     strategy: QpeStrategy::GateLevel,
                 }
@@ -785,7 +762,7 @@ fn walk(pricing: &Pricing<'_>, ops: &[Candidates<'_>], fixed: Option<&[Backend]>
             };
             PlanStep {
                 op_index: i,
-                op: op_label(pricing.program, cand.op),
+                op: op_label(program, op),
                 backend,
                 predicted_s: priced.cost,
                 n_ancilla,
@@ -795,62 +772,38 @@ fn walk(pricing: &Pricing<'_>, ops: &[Candidates<'_>], fixed: Option<&[Backend]>
         .collect()
 }
 
-/// Lowers `program` to an [`ExecutionPlan`]: each op goes to the cheapest
-/// backend, under `model`, among the candidates `policy` allows it.
+/// Lowers `program` to an [`ExecutionPlan`] in one walk: each op goes to
+/// the cheapest backend, under `model`, among the candidates `policy`
+/// allows it.
 ///
 /// The plan is a function of the program's *structure*: what it reads from
 /// closures (a gate impl's circuit) only prices a candidate and is dropped,
 /// so the result serves every program of the same
 /// [`structure_hash`](QuantumProgram::structure_hash).
 ///
-/// Backend choices couple through ancilla head-room: once any step
-/// simulates an op that needs `a` work qubits, *every* sweep in the run
-/// pays `2^{n+a}` entries. The coupling is resolved by fixed point: walk
-/// with the current head-room, recompute the head-room the chosen steps
-/// actually need, walk again until stable (the fixed policies are stable
-/// after one walk). Each op's candidate set, gate path and χ certificate
-/// do not depend on the head-room and are built once, before the first
-/// walk; a walk only prices. Choices near a break-even can oscillate with
-/// the head-room (an op may simulate at width `n` but emulate at `n+1`),
-/// so iteration is capped; if no fixed point is reached, the last walk's
-/// choices are committed and re-priced at the head-room they will
-/// *actually* execute with, keeping the [`PlanReport`] audit consistent.
+/// Ops are priced independently. An emulated op runs on the `2^n`
+/// program space; a gate path runs on `2^{n+a}`, `a` being its own work
+/// qubits, and pays for widening the state and checking the ancillas.
+/// No step's width depends on another step's choice.
 pub fn plan(
     program: &QuantumProgram,
     model: &CostModel,
     config: &SimConfig,
     policy: Policy<'_>,
 ) -> ExecutionPlan {
-    let ops = Candidates::of_program(program, model, config, policy);
     let window = match config.fusion {
         FusionPolicy::Greedy { max_fused_qubits } => max_fused_qubits,
         FusionPolicy::Disabled => DEFAULT_MAX_FUSED_QUBITS,
     };
-    let walk_at = |n_anc_plan: usize, fixed: Option<&[Backend]>| {
-        let pricing = Pricing {
-            program,
-            model,
-            window,
-            n_anc_plan,
-        };
-        walk(&pricing, &ops, fixed)
+    let pricing = Pricing {
+        program,
+        model,
+        window,
     };
-    let mut n_anc = match policy {
-        Policy::Simulate => program.max_gate_ancillas(),
-        _ => 0,
-    };
-    let mut steps = Vec::new();
-    for _ in 0..5 {
-        steps = walk_at(n_anc, None);
-        let needed = headroom(&steps);
-        if needed == n_anc {
-            return ExecutionPlan::from_steps(program, steps);
-        }
-        n_anc = needed;
+    ExecutionPlan {
+        steps: walk(&pricing, config, policy),
+        structure: program.structure_hash(),
     }
-    let chosen: Vec<Backend> = steps.iter().map(|s| s.backend).collect();
-    let steps = walk_at(n_anc, Some(&chosen));
-    ExecutionPlan::from_steps(program, steps)
 }
 
 // ---------------------------------------------------------------------------
@@ -914,6 +867,9 @@ impl PlanInterpreter {
     /// one de-interleave and one re-interleave, which at one member are
     /// moves; a simulated closure-bearing step builds its circuit from
     /// the member it is executing.
+    ///
+    /// A step with ancillas runs on a state widened for it, and a leak
+    /// fails the run with [`EmuError::AncillaNotClean`] naming the step.
     pub fn run_members<P: Borrow<QuantumProgram>>(
         &self,
         members: &[P],
@@ -957,12 +913,19 @@ impl PlanInterpreter {
             });
         }
 
-        let mut state = extend_with_ancillas(initial, plan.n_ancilla);
+        // Each step runs at its own width: the state widens for a step
+        // with ancillas, which are checked right after it, and keeps that
+        // width while the next step shares it.
+        let mut state = initial;
         let mut steps = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
+        for (i, step) in plan.steps.iter().enumerate() {
             let t0 = Instant::now();
+            state = with_width(state, n + step.n_ancilla);
             let shared;
             (state, shared) = self.run_step(state, &members, step)?;
+            if step.n_ancilla > 0 {
+                check_ancillas(&state, n, i)?;
+            }
             steps.push(StepReport {
                 op: step.op.clone(),
                 backend: step.backend,
@@ -971,7 +934,9 @@ impl PlanInterpreter {
                 batched: shared && members.len() > 1,
             });
         }
-        let state = truncate_ancillas(state, n)?;
+        if plan.n_ancilla() > 0 {
+            state = truncate_ancillas(state, n);
+        }
         Ok((
             state,
             PlanReport {
@@ -1032,16 +997,8 @@ impl PlanInterpreter {
         let Backend::SimulateMps { max_bond } = backend else {
             return false;
         };
-        let mut circuit = self.lower(c);
-        // Ancilla head-room another step reserved can make the state wider
-        // than the circuit; the extra qubits stay |0⟩.
-        if circuit.n_qubits() < state.n_qubits() {
-            let mut wide = Circuit::new(state.n_qubits());
-            wide.extend(&circuit);
-            circuit = Cow::Owned(wide);
-        }
         let mut mps = MpsState::from_statevector(state, max_bond);
-        mps.run(&circuit);
+        mps.run(&self.lower(c));
         if mps.truncation_error() > MPS_EXACT_TOL {
             return false;
         }
@@ -1264,33 +1221,44 @@ mod tests {
 
     #[test]
     fn compressed_gate_run_under_ancilla_head_room_matches_emulation() {
+        let prog = mixed_program(3);
+        let is_mps = |step: &PlanStep| matches!(step.backend, Backend::SimulateMps { .. });
         // A machine on which table passes crawl and every dense sweep is
-        // slow: the multiplier simulates, reserving its ancilla for the
-        // whole run, and the raw gate preludes go compressed — so a
-        // compressed step meets a state one qubit wider than its circuit.
-        let m = CostModel {
+        // slow: the multiplier goes compressed at its own width, one qubit
+        // wider than the compressed prelude before it and the dense QFT
+        // after it.
+        let crawling = CostModel {
             table_rate: 1.0,
             fused_entry_rate: 1.0,
             cache_rate: 1.0,
             mps_rate: 1e15,
             ..model()
         };
-        let prog = mixed_program(3);
-        let plan = cheapest(&prog, &m, &SimConfig::default());
-        assert!(plan.n_ancilla() > 0, "{plan}");
-        assert!(matches!(
-            plan.steps()[0].backend,
-            Backend::SimulateMps { .. }
-        ));
-        let initial = StateVector::zero_state(prog.n_qubits());
-        let (state, _) = PlanInterpreter::default()
-            .execute(&prog, &plan, initial.clone())
-            .unwrap();
+        let plan = cheapest(&prog, &crawling, &SimConfig::default());
+        let widths: Vec<(bool, usize)> = plan
+            .steps()
+            .iter()
+            .map(|s| (is_mps(s), s.n_ancilla))
+            .collect();
+        assert_eq!(
+            widths,
+            [(true, 0), (false, 0), (true, 1), (false, 0)],
+            "{plan}"
+        );
         let reference = emulated(&prog, &model(), &SimConfig::unfused(), |_| None);
-        let (reference, _) = PlanInterpreter::default()
-            .execute(&prog, &reference, initial)
-            .unwrap();
-        assert!(state.max_diff_up_to_phase(&reference) < 1e-10);
+        for initial in [
+            StateVector::zero_state(prog.n_qubits()),
+            StateVector::basis_state(prog.n_qubits(), 0b101_000_011),
+        ] {
+            let (want, _) = PlanInterpreter::default()
+                .execute(&prog, &reference, initial.clone())
+                .unwrap();
+            let (got, _) = PlanInterpreter::default()
+                .execute(&prog, &plan, initial)
+                .unwrap();
+            assert_eq!(got.n_qubits(), prog.n_qubits());
+            assert!(got.max_diff_up_to_phase(&want) < 1e-10);
+        }
     }
 
     #[test]
@@ -1310,6 +1278,8 @@ mod tests {
         let prog = mixed_program(3);
         let plan = simulated(&prog, &model(), &SimConfig::unfused());
         assert_eq!(plan.n_ancilla(), 1); // multiplier ancilla
+        let widths: Vec<usize> = plan.steps().iter().map(|s| s.n_ancilla).collect();
+        assert_eq!(widths, [0, 0, 1, 0], "only the multiplier's step is wide");
         assert!(plan.steps().iter().all(|s| s.backend.is_simulate()));
         let fused = simulated(&prog, &model(), &SimConfig::fused(4));
         assert!(fused
@@ -1583,22 +1553,31 @@ mod tests {
     fn forced_mps_config_drives_fixed_plans() {
         // A forced MPS policy flips every raw-gate step of the fixed
         // plans onto the compressed backend, carrying the configured cap.
-        let prog = low_entanglement_program(8, 4);
-        let plan = simulated(&prog, &model(), &SimConfig::mps(32));
-        assert!(matches!(
-            plan.steps()[0].backend,
-            Backend::SimulateMps { max_bond: 32 }
-        ));
-        assert!(plan.steps()[0].predicted_s.is_finite());
-        let initial = StateVector::zero_state(8);
-        let (state, _) = PlanInterpreter::default()
-            .execute(&prog, &plan, initial.clone())
-            .unwrap();
-        let reference_plan = simulated(&prog, &model(), &SimConfig::unfused());
-        let (dense_state, _) = PlanInterpreter::default()
-            .execute(&prog, &reference_plan, initial)
-            .unwrap();
-        assert!(state.max_diff_up_to_phase(&dense_state) < 1e-10);
+        // The second program's run is built before its last register is,
+        // so the run is narrower than the state it acts on.
+        let mut pb = ProgramBuilder::new();
+        let _lo = pb.register("lo", 6);
+        pb.gates(|c| {
+            c.h(0).cnot(0, 1).rz(1, 0.4).cnot(1, 5);
+        });
+        let _hi = pb.register("hi", 2);
+        for prog in [low_entanglement_program(8, 4), pb.build().unwrap()] {
+            let plan = simulated(&prog, &model(), &SimConfig::mps(32));
+            assert!(matches!(
+                plan.steps()[0].backend,
+                Backend::SimulateMps { max_bond: 32 }
+            ));
+            assert!(plan.steps()[0].predicted_s.is_finite());
+            let initial = StateVector::zero_state(8);
+            let (state, _) = PlanInterpreter::default()
+                .execute(&prog, &plan, initial.clone())
+                .unwrap();
+            let reference_plan = simulated(&prog, &model(), &SimConfig::unfused());
+            let (dense_state, _) = PlanInterpreter::default()
+                .execute(&prog, &reference_plan, initial)
+                .unwrap();
+            assert!(state.max_diff_up_to_phase(&dense_state) < 1e-10);
+        }
     }
 
     #[test]
@@ -1667,32 +1646,92 @@ mod tests {
     #[test]
     fn ancilla_helpers_roundtrip_and_catch_leaks() {
         let sv = StateVector::basis_state(2, 0b10);
-        let extended = extend_with_ancillas(BatchStateVector::from_single(sv.clone()), 2);
+        let extended = with_width(BatchStateVector::from_single(sv.clone()), 4);
         assert_eq!(extended.n_qubits(), 4);
         assert_eq!(extended.member(0).probability(0b10), 1.0);
-        let back = truncate_ancillas(extended, 2).unwrap().into_single();
+        assert!(check_ancillas(&extended, 2, 0).is_ok());
+        // Narrowing keeps the wide capacity; only the run's end returns it.
+        let narrowed = with_width(extended, 3);
+        assert_eq!(narrowed.n_qubits(), 3);
+        assert!(narrowed.amplitudes().len() == 8);
+        let back = truncate_ancillas(narrowed, 2).into_single();
         assert!(back.max_diff_up_to_phase(&sv) < 1e-15);
 
-        // A state with weight on an ancilla must be rejected.
+        // A state with weight on an ancilla must be rejected, naming the
+        // step that left it.
         let dirty = StateVector::basis_state(3, 0b100);
         assert!(matches!(
-            truncate_ancillas(BatchStateVector::from_single(dirty.clone()), 2),
-            Err(EmuError::AncillaNotClean { .. })
+            check_ancillas(&BatchStateVector::from_single(dirty.clone()), 2, 4),
+            Err(EmuError::AncillaNotClean { step: 4, .. })
         ));
 
         // The same on a three-member ensemble: the ancillas are the top
         // qubits of every member, and one dirty member is enough.
         let members = [sv.clone(), StateVector::basis_state(2, 0b01), sv];
-        let extended = extend_with_ancillas(BatchStateVector::from_states(&members), 1);
+        let extended = with_width(BatchStateVector::from_states(&members), 3);
         assert_eq!((extended.n_qubits(), extended.batch()), (3, 3));
-        let back = truncate_ancillas(extended, 2).unwrap();
+        assert!(check_ancillas(&extended, 2, 0).is_ok());
+        let back = truncate_ancillas(extended, 2);
         assert_eq!(back.to_states(), members);
         let mut one_dirty = BatchStateVector::zero_state(3, 3);
         one_dirty.set_member(1, &dirty);
         assert!(matches!(
-            truncate_ancillas(one_dirty, 2),
-            Err(EmuError::AncillaNotClean { .. })
+            check_ancillas(&one_dirty, 2, 1),
+            Err(EmuError::AncillaNotClean { step: 1, .. })
         ));
+    }
+
+    #[test]
+    fn ancilla_steps_of_different_widths_each_run_at_their_own() {
+        // `add` (1 ancilla) and `divide` (3) around a raw gate run: the
+        // state is n, n + 1, n, n + 3 qubits wide in turn.
+        let m = 3;
+        let mut pb = ProgramBuilder::new();
+        let a = pb.register("a", m);
+        let b = pb.register("b", m);
+        let q = pb.register("q", m);
+        let r = pb.register("r", m);
+        pb.hadamard_all(a);
+        pb.set_constant(b, 3);
+        pb.classical(stdops::add(b, a, m));
+        pb.gates(|c| {
+            c.h(0).cnot(0, 1).rz(1, 0.3).h(2).cnot(2, 0).rz(0, 0.7);
+        });
+        pb.classical(stdops::divide(a, b, q, r, m));
+        let prog = pb.build().unwrap();
+        let n = prog.n_qubits();
+        let config = SimConfig::fused(4);
+        let sim = simulated(&prog, &model(), &config);
+        let emu = emulated(&prog, &model(), &config, |_| None);
+        let widths: Vec<usize> = sim.steps().iter().map(|s| s.n_ancilla).collect();
+        assert_eq!(widths, [0, 0, 1, 0, 3]);
+        assert_eq!(sim.n_ancilla(), 3);
+        // The raw run pays for no other step's ancillas.
+        assert_eq!(sim.steps()[3].predicted_s, emu.steps()[3].predicted_s);
+
+        let interp = PlanInterpreter::new(config);
+        for batch in [1usize, 3] {
+            let members = vec![&prog; batch];
+            let initial: Vec<StateVector> =
+                (0..batch).map(|j| StateVector::basis_state(n, j)).collect();
+            for threads in [1usize, 2] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| {
+                    let (got, _) = interp
+                        .run_members(&members, &sim, BatchStateVector::from_states(&initial))
+                        .unwrap();
+                    assert_eq!(got.n_qubits(), n);
+                    for (j, start) in initial.iter().enumerate() {
+                        let (want, _) = interp.execute(&prog, &emu, start.clone()).unwrap();
+                        let diff = got.member(j).max_diff_up_to_phase(&want);
+                        assert!(diff < 1e-10, "B = {batch}, member {j}: {diff:.3e}");
+                    }
+                });
+            }
+        }
     }
 
     #[test]
@@ -1750,9 +1789,8 @@ mod tests {
         use crate::program::{ClassicalMap, GateImpl, MapKind};
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
-        // One X through an ancilla-bearing gate impl: cheaper simulated
-        // than emulated, so the head-room moves 0 → 1 and the fixed point
-        // needs a second walk.
+        // One X through an ancilla-bearing gate impl, priced on every
+        // gate-level candidate of the hybrid policy.
         let builds = Arc::new(AtomicUsize::new(0));
         let counted = Arc::clone(&builds);
         let mut pb = ProgramBuilder::new();
@@ -1777,11 +1815,6 @@ mod tests {
         let before = builds.load(Ordering::Relaxed);
         let plan = cheapest(&prog, &model(), &SimConfig::fused(4));
         assert!(plan.steps()[1].backend.is_simulate(), "{plan}");
-        assert_eq!(
-            plan.n_ancilla(),
-            1,
-            "the head-room moved, so plan() walked twice"
-        );
         assert_eq!(builds.load(Ordering::Relaxed) - before, 1);
     }
 
@@ -1819,17 +1852,19 @@ mod tests {
         let (raw, built) = (&plan.steps()[0], &plan.steps()[1]);
         assert_eq!(raw.backend, Backend::SimulateFused);
         assert_eq!(built.backend, Backend::SimulateFused);
-        // Every sweep runs under the plan's head-room: 7 qubits.
+        // The raw run sweeps the 6-qubit program space; the built
+        // circuit sweeps 7 qubits and pays one more sweep to widen the
+        // state and check its ancilla.
         let fc = body(6).fuse(&window);
         assert_eq!(
             raw.predicted_s,
-            m.t_gates_fused(fc.touched_entries(7), 0, fc.ops().len())
+            m.t_gates_fused(fc.touched_entries(6), 0, fc.ops().len())
         );
         assert!(raw.carried_stream().is_some());
         let fc = body(7).fuse(&window);
         assert_eq!(
             built.predicted_s,
-            m.t_gates_fused(fc.touched_entries(7), 3, fc.ops().len())
+            m.t_gates_fused(fc.touched_entries(7), 3, fc.ops().len()) + m.t_entries(1 << 7)
         );
         assert!(built.carried_stream().is_none());
     }

@@ -251,25 +251,6 @@ impl QuantumProgram {
         &self.ops
     }
 
-    /// Largest ancilla requirement over all gate-level implementations —
-    /// the extra qubits (hence the 2^anc memory factor) the simulator pays.
-    pub fn max_gate_ancillas(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                HighLevelOp::Classical(cm) => {
-                    cm.gate_impl.as_ref().map(|g| g.n_ancilla).unwrap_or(0)
-                }
-                HighLevelOp::Phase(po) => po.gate_impl.as_ref().map(|g| g.n_ancilla).unwrap_or(0),
-                HighLevelOp::Rotation(ro) => {
-                    ro.gate_impl.as_ref().map(|g| g.n_ancilla).unwrap_or(0)
-                }
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// `true` if every op has a gate-level path.
     pub fn fully_simulable(&self) -> bool {
         self.ops.iter().all(|op| match op {
@@ -711,8 +692,14 @@ mod tests {
             }),
         });
         let prog = pb.build().unwrap();
-        assert_eq!(prog.max_gate_ancillas(), 3);
         assert!(prog.fully_simulable());
+        // The work qubits are the simulated step's own.
+        use crate::planner::{plan, Policy};
+        let model = crate::crossover::CostModel::default();
+        let config = qcemu_sim::SimConfig::unfused();
+        let simulated = plan(&prog, &model, &config, Policy::Simulate);
+        assert_eq!(simulated.steps()[0].n_ancilla, 3);
+        assert_eq!(simulated.n_ancilla(), 3);
     }
 
     #[test]

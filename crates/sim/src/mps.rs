@@ -208,12 +208,14 @@ impl MpsState {
         }
     }
 
-    /// Runs a whole circuit.
+    /// Runs a whole circuit. Like a dense run, a circuit narrower than
+    /// the state acts on its low qubits.
     pub fn run(&mut self, circuit: &Circuit) {
-        assert_eq!(
+        assert!(
+            circuit.n_qubits() <= self.n,
+            "circuit needs {} qubits, MPS has {}",
             circuit.n_qubits(),
-            self.n,
-            "circuit width does not match MPS"
+            self.n
         );
         for g in circuit.gates() {
             self.apply_gate(g);

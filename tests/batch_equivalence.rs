@@ -7,9 +7,8 @@
 //!
 //! Also covers the satellite properties: the [`BatchExecutor`] plan cache
 //! misses exactly once per program *structure* (not per instance, not per
-//! run), a seeded chi-square test pins the sampler to a known 3-qubit
-//! distribution, and [`CostModel::calibrated`] stays finite, positive and
-//! thread-consistent under `force_scalar`.
+//! run), and a seeded chi-square test pins the sampler to a known 3-qubit
+//! distribution.
 
 use proptest::prelude::*;
 use qcemu::prelude::*;
@@ -369,40 +368,6 @@ fn sampler_passes_chi_square_on_known_distribution() {
         .map(|&obs| (obs as f64 - uniform_exp).powi(2) / uniform_exp)
         .sum();
     assert!(x2_wrong > CHI2_999_DF7, "no power: {x2_wrong:.2}");
-}
-
-/// Satellite: calibration stays sane with SIMD forced off — every rate
-/// finite and positive — and the `OnceLock` cache hands every thread the
-/// same model.
-#[test]
-fn calibrated_cost_model_is_finite_positive_and_thread_consistent() {
-    let _scalar = ForcedScalar::engage();
-    let models: Vec<CostModel> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..4).map(|_| s.spawn(CostModel::calibrated)).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let rates = |m: &CostModel| {
-        [
-            m.entry_rate,
-            m.fused_entry_rate,
-            m.cache_rate,
-            m.table_rate,
-            m.fuse_per_gate,
-            m.qpe.gate_rate,
-            m.qpe.build_rate,
-            m.qpe.gemm_flops,
-            m.qpe.eig_flops,
-        ]
-    };
-    for m in &models {
-        for r in rates(m) {
-            assert!(r.is_finite() && r > 0.0, "bad calibrated rate {r}");
-        }
-    }
-    let first = rates(&models[0]);
-    for m in &models[1..] {
-        assert_eq!(rates(m), first, "OnceLock must hand out one model");
-    }
 }
 
 /// Batched execution must be thread-count invariant: with the kernel

@@ -198,10 +198,7 @@ fn ancilla_leak_is_detected() {
     // A "classical map" whose gate impl deliberately dirties the ancilla.
     use qcemu_core::{ClassicalMap, GateImpl, MapKind};
     use std::sync::Arc;
-    let mut pb = ProgramBuilder::new();
-    let a = pb.register("a", 2);
-    let _ = a;
-    pb.classical(ClassicalMap {
+    let leaky = |a| ClassicalMap {
         name: "leaky".into(),
         regs: vec![a],
         f: Arc::new(|_| {}),
@@ -214,10 +211,30 @@ fn ancilla_leak_is_detected() {
                 c
             }),
         }),
-    });
+    };
+    let mut pb = ProgramBuilder::new();
+    let a = pb.register("a", 2);
+    pb.classical(leaky(a));
     let program = pb.build().unwrap();
     let err = GateLevelSimulator::new()
         .run(&program, StateVector::zero_state(2))
         .unwrap_err();
-    assert!(matches!(err, EmuError::AncillaNotClean { .. }));
+    assert!(matches!(err, EmuError::AncillaNotClean { step: 0, .. }));
+
+    // Between two clean ancilla steps, the leak is caught right after the
+    // step that made it.
+    let mut pb = ProgramBuilder::new();
+    let a = pb.register("a", 2);
+    let b = pb.register("b", 2);
+    pb.classical(stdops::add(a, b, 2));
+    pb.classical(leaky(a));
+    pb.classical(stdops::add(a, b, 2));
+    let program = pb.build().unwrap();
+    let err = GateLevelSimulator::new()
+        .run(&program, StateVector::zero_state(4))
+        .unwrap_err();
+    assert!(
+        matches!(err, EmuError::AncillaNotClean { step: 1, .. }),
+        "{err}"
+    );
 }

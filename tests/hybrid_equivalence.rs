@@ -388,6 +388,13 @@ fn routing_table() -> String {
 ///   and `gates[4]` and `qpe tfim` `gates[3]` moved from `simulate:mps`
 ///   to `simulate:fused`, and `shor` `gates[108]` and `sweep` `gates[22]`
 ///   ×2 moved from `simulate:segmented` to `simulate:fused`.
+/// - When each step got its own ancilla head-room, the `simulate *`
+///   sections of `shor` and `serve` were repriced: a step without
+///   ancillas now sweeps `2^n` instead of the plan's `2^{n+1}` (`shor`
+///   `gates[4]` reads 81.92 µs unfused, as under `emulate`), and the
+///   ancilla-bearing `multiply` and `add` pay one more `2^{n+1}` sweep
+///   to widen the state and check the ancilla. No backend changed, and
+///   every `emulate` and `cheapest` section is as before.
 #[test]
 fn routing_matches_the_three_planner_snapshot() {
     let expected = include_str!("snapshots/routing.txt");
