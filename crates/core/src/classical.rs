@@ -14,6 +14,7 @@ use crate::program::{
 use qcemu_linalg::{simd, C64};
 use qcemu_sim::{BatchStateVector, StateVector};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Above this many involved bits the permutation table (2^k entries) is
 /// considered too large to materialise; the map is then applied on the fly.
@@ -357,48 +358,73 @@ fn unpack_by_list(regs: &[(usize, usize)], packed: u64) -> usize {
 }
 
 /// Table-free path for very wide register tuples: evaluate `f` per
-/// supported amplitude; validate bijectivity by norm conservation.
+/// supported amplitude and scatter it to its image. Each destination is
+/// claimed in an atomic bitmap (2ⁿ bits, 1/128 of the state's bytes)
+/// before it is written, so no two threads ever write one element. A
+/// non-injective `f` on the support is reported exactly, with the
+/// smallest colliding destination, and leaves the state untouched.
 fn apply_on_the_fly(
     state: &mut StateVector,
     regs: &[&ProgramRegister],
     map: &ClassicalMap,
     _n: usize,
 ) -> Result<(), EmuError> {
+    const BLOCK: usize = 1 << 12;
     let reg_mask: usize = regs
         .iter()
         .flat_map(|r| r.bits())
         .fold(0usize, |m, q| m | (1usize << q));
-    let norm_before = state.norm();
     let amps = std::mem::take(state.amplitudes_mut());
     let mut result = vec![C64::ZERO; amps.len()];
+    let claimed: Vec<AtomicU64> = (0..amps.len().div_ceil(64))
+        .map(|_| AtomicU64::new(0))
+        .collect();
+    let collision = AtomicUsize::new(usize::MAX);
     struct Ptr(*mut C64);
+    // SAFETY: the one field points into `result`, which outlives the
+    // parallel loop; tasks write through it only at claimed indices.
     unsafe impl Send for Ptr {}
+    // SAFETY: as for `Send`: shared use is the claimed, disjoint writes.
     unsafe impl Sync for Ptr {}
     let ptr = Ptr(result.as_mut_ptr());
 
-    amps.par_iter().enumerate().for_each(|(i, amp)| {
-        let p = &ptr;
-        if *amp == C64::ZERO {
-            return;
-        }
-        let packed = pack(regs, i);
-        let mut scratch = Vec::with_capacity(regs.len());
-        let mapped = eval_map_scratch(regs, map, packed, &mut scratch);
-        let j = (i & !reg_mask) | unpack_to_index(regs, mapped);
-        // SAFETY: assuming f is the bijection the caller promised, writes
-        // are disjoint; violations are caught by the norm check below.
-        unsafe {
-            *p.0.add(j) = *amp;
-        }
-    });
-    *state.amplitudes_mut() = result;
-    let norm_after = state.norm();
-    if (norm_before - norm_after).abs() > 1e-6 {
+    // `Relaxed` suffices: a claim publishes no data to the other tasks
+    // (a loser writes nothing and reads nothing), and `result` and
+    // `collision` are read only after the pool has joined every task.
+    (0..amps.len().div_ceil(BLOCK))
+        .into_par_iter()
+        .for_each(|block| {
+            let p = &ptr;
+            let mut scratch = Vec::with_capacity(regs.len());
+            let start = block * BLOCK;
+            for (i, &amp) in amps.iter().enumerate().skip(start).take(BLOCK) {
+                if amp == C64::ZERO {
+                    continue;
+                }
+                let mapped = eval_map_scratch(regs, map, pack(regs, i), &mut scratch);
+                let j = (i & !reg_mask) | unpack_to_index(regs, mapped);
+                let bit = 1u64 << (j % 64);
+                if claimed[j / 64].fetch_or(bit, Ordering::Relaxed) & bit != 0 {
+                    collision.fetch_min(j, Ordering::Relaxed);
+                    continue;
+                }
+                // SAFETY: `j` < 2ⁿ (unpacked register bits over a coset),
+                // and the bitmap claim above succeeded, so this is the
+                // one write to `result[j]`.
+                unsafe {
+                    *p.0.add(j) = amp;
+                }
+            }
+        });
+    let j = collision.into_inner();
+    if j != usize::MAX {
+        *state.amplitudes_mut() = amps;
         return Err(EmuError::NotReversible {
             op: map.name.clone(),
-            collision: 0,
+            collision: pack(regs, j),
         });
     }
+    *state.amplitudes_mut() = result;
     Ok(())
 }
 
@@ -664,10 +690,9 @@ mod tests {
 
     #[test]
     fn wide_map_on_the_fly_path() {
-        // 26 involved bits > TABLE_MAX_BITS → on-the-fly branch. Use a
-        // small state but a wide *register tuple* is impossible… so instead
-        // force the path with a 26-qubit register on a 26-qubit state but
-        // tiny support.
+        // 26 involved bits > TABLE_MAX_BITS → on-the-fly branch, forced
+        // with a 26-qubit register on a 26-qubit state of tiny support.
+        // One state serves every case, so peak memory is one 26-qubit run.
         let mut pb = ProgramBuilder::new();
         let a = pb.register("a", 26);
         let prog = pb.build().unwrap();
@@ -681,5 +706,38 @@ mod tests {
         let mut sv = StateVector::basis_state(26, 1);
         apply_classical_map(&mut sv, &prog, &map).unwrap();
         assert_eq!(sv.probability(1 ^ 0x2AAAAAA), 1.0);
+
+        // A non-injective map: clearing bit 0 sends 0x1234567 and
+        // 0x1234566 to one destination. It must be named exactly, on any
+        // pool, and the state left as it was.
+        let h = C64::new(std::f64::consts::FRAC_1_SQRT_2, 0.0);
+        let amps = sv.amplitudes_mut();
+        amps[1 ^ 0x2AAAAAA] = C64::ZERO;
+        amps[0x1234566] = h;
+        amps[0x1234567] = h;
+        let squash = ClassicalMap {
+            name: "squash".into(),
+            regs: vec![a],
+            f: Arc::new(|v| v[0] &= !1),
+            kind: MapKind::InPlaceBijection,
+            gate_impl: None,
+        };
+        for threads in [1, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let err = pool.install(|| apply_classical_map(&mut sv, &prog, &squash));
+            assert_eq!(
+                err,
+                Err(EmuError::NotReversible {
+                    op: "squash".into(),
+                    collision: 0x1234566,
+                }),
+                "pool {threads}"
+            );
+            assert_eq!(sv.amplitudes()[0x1234566], h, "pool {threads}");
+            assert_eq!(sv.amplitudes()[0x1234567], h, "pool {threads}");
+        }
     }
 }

@@ -385,9 +385,13 @@ impl CostModel {
     /// contraction work is `units`
     /// ([`estimate_mps_cost`](qcemu_sim::estimate_mps_cost), only
     /// meaningful when the estimate is `exact`): the χ-law contraction
-    /// term plus the dense↔MPS boundary — the plan interpreter densifies
-    /// the incoming state into site tensors and back, two full-state
-    /// passes at the sweep rate. The boundary term is what keeps MPS
+    /// term plus the dense↔MPS boundary — the plan interpreter imports
+    /// the incoming state into site tensors and densifies back, two
+    /// full-state passes at the sweep rate. Measured at n = 17 (2-core
+    /// Xeon, `mps_ablation` section 4), a product state's import costs
+    /// 2.0–2.4 streamed copies of the state and its densify 0.8–1.1, so
+    /// the step runs at about this price (0.66 ms predicted, ≈ 0.6 ms
+    /// run for 12 H gates on |0…0⟩). The boundary term is what keeps MPS
     /// honest per-op: a shallow circuit never wins just because its χ is
     /// small, only a *deep* low-entanglement circuit amortises the
     /// conversion.

@@ -1002,7 +1002,7 @@ impl PlanInterpreter {
         if mps.truncation_error() > MPS_EXACT_TOL {
             return false;
         }
-        *state = mps.to_statevector();
+        mps.write_into(state);
         true
     }
 

@@ -308,6 +308,47 @@ pub fn cdot(a: &[C64], b: &[C64]) -> C64 {
     acc
 }
 
+/// Gram sums over consecutive pairs `(a, b) = (x[2i], x[2i+1])`:
+/// `[Σ|a|², Σ|b|², Re Σ ā·b, Im Σ ā·b]` — the 2×2 Gram matrix of a
+/// bond-1 split in `qcemu_sim`'s MPS import, which streams the state
+/// through it. Like [`cdot`], the SIMD path sums in another order than
+/// the scalar loop.
+///
+/// # Panics
+///
+/// Panics if `x` has odd length.
+pub fn pair_gram(x: &[C64]) -> [f64; 4] {
+    assert!(x.len().is_multiple_of(2), "pair_gram needs whole pairs");
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: AVX2+FMA presence was verified at runtime.
+        return unsafe { avx2::pair_gram(x) };
+    }
+    let (mut d0, mut d1, mut re, mut im) = (0.0, 0.0, 0.0, 0.0);
+    for pair in x.chunks_exact(2) {
+        let (a, b) = (pair[0], pair[1]);
+        d0 += a.re * a.re + a.im * a.im;
+        d1 += b.re * b.re + b.im * b.im;
+        re += a.re * b.re + a.im * b.im;
+        im += a.re * b.im - a.im * b.re;
+    }
+    [d0, d1, re, im]
+}
+
+/// `y[i] = w0·x[2i] + w1·x[2i+1]` over the common prefix of pairs and
+/// outputs — a bond-1 split's projection pass in `qcemu_sim`'s MPS
+/// import.
+pub fn pair_combine(x: &[C64], w0: C64, w1: C64, y: &mut [C64]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: AVX2+FMA presence was verified at runtime.
+        return unsafe { avx2::pair_combine(x, w0, w1, y) };
+    }
+    for (pair, out) in x.chunks_exact(2).zip(y.iter_mut()) {
+        *out = pair[1].mul_add(w1, pair[0] * w0);
+    }
+}
+
 /// Rows of the complex GEMM micro-tile [`gemm_tile`] accumulates.
 pub const GEMM_MR: usize = 4;
 /// Columns of the complex GEMM micro-tile [`gemm_tile`] accumulates (one
@@ -708,6 +749,78 @@ mod avx2 {
         tail
     }
 
+    /// One pair `[a.re, a.im, b.re, b.im]` per register: `v∘v` sums the
+    /// norms, `v` against its halves swapped (`[b, a]`) the real part of
+    /// `ā·b` and against those with re/im swapped (`[b.im, b.re, …]`) the
+    /// imaginary part; two pairs per step in two sets of sums.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn pair_gram(x: &[C64]) -> [f64; 4] {
+        let pairs = x.len() / 2;
+        let p = x.as_ptr() as *const f64;
+        let mut acc = [[_mm256_setzero_pd(); 3]; 2];
+        let mut i = 0;
+        while i + 2 <= pairs {
+            for (t, sums) in acc.iter_mut().enumerate() {
+                let v = _mm256_loadu_pd(p.add(4 * (i + t)));
+                let s = _mm256_permute2f128_pd(v, v, 1);
+                let u = _mm256_permute_pd(s, 0b0101);
+                sums[0] = _mm256_fmadd_pd(v, v, sums[0]);
+                sums[1] = _mm256_fmadd_pd(v, s, sums[1]);
+                sums[2] = _mm256_fmadd_pd(v, u, sums[2]);
+            }
+            i += 2;
+        }
+        let mut lanes = [[0.0f64; 4]; 3];
+        for (k, l) in lanes.iter_mut().enumerate() {
+            _mm256_storeu_pd(l.as_mut_ptr(), _mm256_add_pd(acc[0][k], acc[1][k]));
+        }
+        let mut out = [
+            lanes[0][0] + lanes[0][1],
+            lanes[0][2] + lanes[0][3],
+            lanes[1][0] + lanes[1][1],
+            lanes[2][0] - lanes[2][1],
+        ];
+        if i < pairs {
+            let (a, b) = (x[2 * i], x[2 * i + 1]);
+            out[0] += a.re * a.re + a.im * a.im;
+            out[1] += b.re * b.re + b.im * b.im;
+            out[2] += a.re * b.re + a.im * b.im;
+            out[3] += a.re * b.im - a.im * b.re;
+        }
+        out
+    }
+
+    /// `[z0, z1]·[w0, w1]` per 128-bit half, for `z` in `v` and `w` in
+    /// `w_re`/`w_im` (each part duplicated across its half).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lane_product(v: __m256d, w_re: __m256d, w_im: __m256d) -> __m256d {
+        let swapped = _mm256_permute_pd(v, 0b0101);
+        _mm256_fmaddsub_pd(v, w_re, _mm256_mul_pd(swapped, w_im))
+    }
+
+    /// One pair per register times `[w0, w1]` lane by lane (`fmaddsub`
+    /// complex product), then the two halves added: two outputs per step.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn pair_combine(x: &[C64], w0: C64, w1: C64, y: &mut [C64]) {
+        let n = (x.len() / 2).min(y.len());
+        let (p, q) = (x.as_ptr() as *const f64, y.as_mut_ptr() as *mut f64);
+        let w_re = _mm256_setr_pd(w0.re, w0.re, w1.re, w1.re);
+        let w_im = _mm256_setr_pd(w0.im, w0.im, w1.im, w1.im);
+        let mut i = 0;
+        while i + 2 <= n {
+            let z0 = lane_product(_mm256_loadu_pd(p.add(4 * i)), w_re, w_im);
+            let z1 = lane_product(_mm256_loadu_pd(p.add(4 * i + 4)), w_re, w_im);
+            let lo = _mm256_permute2f128_pd(z0, z1, 0x20);
+            let hi = _mm256_permute2f128_pd(z0, z1, 0x31);
+            _mm256_storeu_pd(q.add(2 * i), _mm256_add_pd(lo, hi));
+            i += 2;
+        }
+        if i < n {
+            y[i] = x[2 * i + 1].mul_add(w1, x[2 * i] * w0);
+        }
+    }
+
     /// Caller guarantees both panels hold `kc` steps (see
     /// [`super::gemm_tile`]).
     #[target_feature(enable = "avx2,fma")]
@@ -1104,6 +1217,47 @@ mod tests {
             both_paths(
                 || cdot(&a, &b),
                 |s, n| assert!(s.approx_eq(n, TOL), "len = {len}: {s:?} vs {n:?}"),
+            );
+        }
+    }
+
+    #[test]
+    fn pair_gram_matches_scalar() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for len in [0usize, 2, 4, 6, 10, 64] {
+            let x = random_state(64, &mut rng)[..len].to_vec();
+            both_paths(
+                || pair_gram(&x),
+                |s, n| {
+                    for (a, b) in s.iter().zip(&n) {
+                        assert!((a - b).abs() < TOL, "len = {len}: {s:?} vs {n:?}");
+                    }
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn pair_combine_matches_scalar() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let (w0, w1) = (c64(0.6, -0.2), c64(-0.1, 0.75));
+        for len in [0usize, 2, 4, 6, 10, 64] {
+            let x = random_state(64, &mut rng)[..len].to_vec();
+            both_paths(
+                || {
+                    let mut y = vec![c64(f64::NAN, 0.0); len / 2];
+                    pair_combine(&x, w0, w1, &mut y);
+                    y
+                },
+                |s, n| {
+                    for (j, (a, b)) in s.iter().zip(&n).enumerate() {
+                        let want = x[2 * j] * w0 + x[2 * j + 1] * w1;
+                        assert!(
+                            a.approx_eq(*b, TOL) && a.approx_eq(want, TOL),
+                            "len = {len}, j = {j}"
+                        );
+                    }
+                },
             );
         }
     }

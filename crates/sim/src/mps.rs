@@ -26,13 +26,24 @@
 //! 16 TiB. The planner prices this χ-law via [`estimate_mps_cost`] and
 //! routes low-entanglement ops here (`Backend::SimulateMps`), falling
 //! back to dense when the predicted χ blows past `max_bond`.
+//!
+//! The dense↔MPS boundary streams. [`MpsState::from_statevector`] reads
+//! the state in place: one Gram pass over it, then per site one pass that
+//! writes the next (shrinking) carry and sums that carry's Gram matrix as
+//! it goes — for a product state ≈ 3 reads and 1 write of the state in
+//! all; a bond-1 split runs on the `simd::pair_gram` / `pair_combine`
+//! primitives. [`MpsState::write_into`] is one write of every amplitude.
+//! At n = 17 (2 MiB, |0…0⟩) on a 2-core Xeon that measured 2.0–2.4 and
+//! 0.8–1.1 streamed copies of the state (`mps_ablation`, section 4).
 
 use crate::circuit::Circuit;
 use crate::decompose::decompose_gate;
 use crate::gate::{Gate, GateOp, GateStructure};
+use crate::kernels::PAR_THRESHOLD;
 use crate::statevector::StateVector;
-use qcemu_linalg::{gemm, svd, CMatrix, Svd, C64};
+use qcemu_linalg::{gemm, gemm_slices_with, simd, svd, CMatrix, Svd, C64};
 use rand::Rng;
+use rayon::prelude::*;
 
 /// Default bond-dimension cap: χ = 64 stores a 40-qubit low-entanglement
 /// state in ~5 MB and keeps every ≤12-qubit state *exact* (2^⌊12/2⌋ = 64),
@@ -97,10 +108,20 @@ impl MpsState {
         }
     }
 
-    /// Factors a dense state into MPS form by a sweep of SVD splits.
-    /// Bonds are capped at `max_bond`; any weight that cap discards is
-    /// recorded in [`truncation_error`](Self::truncation_error), so an
-    /// exact import reads back as `truncation_error() == 0`.
+    /// Factors a dense state into MPS form by a left-to-right sweep of
+    /// splits. Bonds are capped at `max_bond`; any weight that cap
+    /// discards is recorded in [`truncation_error`](Self::truncation_error),
+    /// so an exact import reads back as `truncation_error() == 0`.
+    ///
+    /// Passes: one over `sv`'s amplitudes, read in place, sums site 0's
+    /// 2χ×2χ Gram matrix; then each wide split is one pass over its carry
+    /// (the unsplit part of ψ) that writes the next carry into one of two
+    /// reused buffers and sums the next site's Gram matrix from what it
+    /// has just written. A product state's carries halve per site, so its
+    /// import reads ≈ 3 and writes ≈ 1 state's worth. The passes run on
+    /// the pool above [`PAR_THRESHOLD`] entries, over fixed chunks whose
+    /// partial Grams are summed in chunk order, so the result is
+    /// bit-identical on every pool size.
     pub fn from_statevector(sv: &StateVector, max_bond: usize) -> MpsState {
         let n = sv.n_qubits().max(1);
         let mut mps = MpsState::zero_state(n, max_bond);
@@ -108,28 +129,22 @@ impl MpsState {
             return mps;
         }
         let mut trunc = 0.0;
-        // `carry` is ψ reshaped as a (χ × 2^{n-site}) matrix whose column
-        // index has the current qubit as its least-significant bit.
-        let mut carry: Vec<C64> = sv.amplitudes().to_vec();
+        // The carry holds one χ-vector per value of the unsplit qubits,
+        // `carry[col·χ + l]`, the current qubit being the low bit of `col`.
+        let (mut cur, mut next) = (Vec::new(), Vec::new());
         let mut chi = 1usize;
+        let amps = sv.amplitudes();
+        let mut gram = gram_split(2, amps.len() / 2).then(|| carry_gram(amps, 2));
         for site in 0..n - 1 {
-            let rest = 1usize << (n - site - 1);
-            let m = CMatrix::from_fn(chi * 2, rest, |row, col| {
-                let (l, p) = (row / 2, row % 2);
-                carry[l * (2 * rest) + p + 2 * col]
-            });
-            let (u, sw, k) = split_truncate(&m, max_bond, &mut trunc);
-            mps.sites[site] = u.into_vec(); // (χ·2 × k) row-major == (χ,2,k)
+            let carry = if site == 0 { amps } else { &cur[..] };
+            let (u, k, g) = split_carry(carry, chi, gram, max_bond, &mut trunc, &mut next);
+            mps.sites[site] = u; // (χ·2 × k) row-major == (χ,2,k)
             mps.bonds[site + 1] = k;
-            carry = sw.into_vec();
-            chi = k;
+            std::mem::swap(&mut cur, &mut next);
+            (chi, gram) = (k, g);
         }
-        let mut last = vec![C64::ZERO; chi * 2];
-        for l in 0..chi {
-            last[l * 2] = carry[l * 2];
-            last[l * 2 + 1] = carry[l * 2 + 1];
-        }
-        mps.sites[n - 1] = last;
+        let carry = if n == 1 { amps } else { &cur[..] };
+        mps.sites[n - 1] = (0..2 * chi).map(|i| carry[(i % 2) * chi + i / 2]).collect();
         mps.center = n - 1;
         mps.trunc_error = trunc;
         mps
@@ -222,40 +237,110 @@ impl MpsState {
         }
     }
 
-    /// Densifies to a full state vector (guarded: 2ⁿ amplitudes).
+    /// Densifies to a fresh state vector (guarded: 2ⁿ amplitudes); see
+    /// [`write_into`](Self::write_into).
     pub fn to_statevector(&self) -> StateVector {
         assert!(
             self.n <= 30,
             "to_statevector would allocate 2^{} amps",
             self.n
         );
-        // partial[idx · χ + r] = Σ over qubits 0..site of the open-bond
-        // partial contraction; idx holds the already-contracted bits.
-        let mut chi = self.bonds[1];
-        let mut partial = self.sites[0].clone(); // (2 × χ₁)
-        for site in 1..self.n {
+        let mut sv = StateVector::from_amplitudes(vec![C64::ZERO; 1 << self.n]);
+        self.write_into(&mut sv);
+        sv
+    }
+
+    /// Densifies into `out`, overwriting every amplitude in one streamed
+    /// write. The sites below the middle cut `h` contract into
+    /// `L (χ_h × 2^h)`, those above it into `R (2^{n−h} × χ_h)`, both
+    /// ≈ √(2ⁿ)·χ entries, and `out[hi·2^h + lo] = Σ_c R[hi,c]·L[c,lo]` is
+    /// written as an outer product when χ_h = 1 and by a GEMM otherwise.
+    ///
+    /// # Panics
+    ///
+    /// If `out` does not have this state's qubit count.
+    pub fn write_into(&self, out: &mut StateVector) {
+        assert_eq!(
+            out.n_qubits(),
+            self.n,
+            "write_into needs a {}-qubit state",
+            self.n
+        );
+        let h = self.n / 2;
+        let chi = self.bonds[h];
+        let (l, r) = (self.contract_below(h), self.contract_above(h));
+        let amps = out.amplitudes_mut();
+        let low = 1usize << h;
+        let par = amps.len() >= PAR_THRESHOLD;
+        if chi == 1 {
+            let row = |(hi, dst): (usize, &mut [C64])| {
+                for (d, &x) in dst.iter_mut().zip(&l) {
+                    *d = r[hi] * x;
+                }
+            };
+            if par {
+                amps.par_chunks_mut(low).enumerate().for_each(row);
+            } else {
+                amps.chunks_mut(low).enumerate().for_each(row);
+            }
+        } else {
+            let par_threshold = if par { 0 } else { usize::MAX };
+            let high = amps.len() / low;
+            gemm_slices_with(&r, &l, amps, (high, chi, low), par_threshold);
+        }
+    }
+
+    /// Sites `0..h` contracted into `L[c·2^h + lo]`, `c` the open bond
+    /// `h` and `lo` the value of qubits `0..h`.
+    fn contract_below(&self, h: usize) -> Vec<C64> {
+        let mut l = vec![C64::ONE];
+        for site in 0..h {
             let dr = self.bonds[site + 1];
-            let a = &self.sites[site];
-            let half = 1usize << site;
-            let mut next = vec![C64::ZERO; half * 2 * dr];
-            for idx in 0..half {
-                for (l, &pl) in partial[idx * chi..(idx + 1) * chi].iter().enumerate() {
-                    if pl == C64::ZERO {
-                        continue;
-                    }
-                    for q in 0..2 {
-                        let dst = (idx | (q << site)) * dr;
-                        let src = (l * 2 + q) * dr;
-                        for r in 0..dr {
-                            next[dst + r] += pl * a[src + r];
+            let (a, width) = (&self.sites[site], 1usize << site);
+            let mut next = vec![C64::ZERO; dr * 2 * width];
+            for (b, src) in l.chunks_exact(width).enumerate() {
+                for q in 0..2 {
+                    for c in 0..dr {
+                        let x = a[(b * 2 + q) * dr + c];
+                        if x == C64::ZERO {
+                            continue;
+                        }
+                        let dst = &mut next[(2 * c + q) * width..][..width];
+                        for (d, &s) in dst.iter_mut().zip(src) {
+                            *d = x.mul_add(s, *d);
                         }
                     }
                 }
             }
-            partial = next;
-            chi = dr;
+            l = next;
         }
-        StateVector::from_amplitudes(partial)
+        l
+    }
+
+    /// Sites `h..n` contracted into `R[hi·χ_h + c]`, `hi` the value of
+    /// qubits `h..n` (qubit `h` lowest) and `c` the open bond `h`.
+    fn contract_above(&self, h: usize) -> Vec<C64> {
+        let mut r = vec![C64::ONE];
+        for site in (h..self.n).rev() {
+            let (dl, dr) = (self.bonds[site], self.bonds[site + 1]);
+            let a = &self.sites[site];
+            let mut next = vec![C64::ZERO; r.len() / dr * 2 * dl];
+            for (dst, (hi, q)) in next
+                .chunks_exact_mut(dl)
+                .zip((0..r.len() / dr).flat_map(|hi| [(hi, 0), (hi, 1)]))
+            {
+                let src = &r[hi * dr..][..dr];
+                for (b, d) in dst.iter_mut().enumerate() {
+                    let row = &a[(b * 2 + q) * dr..][..dr];
+                    *d = row
+                        .iter()
+                        .zip(src)
+                        .fold(C64::ZERO, |acc, (&x, &s)| x.mul_add(s, acc));
+                }
+            }
+            r = next;
+        }
+        r
     }
 
     /// Draws `shots` basis-state samples **without densifying**, by
@@ -623,23 +708,24 @@ fn split_truncate(
     trunc_error: &mut f64,
 ) -> (CMatrix, CMatrix, usize) {
     let f = fast_svd(m);
-    let before = *trunc_error;
-    let k = kept_rank(&f.s, max_bond, trunc_error);
-    let forced = *trunc_error > before;
-    let scale = if forced {
-        let total2: f64 = f.s.iter().map(|v| v * v).sum();
-        let kept2: f64 = f.s[..k].iter().map(|v| v * v).sum();
-        if kept2 > 0.0 {
-            (total2 / kept2).sqrt()
-        } else {
-            1.0
-        }
-    } else {
-        1.0
-    };
+    let (k, scale) = kept_rank_and_scale(&f.s, max_bond, trunc_error);
     let u = CMatrix::from_fn(m.nrows(), k, |r, c| f.u[(r, c)]);
     let sw = CMatrix::from_fn(k, m.ncols(), |r, c| f.vt[(r, c)].scale(f.s[r] * scale));
     (u, sw, k)
+}
+
+/// [`kept_rank`], plus the factor that restores the norm when the cap
+/// forced a truncation (1 otherwise).
+fn kept_rank_and_scale(s: &[f64], max_bond: usize, trunc_error: &mut f64) -> (usize, f64) {
+    let before = *trunc_error;
+    let k = kept_rank(s, max_bond, trunc_error);
+    let kept2: f64 = s[..k].iter().map(|v| v * v).sum();
+    if *trunc_error > before && kept2 > 0.0 {
+        let total2: f64 = s.iter().map(|v| v * v).sum();
+        (k, (total2 / kept2).sqrt())
+    } else {
+        (k, 1.0)
+    }
 }
 
 /// SVD with a Gram-matrix fast path for very wide inputs (the
@@ -666,6 +752,193 @@ fn fast_svd(m: &CMatrix) -> Svd {
         Svd { u: eg.u, s, vt }
     } else {
         svd(m)
+    }
+}
+
+/// Carry entries one task of an import pass handles (128 KiB): fixed, so
+/// the partial Grams, and the order they are summed in, do not depend on
+/// the pool size.
+const CHUNK_ENTRIES: usize = 1 << 13;
+
+/// Whether [`from_statevector`](MpsState::from_statevector) splits a
+/// `(r × rest)` carry by its Gram matrix: [`fast_svd`]'s wide-shape test.
+fn gram_split(r: usize, rest: usize) -> bool {
+    rest > 2 * r && rest > 64
+}
+
+/// Carry columns (of `r` entries) per task: an even count, at least `2r`
+/// so the partial Grams stay small beside the carry.
+fn chunk_cols(r: usize) -> usize {
+    (CHUNK_ENTRIES / r).max(2 * r) & !1
+}
+
+/// Splits one site off the import carry (`carry[col·χ + l]`, the site's
+/// qubit the low bit of `col`): returns the site's isometry `U`
+/// (`(χ·2 × k)` row-major) and writes the next carry, `(k × rest)` in
+/// the same layout, into `next`.
+///
+/// Viewed as `M` (`2χ × rest`, row `(l, p)`), a wide carry comes with its
+/// Gram sum `gram` (see [`column_gram`]) and is split like [`fast_svd`]'s
+/// Gram path: `U` is `G = M·Mᴴ`'s eigenbasis, and one streamed pass
+/// writes `next = scale·U_kᴴ·M`, accumulating the next site's Gram sum
+/// from each chunk it has just written (returned when that site is wide
+/// too). Narrow carries take the exact Jacobi split, as [`fast_svd`] does.
+fn split_carry(
+    carry: &[C64],
+    chi: usize,
+    gram: Option<Vec<C64>>,
+    max_bond: usize,
+    trunc_error: &mut f64,
+    next: &mut Vec<C64>,
+) -> (Vec<C64>, usize, Option<Vec<C64>>) {
+    let r = 2 * chi;
+    let rest = carry.len() / r;
+    // Entry j of a carry column is M's row (l, p) at j = p·χ + l; `at`
+    // maps M's row order l·2 + p onto it.
+    let at = |row: usize| (row % 2) * chi + row / 2;
+    let Some(h) = gram else {
+        let m = CMatrix::from_fn(r, rest, |row, col| carry[col * r + at(row)]);
+        let (u, sw, k) = split_truncate(&m, max_bond, trunc_error);
+        next.resize(k * rest, C64::ZERO);
+        for (col, dst) in next.chunks_exact_mut(k).enumerate() {
+            for (kk, d) in dst.iter_mut().enumerate() {
+                *d = sw[(kk, col)];
+            }
+        }
+        return (u.into_vec(), k, None);
+    };
+    // h = Σ x̄·xᵀ over the columns x, so G = M·Mᴴ is its conjugate.
+    let g = CMatrix::from_fn(r, r, |i, j| h[at(i) * r + at(j)].conj());
+    let eg = svd(&g);
+    let s: Vec<f64> = eg.s.iter().map(|l| l.max(0.0).sqrt()).collect();
+    let (k, scale) = kept_rank_and_scale(&s, max_bond, trunc_error);
+    // next[col·k + kk] = Σ_j carry[col·r + j]·w[j·k + kk].
+    let mut w = vec![C64::ZERO; r * k];
+    for row in 0..r {
+        for kk in 0..k {
+            w[at(row) * k + kk] = eg.u[(row, kk)].conj().scale(scale);
+        }
+    }
+    next.resize(k * rest, C64::ZERO);
+    let next_wide = gram_split(2 * k, rest / 2);
+    let cols = chunk_cols(r);
+    let mut tasks: Vec<(&mut [C64], Vec<C64>)> =
+        next.chunks_mut(cols * k).map(|y| (y, Vec::new())).collect();
+    let project = |(c, (y, part)): (usize, &mut (&mut [C64], Vec<C64>))| {
+        let x = &carry[c * cols * r..][..y.len() / k * r];
+        match (r, k) {
+            (2, 1) => simd::pair_combine(x, w[0], w[1], y),
+            (2, _) => project_fixed::<2>(x, &w, y),
+            (4, _) => project_fixed::<4>(x, &w, y),
+            _ => gemm_slices_with(x, &w, y, (y.len() / k, r, k), usize::MAX),
+        }
+        if next_wide {
+            *part = column_gram(y, 2 * k);
+        }
+    };
+    if carry.len() >= PAR_THRESHOLD {
+        tasks.par_iter_mut().enumerate().for_each(project);
+    } else {
+        tasks.iter_mut().enumerate().for_each(project);
+    }
+    let next_gram = next_wide.then(|| sum_in_order(tasks.iter().map(|(_, part)| part)));
+    let u = (0..r * k).map(|i| eg.u[(i / k, i % k)]).collect();
+    (u, k, next_gram)
+}
+
+/// The Gram sum of a whole carry (`r`-entry columns), by chunks summed
+/// in order.
+fn carry_gram(carry: &[C64], r: usize) -> Vec<C64> {
+    let len = chunk_cols(r) * r;
+    let chunk = |c: usize| column_gram(&carry[c * len..carry.len().min((c + 1) * len)], r);
+    let chunks = carry.len().div_ceil(len);
+    let parts: Vec<Vec<C64>> = if carry.len() >= PAR_THRESHOLD {
+        (0..chunks).into_par_iter().map(chunk).collect()
+    } else {
+        (0..chunks).map(chunk).collect()
+    };
+    sum_in_order(parts.iter())
+}
+
+/// Entry-wise sum of equally long partials, in iteration order.
+fn sum_in_order<'a>(parts: impl Iterator<Item = &'a Vec<C64>>) -> Vec<C64> {
+    let mut sum: Vec<C64> = Vec::new();
+    for part in parts {
+        if sum.is_empty() {
+            sum = part.clone();
+        } else {
+            for (a, &b) in sum.iter_mut().zip(part) {
+                *a += b;
+            }
+        }
+    }
+    sum
+}
+
+/// `Σ x̄·xᵀ` (`r × r`, row-major) over the `r`-entry columns `x` of one
+/// carry chunk.
+fn column_gram(x: &[C64], r: usize) -> Vec<C64> {
+    match r {
+        2 => {
+            let [d0, d1, re, im] = simd::pair_gram(x);
+            let off = C64::new(re, im);
+            vec![C64::new(d0, 0.0), off, off.conj(), C64::new(d1, 0.0)]
+        }
+        4 => column_gram_fixed::<4>(x),
+        _ => {
+            // As Xᴴ·X for the chunk's (columns × r) view X.
+            let rows = x.len() / r;
+            let mut xh = vec![C64::ZERO; x.len()];
+            for (i, col) in x.chunks_exact(r).enumerate() {
+                for (j, &v) in col.iter().enumerate() {
+                    xh[j * rows + i] = v.conj();
+                }
+            }
+            let mut h = vec![C64::ZERO; r * r];
+            gemm_slices_with(&xh, x, &mut h, (r, rows, r), usize::MAX);
+            h
+        }
+    }
+}
+
+/// [`column_gram`] at a fixed order: the upper triangle accumulates as
+/// real and imaginary sums, the lower one is its mirror.
+fn column_gram_fixed<const R: usize>(x: &[C64]) -> Vec<C64> {
+    let (mut re, mut im) = ([[0.0; R]; R], [[0.0; R]; R]);
+    for col in x.chunks_exact(R) {
+        let col: &[C64; R] = col.try_into().expect("R entries");
+        for i in 0..R {
+            for j in i..R {
+                re[i][j] += col[i].re * col[j].re + col[i].im * col[j].im;
+                im[i][j] += col[i].re * col[j].im - col[i].im * col[j].re;
+            }
+        }
+    }
+    (0..R * R)
+        .map(|e| {
+            let (i, j) = (e / R, e % R);
+            let v = C64::new(re[i.min(j)][i.max(j)], im[i.min(j)][i.max(j)]);
+            if i <= j {
+                v
+            } else {
+                v.conj()
+            }
+        })
+        .collect()
+}
+
+/// `y = x·w` for `R`-entry columns `x` and `(R × k)` `w`: the import's
+/// projection pass at a fixed order.
+fn project_fixed<const R: usize>(x: &[C64], w: &[C64], y: &mut [C64]) {
+    let k = w.len() / R;
+    let wt: Vec<[C64; R]> = (0..k)
+        .map(|kk| std::array::from_fn(|j| w[j * k + kk]))
+        .collect();
+    for (col, out) in x.chunks_exact(R).zip(y.chunks_exact_mut(k)) {
+        let col: &[C64; R] = col.try_into().expect("R entries");
+        for (o, wk) in out.iter_mut().zip(&wt) {
+            *o = (0..R).fold(C64::ZERO, |acc, j| col[j].mul_add(wk[j], acc));
+        }
     }
 }
 

@@ -195,7 +195,7 @@ impl StateVector {
             let mut mps = MpsState::from_statevector(self, max_bond);
             mps.run(circuit);
             if mps.truncation_error() <= MPS_EXACT_TOL {
-                *self = mps.to_statevector();
+                mps.write_into(self);
                 return;
             }
         }
