@@ -73,7 +73,7 @@ impl Args {
     /// `true` if the bare flag is present.
     pub fn has(&self, name: &str) -> bool {
         let flag = format!("--{name}");
-        self.raw.iter().any(|a| *a == flag)
+        self.raw.contains(&flag)
     }
 }
 

@@ -136,7 +136,7 @@ impl BatchExecutor {
         members: &[QuantumProgram],
         initial: BatchStateVector,
     ) -> Result<(BatchStateVector, PlanReport), EmuError> {
-        let plan = self
+        let (plan, _) = self
             .inner
             .shared_plan(members.first().ok_or_else(empty_ensemble)?);
         PlanInterpreter::new(self.inner.config).run_members(members, &plan, initial)

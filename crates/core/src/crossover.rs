@@ -568,9 +568,10 @@ mod calibrate {
         // every label through an opaque boxed closure — the same dynamic
         // dispatch `apply_classical_map` pays per label, so the measured
         // rate reflects real map evaluation, not an inlined loop.
-        let map: Box<dyn Fn(&mut [u64])> = std::hint::black_box(Box::new(|v: &mut [u64]| {
-            v[0] = v[0].wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(13);
-        }));
+        let map: Box<crate::program::RegisterMap> =
+            std::hint::black_box(Box::new(|v: &mut [u64]| {
+                v[0] = v[0].wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(13);
+            }));
         let mut scratch = [0u64; 2];
         let t_table = time(3, || {
             let mut acc = 0u64;

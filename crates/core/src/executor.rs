@@ -308,7 +308,7 @@ impl HybridExecutor {
     /// The cost-model-driven plan for `program` — inspect (or `{}`-print)
     /// it to see the per-op dispatch before running anything.
     pub fn plan(&self, program: &QuantumProgram) -> ExecutionPlan {
-        (*self.shared_plan(program)).clone()
+        (*self.shared_plan(program).0).clone()
     }
 
     /// The memoised plan for `program`'s structure, if the cache currently
@@ -332,7 +332,8 @@ impl HybridExecutor {
     /// [`crate::batch::BatchExecutor`] and the daemon. Misses count toward
     /// [`HybridExecutor::plan_cache_misses`], and concurrent misses on one
     /// structure collapse to a single lowering (see [`SharedPlanCache`]).
-    pub fn shared_plan(&self, program: &QuantumProgram) -> Arc<ExecutionPlan> {
+    /// The flag is `true` when this lookup was counted as a cache hit.
+    pub fn shared_plan(&self, program: &QuantumProgram) -> (Arc<ExecutionPlan>, bool) {
         self.cache
             .get_or_plan(program.structure_hash(), &self.model, &self.config, || {
                 plan(program, &self.model, &self.config, Policy::Cheapest)
@@ -358,7 +359,7 @@ impl HybridExecutor {
         program: &QuantumProgram,
         initial: StateVector,
     ) -> Result<(StateVector, PlanReport), EmuError> {
-        let plan = self.shared_plan(program);
+        let (plan, _) = self.shared_plan(program);
         self.run_plan(program, &plan, initial)
     }
 

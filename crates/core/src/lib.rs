@@ -72,6 +72,6 @@ pub use planner::{
 };
 pub use program::{
     ClassicalMap, GateImpl, HighLevelOp, MapKind, PhaseOracle, ProgramBuilder, ProgramRegister,
-    QpeOp, QuantumProgram, RegisterId, RotationOp,
+    QpeOp, QuantumProgram, RegisterId, RegisterMap, RegisterPredicate, RotationOp,
 };
 pub use qpe::{apply_qpe, qpe_kernel, qpe_outcome_distribution, QpeStrategy};

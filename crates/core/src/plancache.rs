@@ -178,14 +178,16 @@ impl SharedPlanCache {
 
     /// Returns the cached plan for `structure_hash`, lowering it with
     /// `lower` on a miss (single-flight: concurrent misses on the same
-    /// key run `lower` exactly once and share the result).
+    /// key run `lower` exactly once and share the result), and whether
+    /// the lookup was counted as a hit. A thread that waited on another's
+    /// lowering is a hit: it shares that plan and lowered nothing.
     pub fn get_or_plan(
         &self,
         structure_hash: u64,
         model: &CostModel,
         config: &SimConfig,
         lower: impl FnOnce() -> ExecutionPlan,
-    ) -> Arc<ExecutionPlan> {
+    ) -> (Arc<ExecutionPlan>, bool) {
         let mut state = self.shared.state.lock().unwrap();
         loop {
             if let Some(entry) = state.entries.get_mut(&structure_hash) {
@@ -196,7 +198,7 @@ impl SharedPlanCache {
                     entry.last_used = tick;
                     let plan = Arc::clone(&entry.plan);
                     self.shared.hits.fetch_add(1, Ordering::Relaxed);
-                    return plan;
+                    return (plan, true);
                 }
                 // Present but lowered under another model/config: fall
                 // through and re-plan; the insert below replaces the
@@ -220,7 +222,7 @@ impl SharedPlanCache {
         let plan = Arc::new(lower());
         self.insert(structure_hash, model, config, &plan);
         drop(guard);
-        plan
+        (plan, false)
     }
 
     /// Upserts an entry, evicting the least-recently-used other entry if
@@ -285,7 +287,7 @@ mod tests {
         )
     }
 
-    fn get(cache: &SharedPlanCache, p: &QuantumProgram) -> Arc<ExecutionPlan> {
+    fn get(cache: &SharedPlanCache, p: &QuantumProgram) -> (Arc<ExecutionPlan>, bool) {
         cache.get_or_plan(
             p.structure_hash(),
             &CostModel::default(),
@@ -299,9 +301,10 @@ mod tests {
         let cache = SharedPlanCache::new(4);
         let a = qft_program(3);
         let b = qft_program(3); // fresh instance, same structure
-        let plan_a = get(&cache, &a);
-        let plan_b = get(&cache, &b);
+        let (plan_a, hit_a) = get(&cache, &a);
+        let (plan_b, hit_b) = get(&cache, &b);
         assert!(Arc::ptr_eq(&plan_a, &plan_b));
+        assert_eq!((hit_a, hit_b), (false, true));
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
         assert_eq!(cache.len(), 1);
     }
@@ -322,6 +325,8 @@ mod tests {
         assert!(cache.peek(p3.structure_hash(), &model, &config).is_some());
         assert!(cache.peek(p4.structure_hash(), &model, &config).is_none());
         assert!(cache.peek(p5.structure_hash(), &model, &config).is_some());
+        // The lookup itself says the evicted structure is lowered afresh.
+        assert!(!get(&cache, &p4).1);
     }
 
     #[test]
@@ -330,12 +335,13 @@ mod tests {
         let p = qft_program(3);
         get(&cache, &p);
         let other_config = SimConfig::fused(3);
-        let plan = cache.get_or_plan(
+        let (plan, hit) = cache.get_or_plan(
             p.structure_hash(),
             &CostModel::default(),
             &other_config,
             || plan(&p, &CostModel::default(), &other_config, Policy::Cheapest),
         );
+        assert!(!hit);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 1, "same key: replaced, not duplicated");
         // The replacement is what peek now sees under the new config.
@@ -350,13 +356,15 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let cache = SharedPlanCache::new(4);
         let lowered = Arc::new(AtomicUsize::new(0));
+        let reported_hits = Arc::new(AtomicUsize::new(0));
         let programs: Vec<QuantumProgram> = (0..8).map(|_| qft_program(4)).collect();
         std::thread::scope(|scope| {
             for p in &programs {
                 let cache = cache.clone();
                 let lowered = Arc::clone(&lowered);
+                let reported_hits = Arc::clone(&reported_hits);
                 scope.spawn(move || {
-                    cache.get_or_plan(
+                    let (_, hit) = cache.get_or_plan(
                         p.structure_hash(),
                         &CostModel::default(),
                         &SimConfig::fused(4),
@@ -365,12 +373,18 @@ mod tests {
                             lower(p)
                         },
                     );
+                    reported_hits.fetch_add(usize::from(hit), Ordering::SeqCst);
                 });
             }
         });
         assert_eq!(lowered.load(Ordering::SeqCst), 1, "single-flight");
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 7);
+        assert_eq!(
+            reported_hits.load(Ordering::SeqCst),
+            7,
+            "each lookup reports its own count"
+        );
     }
 
     #[test]

@@ -66,6 +66,12 @@ pub enum MapKind {
     },
 }
 
+/// The body of a [`ClassicalMap`]: overwrites register values in place.
+pub type RegisterMap = dyn Fn(&mut [u64]) + Send + Sync;
+
+/// The predicate of a [`PhaseOracle`], over register values.
+pub type RegisterPredicate = dyn Fn(&[u64]) -> bool + Send + Sync;
+
 /// A classical function operating on register values.
 ///
 /// `f` receives the current values of `regs` (in order) and overwrites them
@@ -78,7 +84,7 @@ pub struct ClassicalMap {
     /// Registers the map reads/writes.
     pub regs: Vec<RegisterId>,
     /// The function itself.
-    pub f: Arc<dyn Fn(&mut [u64]) + Send + Sync>,
+    pub f: Arc<RegisterMap>,
     /// Reversibility contract.
     pub kind: MapKind,
     /// Optional reversible gate-level implementation.
@@ -133,7 +139,7 @@ pub struct PhaseOracle {
     /// Registers the predicate reads.
     pub regs: Vec<RegisterId>,
     /// The predicate over register values (in `regs` order).
-    pub predicate: Arc<dyn Fn(&[u64]) -> bool + Send + Sync>,
+    pub predicate: Arc<RegisterPredicate>,
     /// Phase angle θ (π = the Grover sign flip).
     pub phase: f64,
     /// Optional gate-level implementation.
@@ -327,44 +333,100 @@ impl QuantumProgram {
     }
 }
 
-/// Hashes a circuit gate-by-gate, with rotation angles and custom-unitary
-/// entries taken by exact `f64` bit pattern.
+/// Hashes a circuit as one canonical byte string, with rotation angles
+/// and custom-unitary entries taken by exact `f64` bit pattern.
+///
+/// Each gate encodes as its kind tag, its op tag and that op's parameters,
+/// then its qubits with the controls length-prefixed, so the string splits
+/// back into gates one way only: equal hashes still mean equal gate lists
+/// (up to collisions). The bytes reach the hasher through a fixed stack
+/// buffer, a few large writes instead of ~8 small `Hash` calls per gate.
 fn hash_circuit(c: &Circuit, h: &mut impl std::hash::Hasher) {
-    use std::hash::Hash;
-    c.n_qubits().hash(h);
+    let mut out = HashBuffer {
+        h,
+        buf: [0; 256],
+        len: 0,
+    };
+    out.usize(c.n_qubits());
     for gate in c.gates() {
-        std::mem::discriminant(gate).hash(h);
         match gate {
             Gate::Unary {
                 op,
                 target,
                 controls,
             } => {
-                std::mem::discriminant(op).hash(h);
-                match op {
-                    qcemu_sim::GateOp::Rx(t)
-                    | qcemu_sim::GateOp::Ry(t)
-                    | qcemu_sim::GateOp::Rz(t)
-                    | qcemu_sim::GateOp::Phase(t) => t.to_bits().hash(h),
-                    qcemu_sim::GateOp::U(m) => {
-                        for row in m {
-                            for z in row {
-                                z.re.to_bits().hash(h);
-                                z.im.to_bits().hash(h);
-                            }
-                        }
-                    }
-                    _ => {}
+                use qcemu_sim::GateOp;
+                let (tag, angle) = match op {
+                    GateOp::X => (0, None),
+                    GateOp::Y => (1, None),
+                    GateOp::Z => (2, None),
+                    GateOp::H => (3, None),
+                    GateOp::S => (4, None),
+                    GateOp::Sdg => (5, None),
+                    GateOp::T => (6, None),
+                    GateOp::Tdg => (7, None),
+                    GateOp::Rx(t) => (8, Some(t)),
+                    GateOp::Ry(t) => (9, Some(t)),
+                    GateOp::Rz(t) => (10, Some(t)),
+                    GateOp::Phase(t) => (11, Some(t)),
+                    GateOp::U(_) => (12, None),
+                };
+                out.bytes(&[0, tag]);
+                if let Some(t) = angle {
+                    out.bytes(&t.to_bits().to_le_bytes());
                 }
-                target.hash(h);
-                controls.hash(h);
+                if let GateOp::U(m) = op {
+                    for z in m.iter().flatten() {
+                        out.bytes(&z.re.to_bits().to_le_bytes());
+                        out.bytes(&z.im.to_bits().to_le_bytes());
+                    }
+                }
+                out.usize(*target);
+                out.qubits(controls);
             }
             Gate::Swap { a, b, controls } => {
-                a.hash(h);
-                b.hash(h);
-                controls.hash(h);
+                out.bytes(&[1]);
+                out.usize(*a);
+                out.usize(*b);
+                out.qubits(controls);
             }
         }
+    }
+    out.flush();
+}
+
+/// [`hash_circuit`]'s staging buffer: bytes are written to the hasher
+/// only when the buffer fills, and once more at the end.
+struct HashBuffer<'h, H: std::hash::Hasher> {
+    h: &'h mut H,
+    buf: [u8; 256],
+    len: usize,
+}
+
+impl<H: std::hash::Hasher> HashBuffer<'_, H> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > self.buf.len() {
+            self.flush();
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn usize(&mut self, v: usize) {
+        self.bytes(&(v as u64).to_le_bytes());
+    }
+
+    /// A length-prefixed qubit list.
+    fn qubits(&mut self, qs: &[usize]) {
+        self.usize(qs.len());
+        for &q in qs {
+            self.usize(q);
+        }
+    }
+
+    fn flush(&mut self) {
+        self.h.write(&self.buf[..self.len]);
+        self.len = 0;
     }
 }
 
@@ -729,6 +791,82 @@ mod tests {
         pb.hadamard_all(a);
         let p4 = pb.build().unwrap();
         assert_ne!(p1.structure_hash(), p4.structure_hash());
+    }
+
+    #[test]
+    fn structure_hash_sees_every_field_of_every_gate() {
+        use qcemu_linalg::C64;
+        use qcemu_sim::GateOp;
+        let u = GateOp::U([[C64::ONE, C64::ZERO], [C64::ZERO, C64::I]]);
+        let base: Vec<Gate> = (0..1200)
+            .map(|i| match i % 4 {
+                0 => Gate::rz(i % 8, 0.0),
+                1 => Gate::unary(u.clone(), i % 8),
+                2 => Gate::toffoli(i % 8, (i + 1) % 8, (i + 2) % 8),
+                _ => Gate::Swap {
+                    a: i % 8,
+                    b: (i + 1) % 8,
+                    controls: vec![(i + 2) % 8],
+                },
+            })
+            .collect();
+        let hash = |gates: &[Gate]| {
+            let mut pb = ProgramBuilder::new();
+            pb.register("q", 9);
+            pb.gates(|c| {
+                for g in gates {
+                    c.push(g.clone());
+                }
+            });
+            pb.build().unwrap().structure_hash()
+        };
+        let reference = hash(&base);
+        assert_eq!(reference, hash(&base.clone()));
+        // One field of one gate, deep in the circuit, per mutation.
+        let mutations: Vec<(&str, usize, Gate)> = vec![
+            (
+                "op kind, same angle",
+                600,
+                Gate::unary(GateOp::Phase(0.0), 0),
+            ),
+            ("op kind", 600, Gate::h(0)),
+            ("gate kind", 603, Gate::mcx(vec![5], 4)),
+            ("angle sign bit", 600, Gate::rz(0, -0.0)),
+            ("unitary entry", 601, {
+                let mut m = [[C64::ONE, C64::ZERO], [C64::ZERO, C64::I]];
+                m[1][0].im = -0.0;
+                Gate::unary(GateOp::U(m), 1)
+            }),
+            ("target", 601, Gate::unary(u.clone(), 2)),
+            ("one control", 602, Gate::toffoli(2, 5, 4)),
+            ("control order", 602, Gate::toffoli(3, 2, 4)),
+            ("control count", 602, Gate::cnot(3, 4)),
+            ("extra control", 602, Gate::mcx(vec![2, 3, 8], 4)),
+            ("swap operand order", 603, {
+                let mut s = base[603].clone();
+                if let Gate::Swap { a, b, .. } = &mut s {
+                    std::mem::swap(a, b);
+                }
+                s
+            }),
+            (
+                "swap operand",
+                603,
+                Gate::Swap {
+                    a: 3,
+                    b: 6,
+                    controls: vec![5],
+                },
+            ),
+            ("swap controls", 603, Gate::swap(3, 4)),
+        ];
+        for (what, at, gate) in mutations {
+            // By `Debug`: `==` cannot tell 0.0 from -0.0.
+            assert_ne!(format!("{:?}", base[at]), format!("{gate:?}"), "{what}");
+            let mut mutated = base.clone();
+            mutated[at] = gate;
+            assert_ne!(reference, hash(&mutated), "{what} left the hash unchanged");
+        }
     }
 
     #[test]

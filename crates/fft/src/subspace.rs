@@ -72,7 +72,7 @@ pub fn fft_subspace(
     let comp: Vec<usize> = (0..n_qubits).filter(|q| !bits.contains(q)).collect();
 
     // Forward permutation: dst[(c << m) | v] = src[scatter(v, bits) | scatter(c, comp)].
-    let src = std::mem::replace(state, Vec::new());
+    let src = std::mem::take(state);
     let mut permuted: Vec<C64> = (0..n)
         .into_par_iter()
         .map(|d| {

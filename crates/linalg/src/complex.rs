@@ -207,6 +207,7 @@ impl Mul for C64 {
 impl Div for C64 {
     type Output = C64;
     #[inline]
+    #[allow(clippy::suspicious_arithmetic_impl)] // a / b = a · (1/b), on purpose
     fn div(self, rhs: C64) -> C64 {
         self * rhs.recip()
     }

@@ -141,7 +141,7 @@ pub fn schur_from_hessenberg(mut h: CMatrix, mut z: CMatrix) -> Result<Schur, Ei
         // Wilkinson shift from the trailing 2×2 of the active block; an
         // exceptional (ad hoc) shift every 10 stalled iterations breaks
         // symmetry-induced cycles.
-        let shift = if iters_this_eig % 10 == 0 {
+        let shift = if iters_this_eig.is_multiple_of(10) {
             h[(hi, hi)] + c64(0.75 * h[(hi, hi - 1)].abs(), 0.0)
         } else {
             wilkinson_shift(

@@ -35,15 +35,15 @@ pub fn random_unitary(n: usize, rng: &mut impl Rng) -> CMatrix {
     let mut cols: Vec<Vec<C64>> = (0..n).map(|c| g.col(c)).collect();
     let mut rdiag = vec![C64::ONE; n];
     for j in 0..n {
-        for i in 0..j {
+        let (done, rest) = cols.split_at_mut(j);
+        for ci in done.iter() {
             // proj = <cols[i], cols[j]>
             let mut proj = C64::ZERO;
-            for k in 0..n {
-                proj += cols[i][k].conj() * cols[j][k];
+            for (a, b) in ci.iter().zip(&rest[0]) {
+                proj += a.conj() * *b;
             }
-            for k in 0..n {
-                let s = proj * cols[i][k];
-                cols[j][k] -= s;
+            for (a, b) in ci.iter().zip(rest[0].iter_mut()) {
+                *b -= proj * *a;
             }
         }
         let norm = cols[j].iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
@@ -61,7 +61,7 @@ pub fn random_unitary(n: usize, rng: &mut impl Rng) -> CMatrix {
         let theta = rng.gen::<f64>() * std::f64::consts::TAU;
         rdiag[j] = C64::cis(theta);
         for z in cols[j].iter_mut() {
-            *z = *z * rdiag[j];
+            *z *= rdiag[j];
         }
     }
     CMatrix::from_fn(n, n, |r, c| cols[c][r])

@@ -427,7 +427,7 @@ pub fn fft_radix4_stage(data: &mut [C64], q: usize, t: usize, tw: &[C64], invers
     assert_eq!(data.len() % (4 * q * t), 0, "radix-4 stage: partial block");
     assert!(tw.len() >= 3 * q, "radix-4 twiddle table too short");
     #[cfg(target_arch = "x86_64")]
-    if simd_active() && (t % 2 == 0 || (t == 1 && (q == 1 || q % 2 == 0))) {
+    if simd_active() && (t.is_multiple_of(2) || (t == 1 && (q == 1 || q.is_multiple_of(2)))) {
         // SAFETY: AVX2+FMA presence was verified at runtime; block and
         // table sizes were checked above.
         unsafe {
@@ -482,7 +482,7 @@ pub fn fft_radix2_stage(data: &mut [C64], h: usize, t: usize, tw: &[C64], invers
     assert_eq!(data.len() % (2 * h * t), 0, "radix-2 stage: partial block");
     assert!(tw.len() >= h, "radix-2 twiddle table too short");
     #[cfg(target_arch = "x86_64")]
-    if simd_active() && (t % 2 == 0 || (t == 1 && h % 2 == 0)) {
+    if simd_active() && (t.is_multiple_of(2) || (t == 1 && h.is_multiple_of(2))) {
         // SAFETY: AVX2+FMA presence was verified at runtime; block and
         // table sizes were checked above.
         unsafe {
@@ -519,7 +519,7 @@ pub fn fft_radix2_stage(data: &mut [C64], h: usize, t: usize, tw: &[C64], invers
 pub fn mul_twiddles(xs: &mut [C64], u: &[C64], v: C64, t: usize) {
     assert_eq!(xs.len(), u.len() * t, "mul_twiddles: tile size mismatch");
     #[cfg(target_arch = "x86_64")]
-    if simd_active() && (t == 1 || t % 2 == 0) {
+    if simd_active() && (t == 1 || t.is_multiple_of(2)) {
         // SAFETY: AVX2+FMA presence was verified at runtime; sizes were
         // checked above.
         unsafe { avx2::mul_twiddles(xs, u, v, t) };
@@ -1014,7 +1014,7 @@ mod avx2 {
         for b in 0..data.len() / (2 * run) {
             let lo = base.add(4 * run * b);
             let hi = lo.add(2 * run);
-            if t % 2 == 0 {
+            if t.is_multiple_of(2) {
                 for j in 0..h {
                     let w = splat2(*tw.get_unchecked(j));
                     let mut o = 2 * j * t;

@@ -33,7 +33,7 @@ fn strassen_rec(a: &CMatrix, b: &CMatrix, cutoff: usize) -> CMatrix {
     if n <= cutoff {
         return gemm::gemm(a, b);
     }
-    if n % 2 != 0 {
+    if !n.is_multiple_of(2) {
         // Pad by one row/column of zeros, recurse, then trim. The extra
         // zero rows cannot perturb the result.
         let ap = pad_to(a, n + 1);

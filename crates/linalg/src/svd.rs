@@ -58,6 +58,7 @@ pub fn svd(a: &CMatrix) -> Svd {
 /// working copy `W` until all pairs are orthogonal, accumulating the
 /// rotations into `V`; then `σⱼ = ‖wⱼ‖`, `uⱼ = wⱼ/σⱼ`, and `W = A·V`
 /// gives `A = (UΣ)Vᴴ`.
+#[allow(clippy::needless_range_loop)] // the Gram sweep reads two columns in lockstep
 fn svd_tall(a: &CMatrix) -> Svd {
     let (m, n) = (a.nrows(), a.ncols());
     // Column-major working storage: every rotation touches two whole

@@ -424,7 +424,7 @@ fn handle_submit(
             return write_error(stream, ErrorCode::Malformed, &e.to_string());
         }
     };
-    let program = match wire_program.to_program() {
+    let program = match wire_program.into_program() {
         Ok(p) => p,
         Err(e) => {
             bump(&shared.counters.malformed);
@@ -439,11 +439,9 @@ fn handle_submit(
         return write_error(stream, reason.code(), &reason.to_string());
     }
 
-    // Planning (cached, single-flight): note the warm/cold provenance
-    // before the lookup so the response can report it. The peek is not
-    // counted; `shared_plan` is the request's one counted lookup.
-    let warm = shared.executor.cached_plan(&program).is_some();
-    let plan = shared.executor.shared_plan(&program);
+    // Planning (cached, single-flight): the request's one counted lookup
+    // also says whether it was a hit, which the reply reports as `warm`.
+    let (plan, warm) = shared.executor.shared_plan(&program);
 
     // Admission, stage 2: the cost gate, on the plan's predicted total.
     let lane = match shared

@@ -13,9 +13,17 @@
 //! 2. **Hostile-input safe**: every length is bounds-checked against the
 //!    remaining payload and a hard cap, frames carry a checksum, and a
 //!    truncated or corrupted frame is a typed [`WireError`], never a
-//!    panic. Gates are validated against the program's qubit count at
-//!    decode time through the `Result`-returning
-//!    [`Circuit::try_push`](qcemu_sim::Circuit::try_push) path.
+//!    panic. Gates are validated against the program's qubit count when
+//!    the program is built, through the `Result`-returning
+//!    [`Circuit::try_from_gates`](qcemu_sim::Circuit::try_from_gates).
+//!
+//! A request is decoded on the connection thread, ahead of its
+//! execution, so bytes become a program in one allocation-light pass: a
+//! gate list is reserved once (at most what the remaining bytes can
+//! encode), only a controlled gate allocates (its control list),
+//! validation allocates nothing, and [`WireProgram::into_program`] moves
+//! the decoded gates into the program. `tests/decode_allocations.rs`
+//! holds that budget.
 //!
 //! ## Frame layout
 //!
@@ -319,8 +327,12 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(WireError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -483,6 +495,9 @@ const OP_DIVIDE: u8 = 7;
 const OP_ROTATION: u8 = 8;
 const OP_MARK_VALUE: u8 = 9;
 
+/// The shortest gate encoding: tag, op tag, target, control count.
+const MIN_GATE_BYTES: usize = 5;
+
 const GATE_UNARY: u8 = 0;
 const GATE_SWAP: u8 = 1;
 
@@ -598,7 +613,11 @@ fn read_controls(c: &mut Cursor<'_>) -> Result<Vec<usize>, WireError> {
     if n > 16 {
         return Err(WireError::CapExceeded { what: "controls" });
     }
-    (0..n).map(|_| Ok(c.u16()? as usize)).collect()
+    let mut controls = Vec::with_capacity(n);
+    for _ in 0..n {
+        controls.push(c.u16()? as usize);
+    }
+    Ok(controls)
 }
 
 fn read_gate(c: &mut Cursor<'_>) -> Result<Gate, WireError> {
@@ -741,7 +760,13 @@ impl WireProgram {
                     if n > MAX_GATES {
                         return Err(WireError::CapExceeded { what: "gates" });
                     }
-                    let gates = (0..n).map(|_| read_gate(c)).collect::<Result<_, _>>()?;
+                    // Reserve what the rest of the payload can hold, not
+                    // what it claims: a short body declaring `MAX_GATES`
+                    // gates must not cost a 100 MiB allocation.
+                    let mut gates = Vec::with_capacity(n.min(c.remaining() / MIN_GATE_BYTES));
+                    for _ in 0..n {
+                        gates.push(read_gate(c)?);
+                    }
                     WireOp::Gates(gates)
                 }
                 OP_HADAMARD => WireOp::Hadamard(c.u16()?),
@@ -780,23 +805,30 @@ impl WireProgram {
         Ok(WireProgram { registers, ops })
     }
 
+    /// Builds the executable [`QuantumProgram`] from a borrowed program:
+    /// [`WireProgram::into_program`] on a clone.
+    pub fn to_program(&self) -> Result<QuantumProgram, WireError> {
+        self.clone().into_program()
+    }
+
     /// Builds the executable [`QuantumProgram`], validating register
-    /// references, widths, and every raw gate (through the
-    /// `Result`-returning [`Circuit::try_push`] path — a malformed gate
-    /// is an error here, never a panic).
+    /// references, widths, and every raw gate (through
+    /// [`Circuit::try_from_gates`] — a malformed gate is an error here,
+    /// never a panic). The decoded gates move into the program uncopied.
     ///
     /// Two wire programs with identical registers and op *structure*
     /// produce programs with equal
     /// [`structure_hash`](QuantumProgram::structure_hash) even when
     /// rotation coefficients differ — the parameters live in the angle
     /// closure, which the hash deliberately ignores.
-    pub fn to_program(&self) -> Result<QuantumProgram, WireError> {
-        if self.n_qubits() > MAX_WIRE_QUBITS {
+    pub fn into_program(self) -> Result<QuantumProgram, WireError> {
+        let n_qubits = self.n_qubits();
+        if n_qubits > MAX_WIRE_QUBITS {
             return Err(WireError::CapExceeded { what: "qubits" });
         }
+        let WireProgram { registers, ops } = self;
         let mut pb = ProgramBuilder::new();
-        let ids: Vec<RegisterId> = self
-            .registers
+        let ids: Vec<RegisterId> = registers
             .iter()
             .map(|r| pb.register(&r.name, r.len as usize))
             .collect();
@@ -807,35 +839,30 @@ impl WireProgram {
                     index: idx as usize,
                 })
         };
-        let width = |idx: u16| self.registers[idx as usize].len as usize;
-        let n_qubits = self.n_qubits();
-        for op in &self.ops {
+        let width = |idx: u16| registers[idx as usize].len as usize;
+        for op in ops {
             match op {
                 WireOp::Gates(gates) => {
-                    let mut circuit = Circuit::new(n_qubits);
-                    for g in gates {
-                        circuit
-                            .try_push(g.clone())
-                            .map_err(WireError::InvalidGate)?;
-                    }
+                    let circuit =
+                        Circuit::try_from_gates(n_qubits, gates).map_err(WireError::InvalidGate)?;
                     pb.gates(|c| *c = circuit);
                 }
                 WireOp::Hadamard(r) => {
-                    pb.hadamard_all(reg(*r)?);
+                    pb.hadamard_all(reg(r)?);
                 }
                 WireOp::SetConstant(r, v) => {
-                    pb.set_constant(reg(*r)?, *v);
+                    pb.set_constant(reg(r)?, v);
                 }
                 WireOp::Qft(r) => {
-                    pb.qft(reg(*r)?);
+                    pb.qft(reg(r)?);
                 }
                 WireOp::InverseQft(r) => {
-                    pb.inverse_qft(reg(*r)?);
+                    pb.inverse_qft(reg(r)?);
                 }
                 WireOp::Add { a, b } => {
-                    let (ra, rb) = (reg(*a)?, reg(*b)?);
-                    let m = width(*a);
-                    if width(*b) != m {
+                    let (ra, rb) = (reg(a)?, reg(b)?);
+                    let m = width(a);
+                    if width(b) != m {
                         return Err(WireError::BadProgram(
                             "add: registers must share a width".into(),
                         ));
@@ -843,9 +870,9 @@ impl WireProgram {
                     pb.classical(qcemu_core::stdops::add(ra, rb, m));
                 }
                 WireOp::Multiply { a, b, c } => {
-                    let (ra, rb, rc) = (reg(*a)?, reg(*b)?, reg(*c)?);
-                    let m = width(*a);
-                    if width(*b) != m || width(*c) != m {
+                    let (ra, rb, rc) = (reg(a)?, reg(b)?, reg(c)?);
+                    let m = width(a);
+                    if width(b) != m || width(c) != m {
                         return Err(WireError::BadProgram(
                             "multiply: registers must share a width".into(),
                         ));
@@ -853,9 +880,9 @@ impl WireProgram {
                     pb.classical(qcemu_core::stdops::multiply(ra, rb, rc, m));
                 }
                 WireOp::Divide { a, b, q, r } => {
-                    let (ra, rb, rq, rr) = (reg(*a)?, reg(*b)?, reg(*q)?, reg(*r)?);
-                    let m = width(*a);
-                    if width(*b) != m || width(*q) != m || width(*r) != m {
+                    let (ra, rb, rq, rr) = (reg(a)?, reg(b)?, reg(q)?, reg(r)?);
+                    let m = width(a);
+                    if width(b) != m || width(q) != m || width(r) != m {
                         return Err(WireError::BadProgram(
                             "divide: registers must share a width".into(),
                         ));
@@ -868,13 +895,12 @@ impl WireProgram {
                     slope,
                     intercept,
                 } => {
-                    let (rx, rt) = (reg(*x)?, reg(*target)?);
-                    if width(*target) != 1 {
+                    let (rx, rt) = (reg(x)?, reg(target)?);
+                    if width(target) != 1 {
                         return Err(WireError::BadProgram(
                             "rotation: target register must be one qubit wide".into(),
                         ));
                     }
-                    let (slope, intercept) = (*slope, *intercept);
                     pb.rotation(RotationOp {
                         // Constant name: the parameters must not leak
                         // into the structure hash.
@@ -890,7 +916,7 @@ impl WireProgram {
                     value,
                     phase,
                 } => {
-                    pb.phase_oracle(qcemu_core::stdops::mark_value(reg(*r)?, *value, *phase));
+                    pb.phase_oracle(qcemu_core::stdops::mark_value(reg(r)?, value, phase));
                 }
             }
         }
@@ -1330,6 +1356,16 @@ mod tests {
         let pa = a.to_program().unwrap();
         let pb = b.to_program().unwrap();
         assert_eq!(pa.structure_hash(), pb.structure_hash());
+        // Both equal the unmodified program's, built either way.
+        let base = sample_program().into_program().unwrap().structure_hash();
+        assert_eq!(pa.structure_hash(), base);
+        assert_eq!(b.into_program().unwrap().structure_hash(), base);
+        // A raw gate's angle, unlike a rotation's parameters, is structure.
+        let mut c = sample_program();
+        if let WireOp::Gates(gates) = &mut c.ops[1] {
+            gates[2] = Gate::unary(GateOp::Rz(-0.25), 2);
+        }
+        assert_ne!(c.into_program().unwrap().structure_hash(), base);
     }
 
     #[test]

@@ -205,6 +205,7 @@ impl<T: Send, F: Fn(usize) -> T + Sync + Send> ParRangeMap<T, F> {
         pool::run_indexed(len, |block| {
             // Capture the wrapper, not its raw-pointer field (edition-2021
             // closures would otherwise capture the non-Sync `*mut` directly).
+            #[allow(clippy::redundant_locals)]
             let base = base;
             for i in block {
                 // SAFETY: in-bounds, and index `i` belongs to exactly one block.

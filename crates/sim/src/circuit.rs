@@ -54,6 +54,15 @@ impl Circuit {
         Ok(())
     }
 
+    /// The circuit of `gates` on `n_qubits`, each validated as
+    /// [`Circuit::try_push`] would, taking the vector as it is (no copy).
+    pub fn try_from_gates(n_qubits: usize, gates: Vec<Gate>) -> Result<Circuit, String> {
+        for gate in &gates {
+            gate.validate(n_qubits)?;
+        }
+        Ok(Circuit { n_qubits, gates })
+    }
+
     /// Appends all gates of another circuit (qubit counts must agree or the
     /// other circuit must be smaller).
     pub fn extend(&mut self, other: &Circuit) {
@@ -303,6 +312,11 @@ mod tests {
         assert_eq!(c.gate_count(), 0, "rejected gates are not appended");
         c.try_push(Gate::x(1)).unwrap();
         assert_eq!(c.gate_count(), 1);
+        assert_eq!(Circuit::try_from_gates(2, vec![Gate::x(1)]), Ok(c));
+        assert_eq!(
+            Circuit::try_from_gates(2, vec![Gate::x(1), Gate::cnot(0, 0)]),
+            Err(Gate::cnot(0, 0).validate(2).unwrap_err())
+        );
     }
 
     #[test]

@@ -353,18 +353,30 @@ impl Gate {
 
     /// Validates qubit indices against a machine of `n_qubits` qubits:
     /// indices in range and no qubit used twice by the same gate.
+    ///
+    /// Allocates nothing unless the gate is invalid, since every circuit
+    /// push runs it. Qubits are scanned in [`Gate::qubits`] order, so an
+    /// error names the same qubit that list would show first.
     pub fn validate(&self, n_qubits: usize) -> Result<(), String> {
-        let qs = self.qubits();
-        for &q in &qs {
-            if q >= n_qubits {
-                return Err(format!("gate touches qubit {q} but machine has {n_qubits}"));
-            }
+        let (controls, first, second) = match self {
+            Gate::Unary {
+                target, controls, ..
+            } => (controls, *target, None),
+            Gate::Swap { a, b, controls } => (controls, *a, Some(*b)),
+        };
+        let qs = controls.iter().copied().chain(Some(first)).chain(second);
+        if let Some(q) = qs.clone().find(|&q| q >= n_qubits) {
+            return Err(format!("gate touches qubit {q} but machine has {n_qubits}"));
         }
-        let mut sorted = qs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != qs.len() {
-            return Err(format!("gate uses a qubit more than once: {qs:?}"));
+        if qs
+            .clone()
+            .enumerate()
+            .any(|(i, q)| qs.clone().take(i).any(|p| p == q))
+        {
+            return Err(format!(
+                "gate uses a qubit more than once: {:?}",
+                self.qubits()
+            ));
         }
         Ok(())
     }
@@ -511,6 +523,61 @@ mod tests {
         assert!(Gate::cnot(1, 1).validate(2).is_err());
         assert!(Gate::swap(0, 0).validate(2).is_err());
         assert!(Gate::toffoli(0, 1, 0).validate(3).is_err());
+    }
+
+    /// The allocating form `validate` replaced: collect, sort, dedup.
+    fn validate_by_sorting(g: &Gate, n_qubits: usize) -> Result<(), String> {
+        let qs = g.qubits();
+        for &q in &qs {
+            if q >= n_qubits {
+                return Err(format!("gate touches qubit {q} but machine has {n_qubits}"));
+            }
+        }
+        let mut sorted = qs.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != qs.len() {
+            return Err(format!("gate uses a qubit more than once: {qs:?}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn validate_matches_the_sorting_form_result_for_result() {
+        // Qubits 0..=4 on a 4-qubit machine: 4 is out of range, and small
+        // indices repeat often enough to cover every duplicate position.
+        let lists: Vec<Vec<usize>> = (0..=3usize)
+            .flat_map(|n| {
+                (0..5usize.pow(n as u32))
+                    .map(move |code| (0..n).map(|i| code / 5usize.pow(i as u32) % 5).collect())
+            })
+            .collect();
+        for controls in &lists {
+            for t in 0..5 {
+                let unary = Gate::Unary {
+                    op: GateOp::H,
+                    target: t,
+                    controls: controls.clone(),
+                };
+                assert_eq!(unary.validate(4), validate_by_sorting(&unary, 4));
+                for b in 0..5 {
+                    let swap = Gate::Swap {
+                        a: t,
+                        b,
+                        controls: controls.clone(),
+                    };
+                    assert_eq!(swap.validate(4), validate_by_sorting(&swap, 4));
+                }
+            }
+        }
+        assert_eq!(
+            Gate::toffoli(5, 1, 1).validate(3),
+            Err("gate touches qubit 5 but machine has 3".into())
+        );
+        assert_eq!(
+            Gate::toffoli(2, 1, 2).validate(3),
+            Err("gate uses a qubit more than once: [2, 1, 2]".into())
+        );
     }
 
     #[test]

@@ -151,7 +151,10 @@ fn bit_positions(mut mask: usize) -> Vec<usize> {
 /// Per-member qubit count of a batch-major buffer, validating the layout.
 #[inline]
 pub(crate) fn batch_bits(len: usize, batch: usize) -> usize {
-    assert!(batch > 0 && len % batch == 0, "buffer not a whole batch");
+    assert!(
+        batch > 0 && len.is_multiple_of(batch),
+        "buffer not a whole batch"
+    );
     let dim = len / batch;
     assert!(dim.is_power_of_two(), "per-member length must be 2^n");
     dim.trailing_zeros() as usize
@@ -931,7 +934,7 @@ impl LocalOp {
     /// the target-0 side of the control-on subspace; a SWAP, being
     /// symmetric, pairs from its lower bit's side.)
     pub(crate) fn apply(&self, buf: &mut [C64], batch: usize) {
-        debug_assert!(batch > 0 && buf.len() % batch == 0);
+        debug_assert!(batch > 0 && buf.len().is_multiple_of(batch));
         match *self {
             LocalOp::Diag {
                 cmask,

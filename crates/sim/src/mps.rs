@@ -424,8 +424,8 @@ impl MpsState {
             GateStructure::Diagonal(d0, d1) => {
                 for l in 0..self.bonds[t] {
                     for r in 0..dr {
-                        site[(l * 2) * dr + r] = site[(l * 2) * dr + r] * d0;
-                        site[(l * 2 + 1) * dr + r] = site[(l * 2 + 1) * dr + r] * d1;
+                        site[(l * 2) * dr + r] *= d0;
+                        site[(l * 2 + 1) * dr + r] *= d1;
                     }
                 }
             }
@@ -464,6 +464,7 @@ impl MpsState {
 
     /// Adjacent two-site gate on (i, i+1): contract θ, apply the 4×4,
     /// split by SVD, truncate the new bond to `max_bond`.
+    #[allow(clippy::needless_range_loop)] // (l, b', b, r) index arithmetic is the kernel
     fn apply_two_site(&mut self, i: usize, u4: &[[C64; 4]; 4]) {
         self.move_center_into(i);
         let (dl, dm, dr) = (self.bonds[i], self.bonds[i + 1], self.bonds[i + 2]);
@@ -668,9 +669,9 @@ fn controlled_two_site(g: &crate::gate::Mat2, control_high: bool) -> [[C64; 4]; 
             if ctrl == 0 {
                 u[b][b] = C64::ONE;
             } else {
-                for tp in 0..2 {
+                for (tp, row) in g.iter().enumerate() {
                     let bp = if control_high { tp + 2 * q } else { p + 2 * tp };
-                    u[bp][b] = g[tp][tgt];
+                    u[bp][b] = row[tgt];
                 }
             }
         }

@@ -295,7 +295,7 @@ fn run_blocked(
 ) {
     let bsize = 1usize << block_bits;
     let region = bsize * batch;
-    debug_assert!(state.len() % region == 0);
+    debug_assert!(state.len().is_multiple_of(region));
     let body = |(blk, block): (usize, &mut [C64])| apply_block(block, blk * bsize, batch, ops);
     if parallel_ok(state.len(), par_threshold) && state.len() > region {
         state.par_chunks_mut(region).enumerate().for_each(body);

@@ -151,6 +151,7 @@ fn predicted_s(program: &WireProgram) -> f64 {
         .with_model(config.model)
         .with_config(config.config)
         .shared_plan(&program.to_program().unwrap())
+        .0
         .total_predicted_s()
 }
 
