@@ -215,10 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn phase_oracles_fall_back_to_the_per_member_route() {
-        // Per-member phase predicates: member k marks value k. The phase
-        // op has no batched arm, so it must take the per-member route and
-        // still give each member its own closure's semantics.
+    fn phase_oracles_take_the_shared_route_with_each_members_predicate() {
+        // Per-member phase predicates: member k marks value k. The oracle
+        // runs as one masked pass on the batch-major buffer, and each
+        // member still gets its own closure's semantics.
         let members: Vec<_> = (0..3)
             .map(|k| {
                 let mut pb = ProgramBuilder::new();
@@ -238,15 +238,140 @@ mod tests {
         let (out, report) = exec
             .run_with_report(&members, BatchStateVector::zero_state(n, members.len()))
             .unwrap();
-        assert!(report
+        let oracle = report
             .steps
             .iter()
-            .any(|s| !s.batched && s.op.contains("oracle")));
-        assert!(report.to_string().contains("per-member"));
+            .find(|s| s.op.contains("oracle"))
+            .unwrap();
+        assert!(oracle.batched, "{report}");
+        assert!(!report.to_string().contains("per-member"), "{report}");
         let solo = HybridExecutor::new();
         for (j, member) in members.iter().enumerate() {
             let reference = solo.run(member, StateVector::zero_state(n)).unwrap();
             assert!(out.member_max_diff(j, &reference) < 1e-12, "member {j}");
+            // Member j's own mark: value j carries the phase −1.
+            let marked = out.amplitude(j, j);
+            assert!(
+                (marked.re + 1.0 / 8f64.sqrt()).abs() < 1e-12,
+                "member {j}: {marked:?}"
+            );
+        }
+    }
+
+    /// Members whose maps differ only in their closures (a different
+    /// `add` constant each), and whose map is in place or zero-target,
+    /// run as one gather and each match their solo run.
+    #[test]
+    fn per_member_classical_closures_share_one_gather() {
+        use crate::program::{ClassicalMap, MapKind};
+        let member = |k: u64, zero_target: bool| {
+            let mut pb = ProgramBuilder::new();
+            let a = pb.register("a", 3);
+            let t = pb.register("t", 3);
+            pb.hadamard_all(a);
+            pb.classical(ClassicalMap {
+                name: "shift".into(),
+                regs: vec![a, t],
+                f: Arc::new(move |v| v[1] = (v[1] + v[0] + k) % 8),
+                kind: if zero_target {
+                    MapKind::ZeroInitializedTargets { n_targets: 1 }
+                } else {
+                    MapKind::InPlaceBijection
+                },
+                gate_impl: None,
+            });
+            pb.qft(t);
+            pb.build().unwrap()
+        };
+        for zero_target in [false, true] {
+            for batch in [1usize, 2, 3, 8] {
+                let members: Vec<_> = (0..batch as u64).map(|k| member(k, zero_target)).collect();
+                let n = members[0].n_qubits();
+                let (out, report) = BatchExecutor::new()
+                    .run_with_report(&members, BatchStateVector::zero_state(n, batch))
+                    .unwrap();
+                assert!(
+                    report.steps.iter().all(|s| s.batched || batch == 1),
+                    "{report}"
+                );
+                let solo = HybridExecutor::new();
+                for (j, m) in members.iter().enumerate() {
+                    let reference = solo.run(m, StateVector::zero_state(n)).unwrap();
+                    let diff = out.member_max_diff(j, &reference);
+                    assert!(
+                        diff <= 1e-12,
+                        "zero_target {zero_target}, B = {batch}, member {j}: {diff:.3e}"
+                    );
+                    if batch == 1 {
+                        assert_eq!(out.member(0), reference);
+                    }
+                }
+            }
+        }
+    }
+
+    /// When only member 1 fails, the ensemble fails with member 1's own
+    /// solo error: a non-injective closure, or support in a zero target.
+    #[test]
+    fn a_failing_member_fails_the_ensemble_with_its_solo_error() {
+        use crate::program::{ClassicalMap, MapKind};
+        let member = |squash: bool, kind: MapKind| {
+            let mut pb = ProgramBuilder::new();
+            let a = pb.register("a", 2);
+            let t = pb.register("t", 2);
+            pb.hadamard_all(a);
+            pb.classical(ClassicalMap {
+                name: "copy".into(),
+                regs: vec![a, t],
+                // Squashed, every label lands on (0, 0).
+                f: Arc::new(move |v| {
+                    if squash {
+                        v.fill(0);
+                    } else {
+                        v[1] ^= v[0];
+                    }
+                }),
+                kind,
+                gate_impl: None,
+            });
+            pb.build().unwrap()
+        };
+        let zero = MapKind::ZeroInitializedTargets { n_targets: 1 };
+        let cases = [
+            (MapKind::InPlaceBijection, true, false),
+            (zero, true, false),
+            (zero, false, true),
+            (zero, true, true),
+        ];
+        for (kind, squash, dirty) in cases {
+            let good = member(false, kind);
+            let bad = member(squash, kind);
+            let n = good.n_qubits();
+            // A dirty member starts with t = 1.
+            let start = StateVector::basis_state(n, if dirty { 0b0100 } else { 0 });
+            let solo = HybridExecutor::new().run(&bad, start.clone());
+            let want = solo.expect_err("the failing member fails alone");
+            for batch in [2usize, 3] {
+                let members: Vec<_> = (0..batch)
+                    .map(|j| if j == 1 { bad.clone() } else { good.clone() })
+                    .collect();
+                let starts: Vec<_> = (0..batch)
+                    .map(|j| {
+                        if j == 1 {
+                            start.clone()
+                        } else {
+                            StateVector::zero_state(n)
+                        }
+                    })
+                    .collect();
+                let got = BatchExecutor::new()
+                    .run(&members, BatchStateVector::from_states(&starts))
+                    .unwrap_err();
+                assert_eq!(
+                    got, want,
+                    "{kind:?}, squash {squash}, dirty {dirty}, B = {batch}"
+                );
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 //! of basis-state labels within each coset of the untouched qubits: the
 //! emulator "can simply perform the described mapping directly" instead of
 //! running the Toffoli network. The permutation table over the involved
-//! registers' joint space is built once, validated for bijectivity, and
-//! applied to every coset in parallel.
+//! registers' joint space is built once per member from its own closure,
+//! inverted and validated in one sweep, and applied to every coset — and
+//! every member of a batch-major ensemble — as one parallel gather.
 
 use crate::error::EmuError;
 use crate::program::{
@@ -20,50 +21,330 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// considered too large to materialise; the map is then applied on the fly.
 pub(crate) const TABLE_MAX_BITS: usize = 24;
 
-/// Applies a classical map to the state (the §3.1 emulation shortcut).
+/// Basis indices one task of a state pass covers.
+const TASK_INDICES: usize = 1 << 12;
+
+/// Amplitudes below this many (all members together) are passed over on
+/// the calling thread: a pool dispatch costs more than the pass.
+const PAR_MIN_AMPS: usize = 1 << 15;
+
+/// Weight above which an amplitude counts as support (zero-target maps).
+const SUPPORT_TOL: f64 = 1e-12;
+
+/// An inverse-table entry with no preimage (a zero-target map's labels
+/// outside the image of its zero-target rows).
+const NO_SOURCE: u32 = u32::MAX;
+
+/// Applies a classical map to the state (the §3.1 emulation shortcut):
+/// the one-member case of the batch-major pass the plan interpreter runs
+/// on a whole ensemble.
 pub fn apply_classical_map(
     state: &mut StateVector,
     program: &QuantumProgram,
     map: &ClassicalMap,
 ) -> Result<(), EmuError> {
+    let mut out = Vec::new();
+    map_lanes(state.amplitudes(), &mut out, 1, program, &[map])?;
+    *state.amplitudes_mut() = out;
+    Ok(())
+}
+
+/// Applies member `j`'s classical map `maps[j]` to member `j` of a
+/// batch-major ensemble in one pass over the whole buffer. The mapped
+/// ensemble is written into `scratch` (grown on first use), which is then
+/// swapped in: on return `scratch` holds the old buffer for the next
+/// step's reuse. On error the state is untouched.
+///
+/// # Panics
+///
+/// Panics if `maps.len() != state.batch()`.
+pub(crate) fn apply_classical_map_batch(
+    state: &mut BatchStateVector,
+    program: &QuantumProgram,
+    maps: &[&ClassicalMap],
+    scratch: &mut Vec<C64>,
+) -> Result<(), EmuError> {
+    let batch = state.batch();
+    assert_eq!(maps.len(), batch, "one ClassicalMap per batch member");
+    map_lanes(state.amplitudes(), scratch, batch, program, maps)?;
+    let mapped = BatchStateVector::from_amplitudes(std::mem::take(scratch), batch);
+    *scratch = std::mem::replace(state, mapped).into_amplitudes();
+    Ok(())
+}
+
+/// Writes `maps[j]` applied to lane `j` of the batch-major `inp` into
+/// `out`, resized to `inp.len()`.
+///
+/// Each member's permutation table comes from its own closure (members
+/// whose tables agree share one, and then move whole `batch`-long runs);
+/// it is inverted and checked for injectivity in one serial sweep, and
+/// one parallel gather `out[i·B + j] = inp[π_j⁻¹(i)·B + j]` writes every
+/// output element exactly once. A zero-target map's support check rides
+/// in the same pass. Errors are those of the lowest member whose solo
+/// run fails, and that member's solo error.
+fn map_lanes(
+    inp: &[C64],
+    out: &mut Vec<C64>,
+    batch: usize,
+    program: &QuantumProgram,
+    maps: &[&ClassicalMap],
+) -> Result<(), EmuError> {
+    let map = maps[0];
     let regs: Vec<&ProgramRegister> = map.regs.iter().map(|&r| program.register(r)).collect();
     let k: usize = regs.iter().map(|r| r.len).sum();
-    let n = state.n_qubits();
-
-    // For zero-initialised-target maps, verify the support first.
-    if let MapKind::ZeroInitializedTargets { n_targets } = map.kind {
-        let targets = &regs[regs.len() - n_targets..];
-        verify_zero_support(state, targets, &map.name)?;
+    // Labels at or above `rows` have a non-zero target register.
+    let (rows, targets) = match map.kind {
+        MapKind::ZeroInitializedTargets { n_targets } => {
+            let input_bits: usize = regs[..regs.len() - n_targets].iter().map(|r| r.len).sum();
+            (1usize << input_bits, &regs[regs.len() - n_targets..])
+        }
+        MapKind::InPlaceBijection => (1usize << k, &regs[..0]),
+    };
+    if k > TABLE_MAX_BITS {
+        return map_on_the_fly(inp, out, batch, &regs, maps, rows, targets);
     }
 
-    if k <= TABLE_MAX_BITS {
-        let table = build_permutation_table(&regs, map)?;
-        apply_table(state, &regs, &table, n);
-        Ok(())
+    let tables: Vec<Vec<u32>> = maps
+        .iter()
+        .map(|m| build_permutation_table(&regs, m, rows))
+        .collect();
+    let lanes = if tables.iter().all(|t| *t == tables[0]) {
+        1
     } else {
-        apply_on_the_fly(state, &regs, map, n)
+        batch
+    };
+    let mut inverse = vec![NO_SOURCE; lanes << k];
+    let invalid: Vec<Option<EmuError>> = tables[..lanes]
+        .iter()
+        .enumerate()
+        .map(|(j, t)| invert_into(t, &mut inverse, j, lanes, &maps[j].name).err())
+        .collect();
+    let table_error = |j: usize| invalid[if lanes == 1 { 0 } else { j }].clone();
+    if targets.is_empty() {
+        if let Some(e) = (0..batch).find_map(table_error) {
+            return Err(e);
+        }
+    }
+
+    let labels = Labels::new(&regs, inp.len() / batch);
+    let violation: Vec<AtomicUsize> = (0..batch).map(|_| AtomicUsize::new(usize::MAX)).collect();
+    out.truncate(inp.len());
+    out.resize(inp.len(), C64::ZERO);
+    let inverse = &inverse[..];
+    let pass = |(task, chunk): (usize, &mut [C64])| {
+        let i0 = task * TASK_INDICES;
+        for (d, dst) in chunk.chunks_exact_mut(batch).enumerate() {
+            let i = i0 + d;
+            let v = labels.label(i);
+            let run = &inp[i * batch..(i + 1) * batch];
+            if v >= rows {
+                for (j, a) in run.iter().enumerate() {
+                    if a.norm_sqr() > SUPPORT_TOL {
+                        violation[j].fetch_min(i, Ordering::Relaxed);
+                    }
+                }
+            }
+            let coset = i & !labels.reg_mask;
+            let source = |s: u32| (coset | labels.index_bits(s)) * batch;
+            if lanes == 1 {
+                match inverse[v] {
+                    NO_SOURCE => dst.fill(C64::ZERO),
+                    s => dst.copy_from_slice(&inp[source(s)..source(s) + batch]),
+                }
+            } else {
+                for (j, z) in dst.iter_mut().enumerate() {
+                    *z = match inverse[v * batch + j] {
+                        NO_SOURCE => C64::ZERO,
+                        s => inp[source(s) + j],
+                    };
+                }
+            }
+        }
+    };
+    if inp.len() >= PAR_MIN_AMPS {
+        out.par_chunks_mut(TASK_INDICES * batch)
+            .enumerate()
+            .for_each(pass);
+    } else {
+        out.chunks_mut(TASK_INDICES * batch)
+            .enumerate()
+            .for_each(pass);
+    }
+
+    for (j, v) in violation.iter().enumerate() {
+        let i = v.load(Ordering::Relaxed);
+        if i != usize::MAX {
+            return Err(target_not_zero(targets, i, &maps[j].name));
+        }
+        if let Some(e) = table_error(j) {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+/// The error a zero-target map reports for support at basis index `i`:
+/// the first target register that reads non-zero there.
+fn target_not_zero(targets: &[&ProgramRegister], i: usize, op: &str) -> EmuError {
+    let t = targets
+        .iter()
+        .find(|t| t.value_of(i) != 0)
+        .expect("index has a non-zero target");
+    EmuError::TargetNotZero {
+        op: op.to_string(),
+        register: t.name.clone(),
     }
 }
 
-/// Applies a classical-predicate phase oracle: one conditional scan over
-/// the amplitudes (§3.1 applied to diagonal operators).
+/// A register tuple's packed label of a basis index (register 0 in the
+/// lowest bits) and the index bits of a label. Both are bit selections,
+/// so each is the OR of two lookups over the low and high halves of its
+/// argument's bits.
+struct Labels {
+    reg_mask: usize,
+    index_split: u32,
+    pack_lo: Vec<u32>,
+    pack_hi: Vec<u32>,
+    label_split: u32,
+    unpack_lo: Vec<usize>,
+    unpack_hi: Vec<usize>,
+}
+
+impl Labels {
+    /// Tables for a state of `dim` basis indices.
+    fn new(regs: &[&ProgramRegister], dim: usize) -> Labels {
+        let list: Vec<(usize, usize)> = regs.iter().map(|r| (r.offset, r.len)).collect();
+        let n = dim.trailing_zeros();
+        let k: u32 = regs.iter().map(|r| r.len as u32).sum();
+        let (index_split, label_split) = (n / 2, k / 2);
+        let pack = |x: usize| pack_by_list(&list, x) as u32;
+        let unpack = |x: usize| unpack_by_list(&list, x as u64);
+        Labels {
+            reg_mask: regs
+                .iter()
+                .flat_map(|r| r.bits())
+                .fold(0usize, |m, q| m | (1usize << q)),
+            index_split,
+            pack_lo: (0..1usize << index_split).map(pack).collect(),
+            pack_hi: (0..1usize << (n - index_split))
+                .map(|x| pack(x << index_split))
+                .collect(),
+            label_split,
+            unpack_lo: (0..1usize << label_split).map(unpack).collect(),
+            unpack_hi: (0..1usize << (k - label_split))
+                .map(|x| unpack(x << label_split))
+                .collect(),
+        }
+    }
+
+    #[inline]
+    fn label(&self, i: usize) -> usize {
+        let lo = i & ((1usize << self.index_split) - 1);
+        (self.pack_lo[lo] | self.pack_hi[i >> self.index_split]) as usize
+    }
+
+    #[inline]
+    fn index_bits(&self, label: u32) -> usize {
+        let l = label as usize;
+        self.unpack_lo[l & ((1usize << self.label_split) - 1)]
+            | self.unpack_hi[l >> self.label_split]
+    }
+}
+
+/// Applies a classical-predicate phase oracle (one conditional scan over
+/// the amplitudes, §3.1 applied to diagonal operators): the one-member
+/// case of the batch-major pass the plan interpreter runs on a whole
+/// ensemble.
 pub fn apply_phase_oracle(state: &mut StateVector, program: &QuantumProgram, oracle: &PhaseOracle) {
-    let regs: Vec<&ProgramRegister> = oracle.regs.iter().map(|&r| program.register(r)).collect();
-    let factor = qcemu_linalg::C64::cis(oracle.phase);
-    let predicate = &oracle.predicate;
-    state
-        .amplitudes_mut()
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(i, amp)| {
-            if *amp == C64::ZERO {
-                return;
+    phase_lanes(state.amplitudes_mut(), 1, program, &[oracle]);
+}
+
+/// Applies member `j`'s oracle `oracles[j]` to member `j` of a
+/// batch-major ensemble in one masked pass.
+///
+/// # Panics
+///
+/// Panics if `oracles.len() != state.batch()`.
+pub(crate) fn apply_phase_oracle_batch(
+    state: &mut BatchStateVector,
+    program: &QuantumProgram,
+    oracles: &[&PhaseOracle],
+) {
+    let batch = state.batch();
+    assert_eq!(oracles.len(), batch, "one PhaseOracle per batch member");
+    phase_lanes(state.amplitudes_mut(), batch, program, oracles);
+}
+
+/// The oracle pass. Up to [`ROTATION_TABLE_MAX_BITS`] involved bits, each
+/// member's predicate is evaluated once per register value into a mask
+/// table (`mask[v·B + j]`), so the pass is lookups and multiplies; above
+/// it each task evaluates the predicates per amplitude into one reused
+/// scratch.
+fn phase_lanes(amps: &mut [C64], batch: usize, program: &QuantumProgram, oracles: &[&PhaseOracle]) {
+    let regs: Vec<&ProgramRegister> = oracles[0]
+        .regs
+        .iter()
+        .map(|&r| program.register(r))
+        .collect();
+    let list: Vec<(usize, usize)> = regs.iter().map(|r| (r.offset, r.len)).collect();
+    let k: usize = regs.iter().map(|r| r.len).sum();
+    let factors: Vec<C64> = oracles.iter().map(|o| C64::cis(o.phase)).collect();
+    let values_of = |label: u64, values: &mut Vec<u64>| {
+        values.clear();
+        let mut shift = 0;
+        for r in &regs {
+            values.push((label >> shift) & r.mask());
+            shift += r.len;
+        }
+    };
+    let mask = (k <= ROTATION_TABLE_MAX_BITS).then(|| {
+        let mut mask = vec![false; batch << k];
+        let mut values = Vec::with_capacity(regs.len());
+        for v in 0..1usize << k {
+            values_of(v as u64, &mut values);
+            for (j, o) in oracles.iter().enumerate() {
+                mask[v * batch + j] = (o.predicate)(&values);
             }
-            let values: Vec<u64> = regs.iter().map(|r| r.value_of(i)).collect();
-            if predicate(&values) {
-                *amp *= factor;
+        }
+        mask
+    });
+    let labels = mask
+        .as_ref()
+        .map(|_| Labels::new(&regs, amps.len() / batch));
+    let pass = |(task, chunk): (usize, &mut [C64])| {
+        let i0 = task * TASK_INDICES;
+        let mut values = Vec::with_capacity(regs.len());
+        for (d, run) in chunk.chunks_exact_mut(batch).enumerate() {
+            let i = i0 + d;
+            match (&mask, &labels) {
+                (Some(mask), Some(labels)) => {
+                    let v = labels.label(i);
+                    for ((z, &hit), &f) in run.iter_mut().zip(&mask[v * batch..]).zip(&factors) {
+                        if hit {
+                            *z *= f;
+                        }
+                    }
+                }
+                _ => {
+                    values_of(pack_by_list(&list, i), &mut values);
+                    for ((z, o), &f) in run.iter_mut().zip(oracles).zip(&factors) {
+                        if *z != C64::ZERO && (o.predicate)(&values) {
+                            *z *= f;
+                        }
+                    }
+                }
             }
-        });
+        }
+    };
+    if amps.len() >= PAR_MIN_AMPS {
+        amps.par_chunks_mut(TASK_INDICES * batch)
+            .enumerate()
+            .for_each(pass);
+    } else {
+        amps.chunks_mut(TASK_INDICES * batch)
+            .enumerate()
+            .for_each(pass);
+    }
 }
 
 /// Above this register width the per-value sin/cos table is not built
@@ -166,30 +447,6 @@ pub fn apply_controlled_rotation_batch(
     });
 }
 
-/// All amplitude weight must sit on basis states where every target
-/// register reads 0.
-fn verify_zero_support(
-    state: &StateVector,
-    targets: &[&ProgramRegister],
-    op_name: &str,
-) -> Result<(), EmuError> {
-    const TOL: f64 = 1e-12;
-    for (i, amp) in state.amplitudes().iter().enumerate() {
-        if amp.norm_sqr() <= TOL {
-            continue;
-        }
-        for t in targets {
-            if t.value_of(i) != 0 {
-                return Err(EmuError::TargetNotZero {
-                    op: op_name.to_string(),
-                    register: t.name.clone(),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Packs the per-register values of basis index `i` into the compact
 /// `k`-bit label (register 0 in the lowest bits).
 #[inline]
@@ -246,91 +503,45 @@ fn eval_map_scratch(
     out
 }
 
-/// Builds and validates the 2^k permutation table.
-fn build_permutation_table(
-    regs: &[&ProgramRegister],
-    map: &ClassicalMap,
-) -> Result<Vec<u32>, EmuError> {
-    let k: usize = regs.iter().map(|r| r.len).sum();
-    let size = 1usize << k;
-    // Parallel fill (rayon), then a serial O(2^k) bijectivity sweep.
-    let mut table = vec![0u32; size];
+/// The map's image of labels `0..rows`: every label for an in-place
+/// bijection, the zero-target rows for a zero-target map.
+fn build_permutation_table(regs: &[&ProgramRegister], map: &ClassicalMap, rows: usize) -> Vec<u32> {
+    let mut table = vec![0u32; rows];
     table
-        .par_chunks_mut(1 << 12.min(k))
+        .par_chunks_mut(TASK_INDICES.min(rows))
         .enumerate()
         .for_each(|(chunk_idx, chunk)| {
-            let base = (chunk_idx * chunk.len()) as u64;
+            let base = (chunk_idx * TASK_INDICES.min(rows)) as u64;
             let mut scratch = Vec::with_capacity(regs.len());
             for (off, slot) in chunk.iter_mut().enumerate() {
                 *slot = eval_map_scratch(regs, map, base + off as u64, &mut scratch) as u32;
             }
         });
-    if map.kind == MapKind::InPlaceBijection {
-        let mut hit = vec![false; size];
-        for &out in &table {
-            let out_idx = out as usize;
-            if hit[out_idx] {
-                return Err(EmuError::NotReversible {
-                    op: map.name.clone(),
-                    collision: out as u64,
-                });
-            }
-            hit[out_idx] = true;
-        }
-    }
-    // For zero-target maps, check injectivity on the supported rows.
-    if let MapKind::ZeroInitializedTargets { n_targets } = map.kind {
-        let input_bits: usize = regs[..regs.len() - n_targets].iter().map(|r| r.len).sum();
-        let mut seen = vec![false; size];
-        for packed in 0..(1u64 << input_bits) {
-            let out = table[packed as usize] as usize;
-            if seen[out] {
-                return Err(EmuError::NotReversible {
-                    op: map.name.clone(),
-                    collision: out as u64,
-                });
-            }
-            seen[out] = true;
-        }
-    }
-    Ok(table)
+    table
 }
 
-/// Applies the permutation table to every coset of the untouched qubits.
-fn apply_table(state: &mut StateVector, regs: &[&ProgramRegister], table: &[u32], n: usize) {
-    let reg_mask: usize = regs
-        .iter()
-        .flat_map(|r| r.bits())
-        .fold(0usize, |m, q| m | (1usize << q));
-    let _ = n;
-    let amps = std::mem::take(state.amplitudes_mut());
-
-    // Forward scatter: out[coset | π(v)] = in[coset | v]. Disjointness: π is
-    // a bijection on the register subspace and cosets are disjoint.
-    let mut result = vec![C64::ZERO; amps.len()];
-    struct Ptr(*mut C64);
-    unsafe impl Send for Ptr {}
-    unsafe impl Sync for Ptr {}
-    let ptr = Ptr(result.as_mut_ptr());
-
-    let reg_list: Vec<(usize, usize)> = regs.iter().map(|r| (r.offset, r.len)).collect();
-    amps.par_iter().enumerate().for_each(|(i, amp)| {
-        let p = &ptr;
-        if *amp == C64::ZERO {
-            // Still must map structure for zero entries? Zero in, zero out —
-            // result is pre-zeroed, skip.
-            return;
+/// Writes the inverse of `table` into lane `j` of the interleaved
+/// `inverse` (`inverse[v·lanes + j]`), checking injectivity on the way:
+/// the first image label met twice, in label order, is the
+/// `NotReversible` collision.
+fn invert_into(
+    table: &[u32],
+    inverse: &mut [u32],
+    j: usize,
+    lanes: usize,
+    op: &str,
+) -> Result<(), EmuError> {
+    for (v, &image) in table.iter().enumerate() {
+        let slot = &mut inverse[image as usize * lanes + j];
+        if *slot != NO_SOURCE {
+            return Err(EmuError::NotReversible {
+                op: op.to_string(),
+                collision: image as u64,
+            });
         }
-        let packed = pack_by_list(&reg_list, i);
-        let mapped = table[packed as usize] as u64;
-        let j = (i & !reg_mask) | unpack_by_list(&reg_list, mapped);
-        // SAFETY: i ↦ j is injective on the support (π bijective per coset,
-        // cosets disjoint), so writes are disjoint.
-        unsafe {
-            *p.0.add(j) = *amp;
-        }
-    });
-    *state.amplitudes_mut() = result;
+        *slot = v as u32;
+    }
+    Ok(())
 }
 
 #[inline]
@@ -357,74 +568,91 @@ fn unpack_by_list(regs: &[(usize, usize)], packed: u64) -> usize {
     idx
 }
 
-/// Table-free path for very wide register tuples: evaluate `f` per
-/// supported amplitude and scatter it to its image. Each destination is
-/// claimed in an atomic bitmap (2ⁿ bits, 1/128 of the state's bytes)
-/// before it is written, so no two threads ever write one element. A
-/// non-injective `f` on the support is reported exactly, with the
-/// smallest colliding destination, and leaves the state untouched.
-fn apply_on_the_fly(
-    state: &mut StateVector,
+/// Table-free path for very wide register tuples: evaluate each member's
+/// `f` per supported amplitude of its lane and scatter it to its image.
+/// Each destination element is claimed in an atomic bitmap (2ⁿ·B bits,
+/// 1/128 of the ensemble's bytes) before it is written, so no two threads
+/// ever write one element. A non-injective `f` on the support is reported
+/// exactly, with the smallest colliding destination of the lowest failing
+/// member, and a zero-target map's support is checked in the same pass.
+fn map_on_the_fly(
+    inp: &[C64],
+    out: &mut Vec<C64>,
+    batch: usize,
     regs: &[&ProgramRegister],
-    map: &ClassicalMap,
-    _n: usize,
+    maps: &[&ClassicalMap],
+    rows: usize,
+    targets: &[&ProgramRegister],
 ) -> Result<(), EmuError> {
-    const BLOCK: usize = 1 << 12;
     let reg_mask: usize = regs
         .iter()
         .flat_map(|r| r.bits())
         .fold(0usize, |m, q| m | (1usize << q));
-    let amps = std::mem::take(state.amplitudes_mut());
-    let mut result = vec![C64::ZERO; amps.len()];
-    let claimed: Vec<AtomicU64> = (0..amps.len().div_ceil(64))
+    out.clear();
+    out.resize(inp.len(), C64::ZERO);
+    let claimed: Vec<AtomicU64> = (0..inp.len().div_ceil(64))
         .map(|_| AtomicU64::new(0))
         .collect();
-    let collision = AtomicUsize::new(usize::MAX);
+    let collision: Vec<AtomicUsize> = (0..batch).map(|_| AtomicUsize::new(usize::MAX)).collect();
+    let violation: Vec<AtomicUsize> = (0..batch).map(|_| AtomicUsize::new(usize::MAX)).collect();
     struct Ptr(*mut C64);
-    // SAFETY: the one field points into `result`, which outlives the
-    // parallel loop; tasks write through it only at claimed indices.
+    // SAFETY: the one field points into `out`, which outlives the
+    // parallel loop; tasks write through it only at claimed elements.
     unsafe impl Send for Ptr {}
     // SAFETY: as for `Send`: shared use is the claimed, disjoint writes.
     unsafe impl Sync for Ptr {}
-    let ptr = Ptr(result.as_mut_ptr());
+    let ptr = Ptr(out.as_mut_ptr());
 
     // `Relaxed` suffices: a claim publishes no data to the other tasks
-    // (a loser writes nothing and reads nothing), and `result` and
-    // `collision` are read only after the pool has joined every task.
-    (0..amps.len().div_ceil(BLOCK))
+    // (a loser writes nothing and reads nothing), and `out` and the
+    // error records are read only after the pool has joined every task.
+    let block = TASK_INDICES * batch;
+    (0..inp.len().div_ceil(block))
         .into_par_iter()
-        .for_each(|block| {
+        .for_each(|task| {
             let p = &ptr;
             let mut scratch = Vec::with_capacity(regs.len());
-            let start = block * BLOCK;
-            for (i, &amp) in amps.iter().enumerate().skip(start).take(BLOCK) {
+            let start = task * block;
+            for (e, &amp) in inp.iter().enumerate().skip(start).take(block) {
                 if amp == C64::ZERO {
                     continue;
                 }
-                let mapped = eval_map_scratch(regs, map, pack(regs, i), &mut scratch);
-                let j = (i & !reg_mask) | unpack_to_index(regs, mapped);
-                let bit = 1u64 << (j % 64);
-                if claimed[j / 64].fetch_or(bit, Ordering::Relaxed) & bit != 0 {
-                    collision.fetch_min(j, Ordering::Relaxed);
+                let (i, j) = (e / batch, e % batch);
+                let label = pack(regs, i);
+                if label >= rows as u64 {
+                    if amp.norm_sqr() > SUPPORT_TOL {
+                        violation[j].fetch_min(i, Ordering::Relaxed);
+                    }
                     continue;
                 }
-                // SAFETY: `j` < 2ⁿ (unpacked register bits over a coset),
-                // and the bitmap claim above succeeded, so this is the
-                // one write to `result[j]`.
+                let mapped = eval_map_scratch(regs, maps[j], label, &mut scratch);
+                let dest = ((i & !reg_mask) | unpack_to_index(regs, mapped)) * batch + j;
+                let bit = 1u64 << (dest % 64);
+                if claimed[dest / 64].fetch_or(bit, Ordering::Relaxed) & bit != 0 {
+                    collision[j].fetch_min(dest / batch, Ordering::Relaxed);
+                    continue;
+                }
+                // SAFETY: `dest` < 2ⁿ·B (unpacked register bits over a
+                // coset, in lane `j`), and the bitmap claim above
+                // succeeded, so this is the one write to `out[dest]`.
                 unsafe {
-                    *p.0.add(j) = amp;
+                    *p.0.add(dest) = amp;
                 }
             }
         });
-    let j = collision.into_inner();
-    if j != usize::MAX {
-        *state.amplitudes_mut() = amps;
-        return Err(EmuError::NotReversible {
-            op: map.name.clone(),
-            collision: pack(regs, j),
-        });
+    for j in 0..batch {
+        let i = violation[j].load(Ordering::Relaxed);
+        if i != usize::MAX {
+            return Err(target_not_zero(targets, i, &maps[j].name));
+        }
+        let d = collision[j].load(Ordering::Relaxed);
+        if d != usize::MAX {
+            return Err(EmuError::NotReversible {
+                op: maps[j].name.clone(),
+                collision: pack(regs, d),
+            });
+        }
     }
-    *state.amplitudes_mut() = result;
     Ok(())
 }
 

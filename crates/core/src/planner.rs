@@ -23,12 +23,14 @@
 //!    measured cost, so every dispatch decision can be audited against
 //!    the clock (`examples/shor.rs` prints one).
 
-use crate::classical::{apply_classical_map, apply_controlled_rotation_batch, apply_phase_oracle};
+use crate::classical::{
+    apply_classical_map_batch, apply_controlled_rotation_batch, apply_phase_oracle_batch,
+};
 use crate::crossover::CostModel;
 use crate::error::EmuError;
-use crate::program::{HighLevelOp, QuantumProgram, RotationOp};
+use crate::program::{ClassicalMap, HighLevelOp, PhaseOracle, QuantumProgram, RotationOp};
 use crate::qpe::{apply_qpe, QpeStrategy};
-use qcemu_fft::{inverse_qft_subspace, qft_subspace};
+use qcemu_fft::{inverse_qft_subspace_batch, qft_subspace_batch};
 use qcemu_linalg::C64;
 use qcemu_sim::circuits::qft::{inverse_qft_circuit, qft_circuit};
 use qcemu_sim::{
@@ -857,16 +859,20 @@ impl PlanInterpreter {
     /// [`structure_hash`](QuantumProgram::structure_hash)); per-member
     /// variation flows through the closures the hash ignores.
     ///
-    /// Each step takes one of two routes. Steps whose work is determined
-    /// by the structure run **once on the batch-major buffer** for all
-    /// members: simulated raw gate runs and register QFTs (bit-identical
-    /// circuits under an equal structure hash) and emulated rotations
-    /// (one pair sweep reading each member's own angle closure). Every
-    /// other step — closure-bearing maps and oracles, QPE, emulated QFTs,
-    /// gate impls built from closures — runs **member by member** between
-    /// one de-interleave and one re-interleave, which at one member are
-    /// moves; a simulated closure-bearing step builds its circuit from
-    /// the member it is executing.
+    /// Each step takes one of two routes. Every step whose work is one
+    /// kind of pass for all members runs **once on the batch-major
+    /// buffer**: simulated raw gate runs and register QFTs (bit-identical
+    /// circuits under an equal structure hash), emulated register QFTs and
+    /// IQFTs (one FFT whose columns span the members), and the emulated
+    /// closure-bearing ops — classical maps (one gather through each
+    /// member's own permutation table), phase oracles (one masked pass
+    /// over each member's own predicate table) and rotations (one pair
+    /// sweep over each member's own angles). A classical map writes into
+    /// one scratch buffer the run allocates on first use and swaps in, so
+    /// every later map reuses it. Only the steps whose work itself differs
+    /// per member — QPE, and gate paths built from a member's closures —
+    /// run **member by member** between one de-interleave and one
+    /// re-interleave, which at one member are moves.
     ///
     /// A step with ancillas runs on a state widened for it, and a leak
     /// fails the run with [`EmuError::AncillaNotClean`] naming the step.
@@ -917,12 +923,13 @@ impl PlanInterpreter {
         // with ancillas, which are checked right after it, and keeps that
         // width while the next step shares it.
         let mut state = initial;
+        let mut scratch = Vec::new();
         let mut steps = Vec::with_capacity(plan.steps.len());
         for (i, step) in plan.steps.iter().enumerate() {
             let t0 = Instant::now();
             state = with_width(state, n + step.n_ancilla);
             let shared;
-            (state, shared) = self.run_step(state, &members, step)?;
+            (state, shared) = self.run_step(state, &members, step, &mut scratch)?;
             if step.n_ancilla > 0 {
                 check_ancillas(&state, n, i)?;
             }
@@ -1008,16 +1015,20 @@ impl PlanInterpreter {
 
     /// Runs one plan step over the whole ensemble. Returns the state and
     /// whether the step took the shared route (one pass on the
-    /// batch-major buffer) rather than the per-member one.
+    /// batch-major buffer) rather than the per-member one. `scratch` is
+    /// the run's reusable out-of-place buffer.
     fn run_step(
         &self,
         mut state: BatchStateVector,
         members: &[&QuantumProgram],
         step: &PlanStep,
+        scratch: &mut Vec<C64>,
     ) -> Result<(BatchStateVector, bool), EmuError> {
         let first = members[0];
         let simulate = step.backend.is_simulate();
-        let n_state = state.n_qubits();
+        let (n_state, batch) = (state.n_qubits(), state.batch());
+        // Member `j`'s own instance of this step's op.
+        let ops = || members.iter().map(|m| &m.ops()[step.op_index]);
         match &first.ops()[step.op_index] {
             HighLevelOp::Gates(c) => {
                 if let Some(fused) = self.priced_stream(step) {
@@ -1047,14 +1058,39 @@ impl PlanInterpreter {
                 state.run(&self.lower(&c), &self.step_config(step.backend));
             }
             HighLevelOp::Rotation(_) if !simulate => {
-                let ops: Vec<&RotationOp> = members
-                    .iter()
-                    .map(|m| match &m.ops()[step.op_index] {
+                let ops: Vec<&RotationOp> = ops()
+                    .map(|op| match op {
                         HighLevelOp::Rotation(op) => op,
                         _ => unreachable!("structure hash guarantees matching op kinds"),
                     })
                     .collect();
                 apply_controlled_rotation_batch(&mut state, first, &ops);
+            }
+            HighLevelOp::Classical(_) if !simulate => {
+                let maps: Vec<&ClassicalMap> = ops()
+                    .map(|op| match op {
+                        HighLevelOp::Classical(map) => map,
+                        _ => unreachable!("structure hash guarantees matching op kinds"),
+                    })
+                    .collect();
+                apply_classical_map_batch(&mut state, first, &maps, scratch)?;
+            }
+            HighLevelOp::Phase(_) if !simulate => {
+                let oracles: Vec<&PhaseOracle> = ops()
+                    .map(|op| match op {
+                        HighLevelOp::Phase(oracle) => oracle,
+                        _ => unreachable!("structure hash guarantees matching op kinds"),
+                    })
+                    .collect();
+                apply_phase_oracle_batch(&mut state, first, &oracles);
+            }
+            HighLevelOp::Qft(r) => {
+                let bits = first.register(*r).bits();
+                qft_subspace_batch(state.amplitudes_mut(), n_state, batch, &bits);
+            }
+            HighLevelOp::InverseQft(r) => {
+                let bits = first.register(*r).bits();
+                inverse_qft_subspace_batch(state.amplitudes_mut(), n_state, batch, &bits);
             }
             _ => {
                 let mut states = state.into_states();
@@ -1071,8 +1107,8 @@ impl PlanInterpreter {
         Ok((state, true))
     }
 
-    /// Runs a per-member step on one member's own state, from that
-    /// member's own closures.
+    /// Runs a per-member step — QPE, or a gate path built from closures —
+    /// on one member's own state, from that member's own closures.
     fn member_step(
         &self,
         state: &mut StateVector,
@@ -1087,39 +1123,16 @@ impl PlanInterpreter {
             }
             return Ok(());
         }
-        match op {
-            HighLevelOp::Classical(cm) => apply_classical_map(state, program, cm)?,
-            HighLevelOp::Phase(po) => apply_phase_oracle(state, program, po),
-            HighLevelOp::Qft(r) => {
-                let n_state = state.n_qubits();
-                qft_subspace(
-                    state.amplitudes_mut(),
-                    n_state,
-                    &program.register(*r).bits(),
-                );
-            }
-            HighLevelOp::InverseQft(r) => {
-                let n_state = state.n_qubits();
-                inverse_qft_subspace(
-                    state.amplitudes_mut(),
-                    n_state,
-                    &program.register(*r).bits(),
-                );
-            }
-            HighLevelOp::Qpe(qpe) => {
-                let strategy = match step.backend {
-                    Backend::EmulateQpe { strategy } => strategy,
-                    _ => QpeStrategy::GateLevel,
-                };
-                let target_bits = program.register(qpe.target).bits();
-                let phase_bits = program.register(qpe.phase).bits();
-                apply_qpe(state, qpe, &target_bits, &phase_bits, strategy)?;
-            }
-            HighLevelOp::Gates(_) | HighLevelOp::Rotation(_) => {
-                unreachable!("raw gate runs and emulated rotations take the shared route")
-            }
-        }
-        Ok(())
+        let HighLevelOp::Qpe(qpe) = op else {
+            unreachable!("every other emulated op takes the shared route")
+        };
+        let strategy = match step.backend {
+            Backend::EmulateQpe { strategy } => strategy,
+            _ => QpeStrategy::GateLevel,
+        };
+        let target_bits = program.register(qpe.target).bits();
+        let phase_bits = program.register(qpe.phase).bits();
+        apply_qpe(state, qpe, &target_bits, &phase_bits, strategy)
     }
 }
 

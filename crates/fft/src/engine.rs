@@ -1,13 +1,17 @@
 //! The cache-blocked axis engine: every transform in this crate is "a
-//! length-2^m FFT along bit range `[lo, lo+m)` of a buffer, once for every
-//! value of the other index bits".
+//! length-2^m FFT down the rows of a `2^m × cols` row-major segment, for
+//! every column and every segment of a buffer".
 //!
-//! `lo = 0` is the ordinary contiguous transform; `lo > 0` is a register
-//! that starts above qubit 0, whose `2^lo` low bits index *columns* that
-//! all undergo the same transform. Both are one `AxisPlan`, which cuts
-//! the axis into **passes** of at most one cache block each:
+//! `cols = 1` is the ordinary contiguous transform. A register at qubits
+//! `[lo, lo+m)` of a lone state has `cols = 2^lo`: its low bits index
+//! *columns* that all undergo the same transform. The same register of a
+//! batch-major ensemble of `B` members (amplitude `i` of member `j` at
+//! `i·B + j`) has `cols = B·2^lo` — the member index is just more
+//! columns — so one call transforms the whole ensemble and `cols` may be
+//! any positive integer. Every case is one `AxisPlan`, which cuts the
+//! axis into **passes** of at most one cache block each:
 //!
-//! * a pass whose whole segment (`2^(lo+m)` amplitudes) fits a block runs
+//! * a pass whose whole segment (`cols·2^m` amplitudes) fits a block runs
 //!   **in place** on the contiguous segment — a row of the six-step
 //!   picture, early stages chunked to L1, later stages sweeping the
 //!   L2-resident row;
@@ -104,10 +108,24 @@ impl TwoLevel {
     }
 }
 
-/// One pass: a length-`2^m` pure transform along `[lo, lo+m)`.
+/// `⌈log2 x⌉` for `x ≥ 1`: the bits a column count occupies, which for
+/// a power of two is its exponent.
+#[inline]
+fn ceil_log2(x: usize) -> u32 {
+    usize::BITS - (x - 1).leading_zeros()
+}
+
+/// One pass: a length-`2^m` pure transform down `cols` columns.
 struct Pass {
-    lo: u32,
+    /// Columns of the pass: the axis's columns times `2^(axis bits
+    /// below it)`.
+    cols: usize,
     m: u32,
+    /// Axis bits above this pass.
+    above: u32,
+    /// Columns of one gathered tile when the pass runs tiled: a divisor
+    /// of `cols`.
+    tile: usize,
     /// Radix-4 stage tables back to back; stage `s` (`q = 4^s`) holds
     /// `W^j | W^2j | W^3j`, `j < q`, `W = e^{-2πi/4q}`, at offset `4^s − 1`.
     radix4: Vec<C64>,
@@ -120,7 +138,7 @@ struct Pass {
 }
 
 impl Pass {
-    fn new(lo: u32, m: u32, above: u32) -> Pass {
+    fn new(cols: usize, m: u32, above: u32) -> Pass {
         let roots = TwoLevel::new(m);
         let mut radix4 = Vec::with_capacity((1usize << (m & !1)) - 1);
         for s in 0..m / 2 {
@@ -135,9 +153,21 @@ impl Pass {
         } else {
             Vec::new()
         };
+        // Aim for a 2^TILE_BITS-amplitude tile of at least 4 columns.
+        let target = 1usize << TILE_BITS.saturating_sub(m).max(2);
+        let tile = if cols <= target {
+            cols
+        } else {
+            (1..=target)
+                .rev()
+                .find(|&d| cols.is_multiple_of(d))
+                .unwrap_or(1)
+        };
         Pass {
-            lo,
+            cols,
             m,
+            above,
+            tile,
             radix4,
             radix2,
             twiddle: (above > 0).then(|| TwoLevel::new(m + above)),
@@ -156,7 +186,7 @@ impl Pass {
         // the row.
         let mut first = 0;
         if data.len() > 1 << L1_BITS {
-            let fit = (L1_BITS.saturating_sub(t.trailing_zeros()) / 2).min(pairs);
+            let fit = (L1_BITS.saturating_sub(ceil_log2(t)) / 2).min(pairs);
             if fit > 0 {
                 for chunk in data.chunks_exact_mut(t << (2 * fit)) {
                     (0..fit).for_each(|s| stage(chunk, s));
@@ -223,9 +253,10 @@ impl Pass {
     }
 }
 
-/// A planned transform along `[lo, lo+m)`: the passes and their tables.
+/// A planned transform of length `2^m` down `cols` columns: the passes
+/// and their tables.
 pub(crate) struct AxisPlan {
-    lo: u32,
+    cols: usize,
     m: u32,
     block_bits: u32,
     passes: Vec<Pass>,
@@ -235,31 +266,32 @@ pub(crate) struct AxisPlan {
 }
 
 impl AxisPlan {
-    /// Plans a length-`2^m` transform along bits `[lo, lo+m)` for the
+    /// Plans a length-`2^m` transform down `cols ≥ 1` columns for the
     /// workspace's cache block, `simd::DEFAULT_BLOCK_BITS`.
-    pub(crate) fn new(lo: usize, m: usize) -> AxisPlan {
-        AxisPlan::with_block_bits(lo as u32, m as u32, simd::DEFAULT_BLOCK_BITS as u32)
+    pub(crate) fn new(cols: usize, m: usize) -> AxisPlan {
+        AxisPlan::with_block_bits(cols, m as u32, simd::DEFAULT_BLOCK_BITS as u32)
     }
 
     /// [`AxisPlan::new`] with `2^block_bits`-amplitude cache blocks (tests
     /// shrink the block to reach every layout at small sizes).
-    fn with_block_bits(lo: u32, m: u32, block_bits: u32) -> AxisPlan {
+    pub(crate) fn with_block_bits(cols: usize, m: u32, block_bits: u32) -> AxisPlan {
+        assert!(cols > 0, "an axis needs at least one column");
         assert!(block_bits >= 3, "cache block too small to tile");
-        // A pass at offset `at` keeps a tile of at least min(2^at, 4)
+        // A pass over `c` columns keeps a tile of at least min(c, 4)
         // columns inside one block.
-        let cap = |at: u32| block_bits - at.min(2);
+        let cap = |c: usize| block_bits - ceil_log2(c.min(4));
         let mut passes = Vec::new();
-        let (mut at, mut left) = (lo, m);
+        let (mut c, mut left) = (cols, m);
         loop {
-            let take = left.min(cap(at));
-            passes.push(Pass::new(at, take, left - take));
-            at += take;
+            let take = left.min(cap(c));
+            passes.push(Pass::new(c, take, left - take));
+            c <<= take;
             left -= take;
             if left == 0 {
                 break;
             }
         }
-        let swaps = if passes.len() == 1 && lo + m <= block_bits {
+        let swaps = if passes.len() == 1 && cols << m <= 1 << block_bits {
             (0..1u32 << m)
                 .map(|r| (r, rev(r as usize, m) as u32))
                 .filter(|(r, s)| r < s)
@@ -268,12 +300,18 @@ impl AxisPlan {
             Vec::new()
         };
         AxisPlan {
-            lo,
+            cols,
             m,
             block_bits,
             passes,
             swaps,
         }
+    }
+
+    /// Passes the axis is cut into.
+    #[cfg(test)]
+    pub(crate) fn passes(&self) -> usize {
+        self.passes.len()
     }
 
     /// Table entries held, all passes together.
@@ -288,14 +326,14 @@ impl AxisPlan {
                 .sum::<usize>()
     }
 
-    /// Transforms every `2^(lo+m)`-amplitude segment of `buf` along the
+    /// Transforms every `cols·2^m`-amplitude segment of `buf` along the
     /// planned axis.
     pub(crate) fn run(&self, buf: &mut [C64], dir: Direction, norm: Normalization) {
-        let seg_bits = self.lo + self.m;
+        let seg = self.cols << self.m;
         assert_eq!(
-            buf.len() & ((1usize << seg_bits) - 1),
+            buf.len() % seg,
             0,
-            "buffer is not a whole number of 2^{seg_bits}-amplitude segments"
+            "buffer is not a whole number of {seg}-amplitude segments"
         );
         if self.m == 0 {
             return;
@@ -303,14 +341,13 @@ impl AxisPlan {
         let parallel = buf.len() >= PAR_MIN_SIZE && rayon::current_num_threads() > 1;
         let one_pass = self.passes.len() == 1;
         if !one_pass {
-            bit_reverse_axis(buf, self.lo, self.m, parallel);
+            bit_reverse_axis(buf, self.cols, self.m, parallel);
         }
         for (i, pass) in self.passes.iter().enumerate() {
             let job = Job {
                 pass,
                 swaps: &self.swaps,
                 reorder: one_pass,
-                above: seg_bits - pass.lo - pass.m,
                 scale: if i == 0 {
                     norm.factor(1 << self.m)
                 } else {
@@ -318,7 +355,7 @@ impl AxisPlan {
                 },
                 inverse: dir == Direction::Inverse,
             };
-            if pass.lo + pass.m <= self.block_bits {
+            if pass.cols << pass.m <= 1 << self.block_bits {
                 job.run_in_place(buf, parallel);
             } else {
                 job.run_tiled(buf, parallel);
@@ -334,8 +371,6 @@ struct Job<'a> {
     /// The pass takes natural-order input and bit-reverses its own rows
     /// (one-pass plans; otherwise the axis was reversed up front).
     reorder: bool,
-    /// Axis bits above this pass.
-    above: u32,
     scale: f64,
     inverse: bool,
 }
@@ -344,12 +379,13 @@ impl Job<'_> {
     /// Bit-reversed index of the rows above the pass, for segment
     /// `segment` of the pass.
     fn twiddle_row(&self, segment: usize) -> usize {
-        rev(segment & ((1usize << self.above) - 1), self.above)
+        let above = self.pass.above;
+        rev(segment & ((1usize << above) - 1), above)
     }
 
     /// The pass over contiguous, block-sized-or-smaller segments.
     fn run_in_place(&self, buf: &mut [C64], parallel: bool) {
-        let t = 1usize << self.pass.lo;
+        let t = self.pass.cols;
         let seg = t << self.pass.m;
         // Segments far below L1 size are taken a batch at a time: the
         // stage kernels accept any whole number of blocks, so a batch of
@@ -389,11 +425,10 @@ impl Job<'_> {
     /// The pass over segments larger than a block: tiles of adjacent
     /// columns go through the per-thread scratch.
     fn run_tiled(&self, buf: &mut [C64], parallel: bool) {
-        let (lo, m) = (self.pass.lo, self.pass.m);
-        let tile_bits = TILE_BITS.saturating_sub(m).max(2).min(lo);
-        let t = 1usize << tile_bits;
-        let tiles_per_segment = 1usize << (lo - tile_bits);
-        let tiles = (buf.len() >> (lo + m)) * tiles_per_segment;
+        let (cols, m, t) = (self.pass.cols, self.pass.m, self.pass.tile);
+        let seg = cols << m;
+        let tiles_per_segment = cols / t;
+        let tiles = (buf.len() / seg) * tiles_per_segment;
         let base = BufPtr(buf.as_mut_ptr());
         let body = |i: usize| {
             let (segment, column) = (i / tiles_per_segment, (i % tiles_per_segment) * t);
@@ -401,7 +436,7 @@ impl Job<'_> {
             // of segment `segment`: in bounds (`tiles` covers `buf`
             // exactly) and disjoint from every other tile, so no other
             // thread touches these elements during the call.
-            let origin = unsafe { base.add((segment << (lo + m)) + column) };
+            let origin = unsafe { base.add(segment * seg + column) };
             with_scratch((t << m) + self.pass.aux_len(), |scratch| {
                 let (tile, aux) = scratch.split_at_mut(t << m);
                 for r in 0..1usize << m {
@@ -410,7 +445,7 @@ impl Job<'_> {
                     // the scratch row is a distinct allocation.
                     unsafe {
                         std::ptr::copy_nonoverlapping(
-                            origin.add(r << lo),
+                            origin.add(r * cols),
                             tile.as_mut_ptr().add(row * t),
                             t,
                         );
@@ -424,7 +459,7 @@ impl Job<'_> {
                     unsafe {
                         std::ptr::copy_nonoverlapping(
                             tile.as_ptr().add(r * t),
-                            origin.add(r << lo),
+                            origin.add(r * cols),
                             t,
                         );
                     }
@@ -482,8 +517,8 @@ fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [C64]) -> R) -> R {
     })
 }
 
-/// In-place bit reversal of index bits `[lo, lo+m)` of every segment:
-/// unit `r` (a run of `2^lo` amplitudes) trades places with unit `rev r`.
+/// In-place bit reversal of the row index of every `2^m × cols` segment:
+/// unit `r` (a row, `cols` amplitudes) trades places with unit `rev r`.
 ///
 /// Tiled so that both sides of every exchange are whole
 /// `2^REVERSAL_ROW_BITS`-amplitude rows: split `r = (a, b, c)` with `a`
@@ -491,11 +526,11 @@ fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [C64]) -> R) -> R {
 /// form a `2^tile × 2^tile` tile with contiguous rows, and reversal sends
 /// tile `b` to tile `rev b`, transposed with both indices reversed. Tiles
 /// `b ≤ rev b` are independent tasks for the pool.
-fn bit_reverse_axis(buf: &mut [C64], lo: u32, m: u32, parallel: bool) {
-    let tile_bits = (m / 2).min(REVERSAL_ROW_BITS.saturating_sub(lo));
+fn bit_reverse_axis(buf: &mut [C64], cols: usize, m: u32, parallel: bool) {
+    let tile_bits = (m / 2).min(REVERSAL_ROW_BITS.saturating_sub(ceil_log2(cols)));
     let mid = m - 2 * tile_bits;
-    let (unit, side) = (1usize << lo, 1usize << tile_bits);
-    let tile_len = (side * side) << lo;
+    let (unit, side, seg) = (cols, 1usize << tile_bits, cols << m);
+    let tile_len = side * side * unit;
     let mut revs = [0usize; 1 << REVERSAL_ROW_BITS];
     for (i, r) in revs.iter_mut().enumerate().take(side) {
         *r = rev(i, tile_bits);
@@ -515,14 +550,14 @@ fn bit_reverse_axis(buf: &mut [C64], lo: u32, m: u32, parallel: bool) {
         // before writing either.
         let row = |a: usize, x: usize| unsafe {
             let r = (a << (m - tile_bits)) | (x << tile_bits);
-            base.add((segment << (lo + m)) + (r << lo))
+            base.add(segment * seg + r * unit)
         };
         with_scratch(2 * tile_len, |scratch| {
             let (from_b, from_rb) = scratch.split_at_mut(tile_len);
             let load = |into: &mut [C64], x: usize| {
-                for (a, dst) in into.chunks_exact_mut(side << lo).enumerate() {
+                for (a, dst) in into.chunks_exact_mut(side * unit).enumerate() {
                     unsafe {
-                        std::ptr::copy_nonoverlapping(row(a, x), dst.as_mut_ptr(), side << lo)
+                        std::ptr::copy_nonoverlapping(row(a, x), dst.as_mut_ptr(), side * unit)
                     };
                 }
             };
@@ -531,7 +566,7 @@ fn bit_reverse_axis(buf: &mut [C64], lo: u32, m: u32, parallel: bool) {
                 for a in 0..side {
                     let dst = row(a, x);
                     for c in 0..side {
-                        let src = ((revs[c] * side) | revs[a]) << lo;
+                        let src = ((revs[c] * side) | revs[a]) * unit;
                         if unit == 1 {
                             // A store, not a call to `memcpy` for 16 bytes.
                             unsafe { *dst.add(c) = from[src] };
@@ -539,7 +574,7 @@ fn bit_reverse_axis(buf: &mut [C64], lo: u32, m: u32, parallel: bool) {
                             unsafe {
                                 std::ptr::copy_nonoverlapping(
                                     from[src..src + unit].as_ptr(),
-                                    dst.add(c << lo),
+                                    dst.add(c * unit),
                                     unit,
                                 )
                             };
@@ -555,7 +590,7 @@ fn bit_reverse_axis(buf: &mut [C64], lo: u32, m: u32, parallel: bool) {
             store(from_b, rb);
         });
     };
-    for_each_task((buf.len() >> (lo + m)) << mid, parallel, body);
+    for_each_task((buf.len() / seg) << mid, parallel, body);
 }
 
 #[cfg(test)]
@@ -566,10 +601,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Transforms along `[lo, lo+m)` column by column with the O(N²) DFT.
-    fn reference(input: &[C64], lo: u32, m: u32, dir: Direction, norm: Normalization) -> Vec<C64> {
+    /// Transforms down every column of every `2^m × cols` segment with
+    /// the O(N²) DFT.
+    fn reference(
+        input: &[C64],
+        cols: usize,
+        m: u32,
+        dir: Direction,
+        norm: Normalization,
+    ) -> Vec<C64> {
         let mut out = input.to_vec();
-        let (cols, rows) = (1usize << lo, 1usize << m);
+        let rows = 1usize << m;
         for segment in 0..input.len() / (cols * rows) {
             for c in 0..cols {
                 let at = |r: usize| segment * cols * rows + r * cols + c;
@@ -583,25 +625,31 @@ mod tests {
     }
 
     #[test]
-    fn bit_reversal_matches_index_definition_at_every_offset() {
-        for (lo, m, segments) in [
-            (0u32, 1u32, 3usize),
-            (0, 5, 2),
-            (0, 8, 1),
-            (0, 9, 2),
-            (1, 7, 1),
-            (2, 6, 2),
-            (3, 4, 1),
-            (5, 3, 2),
+    fn bit_reversal_matches_index_definition_for_every_column_count() {
+        for (cols, m, segments) in [
+            (1usize, 1u32, 3usize),
+            (1, 5, 2),
+            (1, 8, 1),
+            (1, 9, 2),
+            (2, 7, 1),
+            (4, 6, 2),
+            (8, 4, 1),
+            (32, 3, 2),
+            (3, 6, 2),
+            (6, 5, 1),
+            (12, 7, 2),
+            (5, 9, 1),
         ] {
-            let len = segments << (lo + m);
-            let input: Vec<C64> = (0..len).map(|i| C64::new(i as f64, 0.0)).collect();
+            let seg = cols << m;
+            let input: Vec<C64> = (0..segments * seg)
+                .map(|i| C64::new(i as f64, 0.0))
+                .collect();
             let mut got = input.clone();
-            bit_reverse_axis(&mut got, lo, m, false);
+            bit_reverse_axis(&mut got, cols, m, false);
             for (i, z) in got.iter().enumerate() {
-                let r = (i >> lo) & ((1 << m) - 1);
-                let src = (i & !(((1 << m) - 1) << lo)) | (rev(r, m) << lo);
-                assert_eq!(z.re, src as f64, "lo = {lo}, m = {m}, i = {i}");
+                let (segment, r, c) = (i / seg, (i % seg) / cols, i % cols);
+                let src = segment * seg + rev(r, m) * cols + c;
+                assert_eq!(z.re, src as f64, "cols = {cols}, m = {m}, i = {i}");
             }
         }
     }
@@ -622,22 +670,24 @@ mod tests {
     }
 
     /// Tiny blocks force every layout — in place, tiled, two and three
-    /// passes deep — at sizes the O(N²) reference can check.
+    /// passes deep — at sizes the O(N²) reference can check, for power-of-
+    /// two column counts (a register at `lo = 0..=4`) and for the odd and
+    /// even multiples a batch-major ensemble adds (`cols = B·2^lo`).
     #[test]
     fn every_pass_layout_matches_the_dft() {
         let mut rng = StdRng::seed_from_u64(90);
         for block_bits in [3u32, 4, 6] {
-            for lo in 0..=4u32 {
+            for cols in [1usize, 2, 3, 4, 5, 6, 8, 12, 16, 24] {
                 for m in 0..=9u32 {
-                    let plan = AxisPlan::with_block_bits(lo, m, block_bits);
-                    let input = random_state(2 << (lo + m), &mut rng);
+                    let plan = AxisPlan::with_block_bits(cols, m, block_bits);
+                    let input = random_state((2 * cols) << m, &mut rng);
                     for dir in [Direction::Forward, Direction::Inverse] {
                         let mut got = input.clone();
                         plan.run(&mut got, dir, Normalization::Sqrt);
-                        let want = reference(&input, lo, m, dir, Normalization::Sqrt);
+                        let want = reference(&input, cols, m, dir, Normalization::Sqrt);
                         assert!(
                             max_abs_diff(&got, &want) < 1e-12,
-                            "block_bits = {block_bits}, lo = {lo}, m = {m}, {dir:?}: {} passes",
+                            "block_bits = {block_bits}, cols = {cols}, m = {m}, {dir:?}: {} passes",
                             plan.passes.len()
                         );
                     }
@@ -646,10 +696,27 @@ mod tests {
         }
     }
 
+    /// A column tile always divides the pass's columns and is as wide as
+    /// the power-of-two rule made it wherever that rule applies.
+    #[test]
+    fn tiles_divide_the_columns_and_keep_the_power_of_two_widths() {
+        for m in 0..=12u32 {
+            for lo in 0..=12u32 {
+                let pass = Pass::new(1 << lo, m, 0);
+                let want = 1usize << TILE_BITS.saturating_sub(m).max(2).min(lo);
+                assert_eq!(pass.tile, want, "lo = {lo}, m = {m}");
+            }
+            for cols in [3usize, 6, 12, 24, 40, 3 << 9] {
+                let pass = Pass::new(cols, m, 0);
+                assert_eq!(cols % pass.tile, 0, "cols = {cols}, m = {m}");
+            }
+        }
+    }
+
     #[test]
     fn base_cases_take_the_stages_their_size_calls_for() {
         let stages = |m: usize| {
-            let plan = AxisPlan::new(0, m);
+            let plan = AxisPlan::new(1, m);
             assert_eq!(plan.passes.len(), 1);
             let pass = &plan.passes[0];
             // (radix-4 stages, has radix-2 clean-up)
@@ -669,7 +736,7 @@ mod tests {
         for m in [0usize, 1, 2, 3, 5] {
             let input = random_state(1 << m, &mut rng);
             let mut got = input.clone();
-            AxisPlan::new(0, m).run(&mut got, Direction::Forward, Normalization::None);
+            AxisPlan::new(1, m).run(&mut got, Direction::Forward, Normalization::None);
             let want = dft_reference(&input, Direction::Forward, Normalization::None);
             assert!(max_abs_diff(&got, &want) < 1e-13, "m = {m}");
         }
@@ -679,7 +746,7 @@ mod tests {
     fn tables_stay_near_one_block_however_long_the_transform() {
         let block = 1usize << 14;
         for m in [15usize, 21, 26, 30] {
-            let plan = AxisPlan::new(0, m);
+            let plan = AxisPlan::new(1, m);
             let sqrt_n = 1usize << m.div_ceil(2);
             assert!(
                 plan.table_len() <= block + 4 * sqrt_n,

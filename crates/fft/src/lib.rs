@@ -40,4 +40,7 @@ pub use dft::dft_reference;
 pub use fourstep::{fft_four_step, square_split};
 pub use plan::{Direction, FftPlan, Normalization};
 pub use radix2::{fft, fft_inplace, inverse_qft_convention, qft_convention, radix2_reference};
-pub use subspace::{fft_subspace, gather_bits, inverse_qft_subspace, qft_subspace, scatter_bits};
+pub use subspace::{
+    fft_subspace, fft_subspace_batch, gather_bits, inverse_qft_subspace,
+    inverse_qft_subspace_batch, qft_subspace, qft_subspace_batch, scatter_bits,
+};

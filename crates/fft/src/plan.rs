@@ -75,7 +75,7 @@ impl FftPlan {
         FftPlan {
             n,
             log2n,
-            axis: AxisPlan::new(0, log2n as usize),
+            axis: AxisPlan::new(1, log2n as usize),
         }
     }
 

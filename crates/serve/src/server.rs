@@ -37,8 +37,8 @@ use crate::wire::{
 use qcemu_core::{
     CostModel, ExecutionPlan, HybridExecutor, PlanInterpreter, QuantumProgram, SharedPlanCache,
 };
-use qcemu_sim::measure::sample_shots;
-use qcemu_sim::{BatchStateVector, SimConfig, StateVector};
+use qcemu_sim::measure::sample_member_shots;
+use qcemu_sim::{BatchStateVector, SimConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::VecDeque;
 use std::io;
@@ -564,20 +564,24 @@ fn run_batch(shared: &Shared, batch: &[Job]) -> Result<Vec<RunResult>, String> {
         .collect();
     Ok(batch
         .iter()
-        .zip(states.into_states())
-        .map(|(job, state)| build_result(job, &state, steps.clone(), batch.len()))
+        .enumerate()
+        .map(|(j, job)| build_result(job, &states, j, steps.clone(), batch.len()))
         .collect())
 }
 
+/// The reply to the job that ran as member `j` of `states`: its shots are
+/// drawn straight from its lane of the batch-major buffer, and only a job
+/// that asked for amplitudes gets a copy of them.
 fn build_result(
     job: &Job,
-    state: &StateVector,
+    states: &BatchStateVector,
+    j: usize,
     report: Vec<WireStepReport>,
     batch_size: usize,
 ) -> RunResult {
     let shots = if job.options.shots > 0 {
         let mut rng = StdRng::seed_from_u64(job.options.seed);
-        sample_shots(state, job.options.shots as usize, &mut rng)
+        sample_member_shots(states, j, job.options.shots as usize, &mut rng)
             .into_iter()
             .map(|s| s as u64)
             .collect()
@@ -585,11 +589,11 @@ fn build_result(
         Vec::new()
     };
     RunResult {
-        n_qubits: state.n_qubits() as u8,
+        n_qubits: states.n_qubits() as u8,
         amplitudes: job
             .options
             .want_amplitudes
-            .then(|| state.amplitudes().to_vec()),
+            .then(|| states.member(j).into_amplitudes()),
         shots,
         report,
         lane: job.lane,

@@ -75,8 +75,8 @@ pub use mps::{
 
 pub use measure::{
     expectation_z, expectation_z_sampled, expectation_z_string, measure_all, measure_qubit,
-    prob_qubit_one, sample_histogram, sample_histogram_batch, sample_once, sample_shots,
-    sample_shots_batch,
+    prob_qubit_one, sample_histogram, sample_histogram_batch, sample_member_shots, sample_once,
+    sample_shots, sample_shots_batch,
 };
 pub use segment::{segment_circuit, SegmentPolicy, SegmentedCircuit, DEFAULT_BLOCK_BITS};
 pub use statevector::StateVector;

@@ -9,6 +9,7 @@
 
 use crate::batch::BatchStateVector;
 use crate::statevector::StateVector;
+use qcemu_linalg::C64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,11 +53,39 @@ pub fn sample_once(sv: &StateVector, rng: &mut impl Rng) -> usize {
 /// cdf[i]`, where a plain `binary_search` may return an arbitrary index
 /// inside the plateau. The null-state caveat of [`sample_once`] applies.
 pub fn sample_shots(sv: &StateVector, shots: usize, rng: &mut impl Rng) -> Vec<usize> {
-    let amps = sv.amplitudes();
-    let mut cdf = Vec::with_capacity(amps.len());
+    sample_lane(sv.amplitudes(), 1, 0, shots, rng)
+}
+
+/// [`sample_shots`] over member `j` of a batch, read in place from its
+/// lane of the batch-major buffer: bit-identical to
+/// `sample_shots(&batch.member(j), shots, rng)`, without the copy.
+///
+/// # Panics
+///
+/// Panics if `j` is out of range.
+pub fn sample_member_shots(
+    batch: &BatchStateVector,
+    j: usize,
+    shots: usize,
+    rng: &mut impl Rng,
+) -> Vec<usize> {
+    assert!(j < batch.batch(), "member index out of range");
+    sample_lane(batch.amplitudes(), batch.batch(), j, shots, rng)
+}
+
+/// The sampler over the strided lane `amps[lane], amps[lane + stride], …`.
+fn sample_lane(
+    amps: &[C64],
+    stride: usize,
+    lane: usize,
+    shots: usize,
+    rng: &mut impl Rng,
+) -> Vec<usize> {
+    let dim = amps.len() / stride;
+    let mut cdf = Vec::with_capacity(dim);
     let mut acc = 0.0;
-    let mut last_nonzero = amps.len() - 1;
-    for (i, a) in amps.iter().enumerate() {
+    let mut last_nonzero = dim - 1;
+    for (i, a) in amps[lane..].iter().step_by(stride).enumerate() {
         let p = a.norm_sqr();
         if p > 0.0 {
             last_nonzero = i;
@@ -75,8 +104,12 @@ pub fn sample_shots(sv: &StateVector, shots: usize, rng: &mut impl Rng) -> Vec<u
 
 /// Histogram of `shots` samples over the full basis.
 pub fn sample_histogram(sv: &StateVector, shots: usize, rng: &mut impl Rng) -> Vec<usize> {
-    let mut hist = vec![0usize; sv.dim()];
-    for s in sample_shots(sv, shots, rng) {
+    histogram(sv.dim(), sample_shots(sv, shots, rng))
+}
+
+fn histogram(dim: usize, shots: Vec<usize>) -> Vec<usize> {
+    let mut hist = vec![0usize; dim];
+    for s in shots {
         hist[s] += 1;
     }
     hist
@@ -85,8 +118,8 @@ pub fn sample_histogram(sv: &StateVector, shots: usize, rng: &mut impl Rng) -> V
 /// Draws `shots` samples from **every** member of a batch, each member
 /// with its own deterministic RNG stream seeded `base_seed + j`.
 ///
-/// Member extraction preserves amplitude order exactly, so the result for
-/// member `j` is bit-identical to
+/// Each member is read in place from its lane, so the result for member
+/// `j` is bit-identical to
 /// `sample_shots(&batch.member(j), shots, &mut StdRng::seed_from_u64(base_seed + j))`
 /// — ensembles sample reproducibly and independently of how (batched or
 /// sequentially) the states were produced.
@@ -98,7 +131,7 @@ pub fn sample_shots_batch(
     (0..batch.batch())
         .map(|j| {
             let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(j as u64));
-            sample_shots(&batch.member(j), shots, &mut rng)
+            sample_member_shots(batch, j, shots, &mut rng)
         })
         .collect()
 }
@@ -113,7 +146,7 @@ pub fn sample_histogram_batch(
     (0..batch.batch())
         .map(|j| {
             let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(j as u64));
-            sample_histogram(&batch.member(j), shots, &mut rng)
+            histogram(batch.dim(), sample_member_shots(batch, j, shots, &mut rng))
         })
         .collect()
 }

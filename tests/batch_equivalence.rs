@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use qcemu::prelude::*;
-use qcemu_core::RotationOp;
+use qcemu_core::{ClassicalMap, MapKind, PlanInterpreter, Policy, RotationOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -395,5 +395,130 @@ fn batch_equivalence_across_forced_thread_counts() {
                 }
             }
         });
+    }
+}
+
+/// One member of an ensemble whose every op is an emulated step with a
+/// per-member closure or a register FFT: registers at offset 0 (`a`),
+/// the middle (`b`, `c`) and the top (`d`) of 12 qubits; an in-place
+/// `add` of a per-member constant, a zero-target map into `d`, a phase
+/// oracle marking a per-member value, and QFTs/IQFTs at every offset.
+fn emulated_member(k: u64) -> QuantumProgram {
+    let mut pb = ProgramBuilder::new();
+    let a = pb.register("a", 3);
+    let b = pb.register("b", 3);
+    let c = pb.register("c", 3);
+    let d = pb.register("d", 3);
+    pb.hadamard_all(a);
+    pb.hadamard_all(b);
+    pb.classical(ClassicalMap {
+        name: "add-k".into(),
+        regs: vec![a, c],
+        f: Arc::new(move |v| v[1] = (v[1] + v[0] + k) % 8),
+        kind: MapKind::InPlaceBijection,
+        gate_impl: None,
+    });
+    pb.classical(ClassicalMap {
+        name: "xor-into-d".into(),
+        regs: vec![b, d],
+        f: Arc::new(move |v| v[1] = v[0] ^ (k % 8)),
+        kind: MapKind::ZeroInitializedTargets { n_targets: 1 },
+        gate_impl: None,
+    });
+    pb.phase_oracle(qcemu_core::stdops::phase_if(
+        "mark-k",
+        vec![a, b],
+        0.7,
+        move |v| (v[0] + v[1]) % 8 == k % 8,
+    ));
+    pb.qft(a);
+    pb.inverse_qft(b);
+    pb.qft(d);
+    pb.inverse_qft(c);
+    pb.qft(b);
+    pb.build().unwrap()
+}
+
+/// Every emulated classical map, oracle and register QFT/IQFT on the
+/// batch-major buffer ≡ each member's solo run of the same plan, ≤ 1e-12
+/// and bit for bit at B = 1, on pools {1, 2, 3} and both backends. (The
+/// FFT engine's own tests split an axis into several passes with a
+/// shrunk cache block; here the registers fit one pass.)
+#[test]
+fn emulated_steps_on_the_batch_major_buffer_match_solo_runs() {
+    let _shared = scalar_lock();
+    emulated_case();
+}
+
+#[test]
+fn emulated_steps_on_the_batch_major_buffer_match_solo_runs_forced_scalar() {
+    let _scalar = ForcedScalar::engage();
+    emulated_case();
+}
+
+fn emulated_case() {
+    let choose = |_: usize| None;
+    let members: Vec<QuantumProgram> = (0..8).map(emulated_member).collect();
+    let n = members[0].n_qubits();
+    let plan = qcemu_core::plan(
+        &members[0],
+        &CostModel::default(),
+        &SimConfig::default(),
+        Policy::Emulate {
+            choose_qpe: &choose,
+        },
+    );
+    let interpreter = PlanInterpreter::default();
+    for threads in [1usize, 2, 3] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            for batch in [1usize, 2, 3, 8] {
+                let (out, report) = interpreter
+                    .run_members(
+                        &members[..batch],
+                        &plan,
+                        BatchStateVector::zero_state(n, batch),
+                    )
+                    .unwrap();
+                if batch > 1 {
+                    assert!(report.steps.iter().all(|s| s.batched), "{report}");
+                }
+                for (j, member) in members[..batch].iter().enumerate() {
+                    let (solo, _) = interpreter
+                        .execute(member, &plan, StateVector::zero_state(n))
+                        .unwrap();
+                    let diff = out.member_max_diff(j, &solo);
+                    assert!(
+                        diff <= 1e-12,
+                        "pool {threads}, B = {batch}, member {j}: {diff:.3e}"
+                    );
+                    if batch == 1 {
+                        assert_eq!(out.member(0), solo, "B = 1 must be bit-identical");
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// A daemon reply's shots, drawn from its job's lane of the batch-major
+/// buffer, are bit-identical to sampling the de-interleaved member.
+#[test]
+fn lane_sampling_matches_de_interleaved_members() {
+    let members: Vec<QuantumProgram> = (0..3).map(emulated_member).collect();
+    let n = members[0].n_qubits();
+    for batch in [1usize, 2, 3] {
+        let out = BatchExecutor::new()
+            .run(&members[..batch], BatchStateVector::zero_state(n, batch))
+            .unwrap();
+        for (j, member) in out.to_states().iter().enumerate() {
+            let seed = 11 + j as u64;
+            let lane = measure::sample_member_shots(&out, j, 64, &mut StdRng::seed_from_u64(seed));
+            let copy = measure::sample_shots(member, 64, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(lane, copy, "B = {batch}, member {j}");
+        }
     }
 }

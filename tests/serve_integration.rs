@@ -43,6 +43,39 @@ fn sweep_program(slope: f64) -> WireProgram {
     }
 }
 
+/// The daemon's serve op mix at small size (`4m + 1` qubits, m = 3):
+/// `multiply`, `add`, a rotation sweep and a QFT/IQFT pair, every one an
+/// emulated step a coalesced batch runs once on its batch-major buffer.
+fn serve_mix_program(slope: f64) -> WireProgram {
+    let reg = |name: &str, len: u32| WireRegister {
+        name: name.into(),
+        len,
+    };
+    WireProgram {
+        registers: vec![
+            reg("a", 3),
+            reg("b", 3),
+            reg("c", 3),
+            reg("r", 3),
+            reg("ind", 1),
+        ],
+        ops: vec![
+            WireOp::Hadamard(0),
+            WireOp::Hadamard(1),
+            WireOp::Multiply { a: 0, b: 1, c: 2 },
+            WireOp::Add { a: 2, b: 3 },
+            WireOp::Rotation {
+                x: 0,
+                target: 4,
+                slope,
+                intercept: 0.05,
+            },
+            WireOp::Qft(2),
+            WireOp::InverseQft(2),
+        ],
+    }
+}
+
 fn start_server(config: ServerConfig) -> ServerHandle {
     EmuServer::bind("127.0.0.1:0", config)
         .expect("bind")
@@ -173,6 +206,35 @@ fn wait_until(handle: &ServerHandle, done: impl Fn(&StatsSnapshot) -> bool) {
 
 #[test]
 fn twins_queued_behind_a_busy_worker_run_as_one_batch() {
+    twins_case(sweep_program, 4);
+}
+
+/// The serve op mix coalesced at B = 3: every classical and FFT step of
+/// every reply ran once for the whole batch (`+batch`).
+#[test]
+fn serve_mix_twins_run_every_emulated_step_as_one_batch() {
+    let results = twins_case(serve_mix_program, 3);
+    for result in &results {
+        for step in &result.report {
+            let emulated = ["multiply", "add", "qft"]
+                .iter()
+                .any(|op| step.op.contains(op));
+            if emulated {
+                assert!(
+                    step.backend.ends_with("+batch"),
+                    "{}: {}",
+                    step.op,
+                    step.backend
+                );
+            }
+        }
+    }
+}
+
+/// Queues `count` same-structure requests behind a blocker on the lone
+/// worker, and checks they ran as one batch whose members each match a
+/// local solo run to ≤ 1e-12.
+fn twins_case(program: fn(f64) -> WireProgram, count: usize) -> Vec<RunResult> {
     // One worker, and one lane, so the blocker is ahead of the twins
     // even if the worker has not yet woken to take it.
     let handle = start_server(ServerConfig {
@@ -184,7 +246,7 @@ fn twins_queued_behind_a_busy_worker_run_as_one_batch() {
         ..ServerConfig::default()
     });
     let addr = handle.addr();
-    let slopes: Vec<f64> = (0..4).map(|i| 0.3 + 0.1 * i as f64).collect();
+    let slopes: Vec<f64> = (0..count).map(|i| 0.3 + 0.1 * i as f64).collect();
 
     let results: Vec<RunResult> = thread::scope(|scope| {
         let blocker = scope.spawn(move || submit_blocker(addr, BLOCKER_QFT_PAIRS));
@@ -195,32 +257,35 @@ fn twins_queued_behind_a_busy_worker_run_as_one_batch() {
                 scope.spawn(move || {
                     EmuClient::connect(addr)
                         .expect("connect")
-                        .submit(&sweep_program(slope), &SubmitOptions::default())
+                        .submit(&program(slope), &SubmitOptions::default())
                         .expect("submit")
                 })
             })
             .collect();
-        wait_until(&handle, |s| s.queued == 5);
+        wait_until(&handle, |s| s.queued == 1 + count as u64);
         assert_eq!(
             handle.stats().served,
             0,
-            "the blocker finished before all four twins were admitted"
+            "the blocker finished before all {count} twins were admitted"
         );
         blocker.join().unwrap().expect("blocker");
         twins.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // The worker found all four twins waiting and ran them as one batch,
+    // The worker found all the twins waiting and ran them as one batch,
     // whose members still match local runs.
     let stats = handle.stats();
     assert_eq!(stats.batches, 1, "{stats:?}");
-    assert_eq!(stats.batched_requests, 4, "{stats:?}");
+    assert_eq!(stats.batched_requests, count as u64, "{stats:?}");
     for (slope, result) in slopes.iter().zip(&results) {
         assert!(result.batched);
-        assert_eq!(result.batch_size, 4);
-        let program = sweep_program(*slope).to_program().unwrap();
+        assert_eq!(result.batch_size, count as u32);
+        let local_program = program(*slope).to_program().unwrap();
         let local = HybridExecutor::new()
-            .run_structural(&program, StateVector::zero_state(program.n_qubits()))
+            .run_structural(
+                &local_program,
+                StateVector::zero_state(local_program.n_qubits()),
+            )
             .unwrap()
             .0;
         let amps = result.amplitudes.as_ref().unwrap();
@@ -231,6 +296,7 @@ fn twins_queued_behind_a_busy_worker_run_as_one_batch() {
     // One lowering for the blocker, one for the twins' shared structure.
     assert_eq!(stats.plan_misses, 2);
     handle.shutdown();
+    results
 }
 
 #[test]
