@@ -624,6 +624,32 @@ mod tests {
         out
     }
 
+    /// A register at offset `lo` is the power-of-two column count
+    /// `cols = 2^lo`; the permutation reverses the `m` bits above `lo`.
+    #[test]
+    fn bit_reversal_matches_index_definition_at_every_offset() {
+        for (lo, m, segments) in [
+            (0u32, 1u32, 3usize),
+            (0, 5, 2),
+            (0, 8, 1),
+            (0, 9, 2),
+            (1, 7, 1),
+            (2, 6, 2),
+            (3, 4, 1),
+            (5, 3, 2),
+        ] {
+            let len = segments << (lo + m);
+            let input: Vec<C64> = (0..len).map(|i| C64::new(i as f64, 0.0)).collect();
+            let mut got = input.clone();
+            bit_reverse_axis(&mut got, 1 << lo, m, false);
+            for (i, z) in got.iter().enumerate() {
+                let r = (i >> lo) & ((1 << m) - 1);
+                let src = (i & !(((1 << m) - 1) << lo)) | (rev(r, m) << lo);
+                assert_eq!(z.re, src as f64, "lo = {lo}, m = {m}, i = {i}");
+            }
+        }
+    }
+
     #[test]
     fn bit_reversal_matches_index_definition_for_every_column_count() {
         for (cols, m, segments) in [
