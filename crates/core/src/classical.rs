@@ -5,8 +5,10 @@
 //! emulator "can simply perform the described mapping directly" instead of
 //! running the Toffoli network. The permutation table over the involved
 //! registers' joint space is built once per member from its own closure,
-//! inverted and validated in one sweep, and applied to every coset — and
-//! every member of a batch-major ensemble — as one parallel gather.
+//! inverted and validated in one sweep, and applied in place: each coset
+//! is copied into a small per-task buffer and gathered back through the
+//! inverse table, for every member of a batch-major ensemble in the same
+//! parallel pass.
 
 use crate::error::EmuError;
 use crate::program::{
@@ -37,23 +39,21 @@ const NO_SOURCE: u32 = u32::MAX;
 
 /// Applies a classical map to the state (the §3.1 emulation shortcut):
 /// the one-member case of the batch-major pass the plan interpreter runs
-/// on a whole ensemble.
+/// on a whole ensemble. A failed map leaves the state partly mapped.
 pub fn apply_classical_map(
     state: &mut StateVector,
     program: &QuantumProgram,
     map: &ClassicalMap,
 ) -> Result<(), EmuError> {
-    let mut out = Vec::new();
-    map_lanes(state.amplitudes(), &mut out, 1, program, &[map])?;
-    *state.amplitudes_mut() = out;
+    if let Some(mapped) = map_lanes(state.amplitudes_mut(), 1, program, &[map])? {
+        *state.amplitudes_mut() = mapped;
+    }
     Ok(())
 }
 
 /// Applies member `j`'s classical map `maps[j]` to member `j` of a
-/// batch-major ensemble in one pass over the whole buffer. The mapped
-/// ensemble is written into `scratch` (grown on first use), which is then
-/// swapped in: on return `scratch` holds the old buffer for the next
-/// step's reuse. On error the state is untouched.
+/// batch-major ensemble in one pass over the whole buffer. A failed map
+/// leaves the ensemble partly mapped.
 ///
 /// # Panics
 ///
@@ -62,33 +62,38 @@ pub(crate) fn apply_classical_map_batch(
     state: &mut BatchStateVector,
     program: &QuantumProgram,
     maps: &[&ClassicalMap],
-    scratch: &mut Vec<C64>,
 ) -> Result<(), EmuError> {
     let batch = state.batch();
     assert_eq!(maps.len(), batch, "one ClassicalMap per batch member");
-    map_lanes(state.amplitudes(), scratch, batch, program, maps)?;
-    let mapped = BatchStateVector::from_amplitudes(std::mem::take(scratch), batch);
-    *scratch = std::mem::replace(state, mapped).into_amplitudes();
+    if let Some(mapped) = map_lanes(state.amplitudes_mut(), batch, program, maps)? {
+        *state = BatchStateVector::from_amplitudes(mapped, batch);
+    }
     Ok(())
 }
 
-/// Writes `maps[j]` applied to lane `j` of the batch-major `inp` into
-/// `out`, resized to `inp.len()`.
+/// Applies `maps[j]` to lane `j` of the batch-major `amps`: in place when
+/// the permutation is tabulated (`None`), into a new buffer on the wide
+/// on-the-fly path (`Some`).
 ///
 /// Each member's permutation table comes from its own closure (members
 /// whose tables agree share one, and then move whole `batch`-long runs);
-/// it is inverted and checked for injectivity in one serial sweep, and
-/// one parallel gather `out[i·B + j] = inp[π_j⁻¹(i)·B + j]` writes every
-/// output element exactly once. A zero-target map's support check rides
-/// in the same pass. Errors are those of the lowest member whose solo
-/// run fails, and that member's solo error.
+/// it is inverted, checked for injectivity and cut into [`Chains`] in
+/// one serial sweep. The map permutes labels within each coset of the
+/// untouched qubits, and every coset lies inside one aligned block of
+/// `2^h` indices (`h` one above the highest register bit), so the pass
+/// hands whole blocks to the pool as disjoint chunks (a map over the
+/// state's top qubits is one block, so one task). Each task skips its
+/// empty cosets and walks the chains through the others, moving every
+/// non-fixed unit once and allocating at most one unit; a zero-target
+/// map's support is checked before the chains overwrite it. Errors are
+/// those of the lowest member whose solo run fails, and that member's
+/// solo error.
 fn map_lanes(
-    inp: &[C64],
-    out: &mut Vec<C64>,
+    amps: &mut [C64],
     batch: usize,
     program: &QuantumProgram,
     maps: &[&ClassicalMap],
-) -> Result<(), EmuError> {
+) -> Result<Option<Vec<C64>>, EmuError> {
     let map = maps[0];
     let regs: Vec<&ProgramRegister> = map.regs.iter().map(|&r| program.register(r)).collect();
     let k: usize = regs.iter().map(|r| r.len).sum();
@@ -100,8 +105,18 @@ fn map_lanes(
         }
         MapKind::InPlaceBijection => (1usize << k, &regs[..0]),
     };
-    if k > TABLE_MAX_BITS {
-        return map_on_the_fly(inp, out, batch, &regs, maps, rows, targets);
+    let reg_mask = regs
+        .iter()
+        .flat_map(|r| r.bits())
+        .fold(0usize, |m, q| m | (1usize << q));
+    // The indices below the lowest register bit, in every lane, move
+    // together: a unit of `2^lo·B` contiguous elements. Unit offsets are
+    // kept as `u32`; a tuple spanning more units goes on the fly too.
+    let lo = reg_mask.trailing_zeros();
+    if k > TABLE_MAX_BITS || reg_mask >> lo > u32::MAX as usize {
+        let mut out = Vec::new();
+        map_on_the_fly(amps, &mut out, batch, &regs, maps, rows, targets)?;
+        return Ok(Some(out));
     }
 
     let tables: Vec<Vec<u32>> = maps
@@ -113,12 +128,14 @@ fn map_lanes(
     } else {
         batch
     };
-    let mut inverse = vec![NO_SOURCE; lanes << k];
-    let invalid: Vec<Option<EmuError>> = tables[..lanes]
+    let list: Vec<(usize, usize)> = regs.iter().map(|r| (r.offset, r.len)).collect();
+    let offset = SplitLookup::new(k as u32, |v| unpack_by_list(&list, v as u64) >> lo);
+    let (chains, invalid): (Vec<Chains>, Vec<Option<EmuError>>) = tables[..lanes]
         .iter()
-        .enumerate()
-        .map(|(j, t)| invert_into(t, &mut inverse, j, lanes, &maps[j].name).err())
-        .collect();
+        .zip(maps)
+        .map(|(t, m)| Chains::of_table(t, k, |v| offset.get(v) as u32, &m.name))
+        .unzip();
+    drop(tables);
     let table_error = |j: usize| invalid[if lanes == 1 { 0 } else { j }].clone();
     if targets.is_empty() {
         if let Some(e) = (0..batch).find_map(table_error) {
@@ -126,49 +143,34 @@ fn map_lanes(
         }
     }
 
-    let labels = Labels::new(&regs, inp.len() / batch);
+    let block = (reg_mask + 1).next_power_of_two();
     let violation: Vec<AtomicUsize> = (0..batch).map(|_| AtomicUsize::new(usize::MAX)).collect();
-    out.truncate(inp.len());
-    out.resize(inp.len(), C64::ZERO);
-    let inverse = &inverse[..];
-    let pass = |(task, chunk): (usize, &mut [C64])| {
-        let i0 = task * TASK_INDICES;
-        for (d, dst) in chunk.chunks_exact_mut(batch).enumerate() {
-            let i = i0 + d;
-            let v = labels.label(i);
-            let run = &inp[i * batch..(i + 1) * batch];
-            if v >= rows {
-                for (j, a) in run.iter().enumerate() {
-                    if a.norm_sqr() > SUPPORT_TOL {
-                        violation[j].fetch_min(i, Ordering::Relaxed);
-                    }
-                }
-            }
-            let coset = i & !labels.reg_mask;
-            let source = |s: u32| (coset | labels.index_bits(s)) * batch;
-            if lanes == 1 {
-                match inverse[v] {
-                    NO_SOURCE => dst.fill(C64::ZERO),
-                    s => dst.copy_from_slice(&inp[source(s)..source(s) + batch]),
-                }
-            } else {
-                for (j, z) in dst.iter_mut().enumerate() {
-                    *z = match inverse[v * batch + j] {
-                        NO_SOURCE => C64::ZERO,
-                        s => inp[source(s) + j],
-                    };
-                }
-            }
-        }
+    let cx = CosetPass {
+        batch,
+        unit: batch << lo,
+        reg_units: reg_mask >> lo,
+        labels: 1 << k,
+        rows,
+        offset: &offset,
+        chains: &chains,
+        violation: &violation,
     };
-    if inp.len() >= PAR_MIN_AMPS {
-        out.par_chunks_mut(TASK_INDICES * batch)
+    let pass = |base: usize, chunk: &mut [C64]| match (lanes, cx.unit) {
+        (1, 1) => cx.shared::<1>(base, chunk),
+        (1, 2) => cx.shared::<2>(base, chunk),
+        (1, 3) => cx.shared::<3>(base, chunk),
+        (1, 4) => cx.shared::<4>(base, chunk),
+        _ => cx.general(base, chunk),
+    };
+    let task = block.max(TASK_INDICES) * batch;
+    if amps.len() >= PAR_MIN_AMPS && amps.len() > task {
+        amps.par_chunks_mut(task)
             .enumerate()
-            .for_each(pass);
+            .for_each(|(t, chunk)| pass(t * task / batch, chunk));
     } else {
-        out.chunks_mut(TASK_INDICES * batch)
-            .enumerate()
-            .for_each(pass);
+        for (t, chunk) in amps.chunks_mut(task).enumerate() {
+            pass(t * task / batch, chunk);
+        }
     }
 
     for (j, v) in violation.iter().enumerate() {
@@ -180,7 +182,7 @@ fn map_lanes(
             return Err(e);
         }
     }
-    Ok(())
+    Ok(None)
 }
 
 /// The error a zero-target map reports for support at basis index `i`:
@@ -196,58 +198,255 @@ fn target_not_zero(targets: &[&ProgramRegister], i: usize, op: &str) -> EmuError
     }
 }
 
-/// A register tuple's packed label of a basis index (register 0 in the
-/// lowest bits) and the index bits of a label. Both are bit selections,
-/// so each is the OR of two lookups over the low and high halves of its
-/// argument's bits.
-struct Labels {
-    reg_mask: usize,
-    index_split: u32,
-    pack_lo: Vec<u32>,
-    pack_hi: Vec<u32>,
-    label_split: u32,
-    unpack_lo: Vec<usize>,
-    unpack_hi: Vec<usize>,
+/// A permutation of `2^k` labels as chains of moves, run in place:
+/// chain `v_0, v_1, …` has `v_{i+1} = π⁻¹(v_i)`, so label `v_i` takes
+/// label `v_{i+1}`'s amplitudes in chain order. A closed chain (a cycle)
+/// gives its last label `v_0`'s old amplitudes; an open one (a
+/// zero-target map's path, from a label no amplitude moves onto to one
+/// no row maps to) zeroes it. Fixed labels are in no chain.
+struct Chains {
+    /// Every chain's labels, chain after chain, each as its unit offset
+    /// within a coset.
+    order: Vec<u32>,
+    /// Each chain's end in `order` and whether it closes.
+    ends: Vec<(usize, bool)>,
 }
 
-impl Labels {
-    /// Tables for a state of `dim` basis indices.
-    fn new(regs: &[&ProgramRegister], dim: usize) -> Labels {
-        let list: Vec<(usize, usize)> = regs.iter().map(|r| (r.offset, r.len)).collect();
-        let n = dim.trailing_zeros();
-        let k: u32 = regs.iter().map(|r| r.len as u32).sum();
-        let (index_split, label_split) = (n / 2, k / 2);
-        let pack = |x: usize| pack_by_list(&list, x) as u32;
-        let unpack = |x: usize| unpack_by_list(&list, x as u64);
-        Labels {
-            reg_mask: regs
-                .iter()
-                .flat_map(|r| r.bits())
-                .fold(0usize, |m, q| m | (1usize << q)),
-            index_split,
-            pack_lo: (0..1usize << index_split).map(pack).collect(),
-            pack_hi: (0..1usize << (n - index_split))
-                .map(|x| pack(x << index_split))
-                .collect(),
-            label_split,
-            unpack_lo: (0..1usize << label_split).map(unpack).collect(),
-            unpack_hi: (0..1usize << (k - label_split))
-                .map(|x| unpack(x << label_split))
+impl Chains {
+    /// The chains of the map whose image of label `v < table.len()` is
+    /// `table[v]`, with label `v` placed at unit offset `place(v)`, built
+    /// in one serial sweep that also checks injectivity: the first image
+    /// label met twice, in label order, is the `NotReversible` collision
+    /// (the chains then cover the map of the labels before it).
+    fn of_table(
+        table: &[u32],
+        k: usize,
+        place: impl Fn(usize) -> u32,
+        op: &str,
+    ) -> (Chains, Option<EmuError>) {
+        let mut inverse = vec![NO_SOURCE; 1 << k];
+        let mut error = None;
+        // Labels below `sources` are some label's source.
+        let mut sources = table.len();
+        for (v, &image) in table.iter().enumerate() {
+            let slot = &mut inverse[image as usize];
+            if *slot != NO_SOURCE {
+                error = Some(EmuError::NotReversible {
+                    op: op.to_string(),
+                    collision: image as u64,
+                });
+                sources = v;
+                break;
+            }
+            *slot = v as u32;
+        }
+        let mut placed = vec![false; 1 << k];
+        let mut chains = Chains {
+            order: Vec::with_capacity(1 << k),
+            ends: Vec::new(),
+        };
+        let mut follow = |placed: &mut [bool], v0: usize, closed: bool| {
+            let mut v = v0 as u32;
+            loop {
+                chains.order.push(place(v as usize));
+                placed[v as usize] = true;
+                v = inverse[v as usize];
+                if v == NO_SOURCE || v == v0 as u32 {
+                    break;
+                }
+            }
+            chains.ends.push((chains.order.len(), closed));
+        };
+        // Open chains start at the labels no amplitude is taken from;
+        // every label left after them lies on a cycle.
+        for v0 in sources..1 << k {
+            follow(&mut placed, v0, false);
+        }
+        for v0 in 0..sources {
+            if !placed[v0] && inverse[v0] != v0 as u32 {
+                follow(&mut placed, v0, true);
+            }
+        }
+        (chains, error)
+    }
+
+    /// Each chain's unit offsets and whether it closes.
+    fn iter(&self) -> impl Iterator<Item = (&[u32], bool)> {
+        let mut start = 0;
+        self.ends.iter().map(move |&(end, closed)| {
+            let chain = &self.order[start..end];
+            start = end;
+            (chain, closed)
+        })
+    }
+}
+
+/// What one task of a map pass reads: the coset layout in units of
+/// `unit = 2^lo·B` contiguous elements (`offset`, each label's unit
+/// offset within its coset, and `reg_units`, the register bits above
+/// `lo`), each lane's chains (one for all lanes when the members share a
+/// table) and the support records.
+struct CosetPass<'a> {
+    batch: usize,
+    unit: usize,
+    reg_units: usize,
+    labels: usize,
+    rows: usize,
+    offset: &'a SplitLookup,
+    chains: &'a [Chains],
+    violation: &'a [AtomicUsize],
+}
+
+impl CosetPass<'_> {
+    /// The elements of label `v`'s unit in the coset at unit offset `c`.
+    fn unit_of(&self, c: usize, v: usize) -> std::ops::Range<usize> {
+        let u = c + self.offset.get(v);
+        u * self.unit..(u + 1) * self.unit
+    }
+
+    /// Whether the coset at unit offset `c` holds no amplitude (an empty
+    /// coset maps to itself; sparse states have many). Its units, `c`
+    /// plus every subset of `reg_units`, are read in memory order as runs
+    /// over the low contiguous register bits.
+    fn is_empty(&self, c: usize, chunk: &[C64]) -> bool {
+        let run = 1usize << self.reg_units.trailing_ones();
+        let high = self.reg_units & !(run - 1);
+        std::iter::successors(Some(0), |&m| {
+            Some((m | !high).wrapping_add(1) & high).filter(|&m| m != 0)
+        })
+        .all(|m| all_zero(&chunk[(c + m) * self.unit..(c + m + run) * self.unit]))
+    }
+
+    /// Records support at the labels at or above `rows` of the coset at
+    /// unit offset `c` (a zero-target map's non-zero targets) of a chunk
+    /// whose first basis index is `base`, before the chains overwrite
+    /// them.
+    fn check_support(&self, base: usize, c: usize, chunk: &[C64]) {
+        for v in self.rows..self.labels {
+            let range = self.unit_of(c, v);
+            let first = range.start / self.batch;
+            for (p, a) in chunk[range].iter().enumerate() {
+                if a.norm_sqr() > SUPPORT_TOL {
+                    let i = base + first + p / self.batch;
+                    self.violation[p % self.batch].fetch_min(i, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// The chunk's cosets under one shared table, with `W`-element units:
+    /// each unit moves as one value.
+    fn shared<const W: usize>(&self, base: usize, chunk: &mut [C64]) {
+        for c in coset_offsets(self.reg_units, chunk.len() / W) {
+            if self.is_empty(c, chunk) {
+                continue;
+            }
+            self.check_support(base, c, chunk);
+            let units = chunk.as_chunks_mut::<W>().0;
+            let at = |o: u32| c + o as usize;
+            for (chain, closed) in self.chains[0].iter() {
+                let mut dst = at(chain[0]);
+                let first = units[dst];
+                for &o in &chain[1..] {
+                    let src = at(o);
+                    units[dst] = units[src];
+                    dst = src;
+                }
+                units[dst] = if closed { first } else { [C64::ZERO; W] };
+            }
+        }
+    }
+
+    /// The chunk's cosets at any unit width: a shared table moves whole
+    /// units, and under per-member tables lane `j` of a unit (its
+    /// elements `p ≡ j mod B`) follows lane `j`'s chains.
+    fn general(&self, base: usize, chunk: &mut [C64]) {
+        let w = self.unit;
+        let (step, len) = match self.chains.len() {
+            1 => (1, w),
+            _ => (self.batch, w / self.batch),
+        };
+        let mut first = vec![C64::ZERO; len];
+        for c in coset_offsets(self.reg_units, chunk.len() / w) {
+            if self.is_empty(c, chunk) {
+                continue;
+            }
+            self.check_support(base, c, chunk);
+            for (j, chains) in self.chains.iter().enumerate() {
+                let at = |o: u32| (c + o as usize) * w + j;
+                for (chain, closed) in chains.iter() {
+                    let mut dst = at(chain[0]);
+                    for (t, z) in first.iter_mut().enumerate() {
+                        *z = if closed {
+                            chunk[dst + t * step]
+                        } else {
+                            C64::ZERO
+                        };
+                    }
+                    for &o in &chain[1..] {
+                        let src = at(o);
+                        if step == 1 {
+                            chunk.copy_within(src..src + len, dst);
+                        } else {
+                            for t in 0..len {
+                                chunk[dst + t * step] = chunk[src + t * step];
+                            }
+                        }
+                        dst = src;
+                    }
+                    for (t, &z) in first.iter().enumerate() {
+                        chunk[dst + t * step] = z;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether every amplitude of `amps` is zero (of either sign), read in
+/// blocks without an early exit inside a block.
+fn all_zero(amps: &[C64]) -> bool {
+    amps.chunks(16).all(|block| {
+        block
+            .iter()
+            .fold(0u64, |bits, a| bits | a.re.to_bits() | a.im.to_bits())
+            << 1
+            == 0
+    })
+}
+
+/// The offsets of the cosets of `reg_mask`'s bits among the first
+/// `indices` basis indices: every index with no bit of `reg_mask` set, in
+/// increasing order.
+fn coset_offsets(reg_mask: usize, indices: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(0), move |&c| Some(((c | reg_mask) + 1) & !reg_mask))
+        .take_while(move |&c| c < indices)
+}
+
+/// A bit selection (a register tuple's packed label of a basis index, or
+/// the index bits of a label) over arguments of `bits` bits, as the OR of
+/// two lookups over the low and high halves of its argument's bits.
+struct SplitLookup {
+    split: u32,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+}
+
+impl SplitLookup {
+    fn new(bits: u32, select: impl Fn(usize) -> usize) -> SplitLookup {
+        let split = bits / 2;
+        SplitLookup {
+            split,
+            lo: (0..1usize << split).map(&select).collect(),
+            hi: (0..1usize << (bits - split))
+                .map(|x| select(x << split))
                 .collect(),
         }
     }
 
     #[inline]
-    fn label(&self, i: usize) -> usize {
-        let lo = i & ((1usize << self.index_split) - 1);
-        (self.pack_lo[lo] | self.pack_hi[i >> self.index_split]) as usize
-    }
-
-    #[inline]
-    fn index_bits(&self, label: u32) -> usize {
-        let l = label as usize;
-        self.unpack_lo[l & ((1usize << self.label_split) - 1)]
-            | self.unpack_hi[l >> self.label_split]
+    fn get(&self, x: usize) -> usize {
+        self.lo[x & ((1usize << self.split) - 1)] | self.hi[x >> self.split]
     }
 }
 
@@ -275,11 +474,10 @@ pub(crate) fn apply_phase_oracle_batch(
     phase_lanes(state.amplitudes_mut(), batch, program, oracles);
 }
 
-/// The oracle pass. Up to [`ROTATION_TABLE_MAX_BITS`] involved bits, each
-/// member's predicate is evaluated once per register value into a mask
-/// table (`mask[v·B + j]`), so the pass is lookups and multiplies; above
-/// it each task evaluates the predicates per amplitude into one reused
-/// scratch.
+/// The oracle pass: each member's predicate is evaluated once per
+/// register value into a mask table (`mask[v·B + j]`, `B·2^k` flags, at
+/// most 1/16 of the ensemble's bytes since `k ≤ n`), so the pass over the
+/// amplitudes is lookups and multiplies.
 fn phase_lanes(amps: &mut [C64], batch: usize, program: &QuantumProgram, oracles: &[&PhaseOracle]) {
     let regs: Vec<&ProgramRegister> = oracles[0]
         .regs
@@ -289,49 +487,31 @@ fn phase_lanes(amps: &mut [C64], batch: usize, program: &QuantumProgram, oracles
     let list: Vec<(usize, usize)> = regs.iter().map(|r| (r.offset, r.len)).collect();
     let k: usize = regs.iter().map(|r| r.len).sum();
     let factors: Vec<C64> = oracles.iter().map(|o| C64::cis(o.phase)).collect();
-    let values_of = |label: u64, values: &mut Vec<u64>| {
+    let mut mask = vec![false; batch << k];
+    let mut values = Vec::with_capacity(regs.len());
+    for v in 0..1usize << k {
         values.clear();
         let mut shift = 0;
         for r in &regs {
-            values.push((label >> shift) & r.mask());
+            values.push((v as u64 >> shift) & r.mask());
             shift += r.len;
         }
-    };
-    let mask = (k <= ROTATION_TABLE_MAX_BITS).then(|| {
-        let mut mask = vec![false; batch << k];
-        let mut values = Vec::with_capacity(regs.len());
-        for v in 0..1usize << k {
-            values_of(v as u64, &mut values);
-            for (j, o) in oracles.iter().enumerate() {
-                mask[v * batch + j] = (o.predicate)(&values);
-            }
+        for (j, o) in oracles.iter().enumerate() {
+            mask[v * batch + j] = (o.predicate)(&values);
         }
-        mask
-    });
-    let labels = mask
-        .as_ref()
-        .map(|_| Labels::new(&regs, amps.len() / batch));
+    }
+    let n = (amps.len() / batch).trailing_zeros();
+    let label = SplitLookup::new(n, |i| pack_by_list(&list, i) as usize);
     let pass = |(task, chunk): (usize, &mut [C64])| {
         let i0 = task * TASK_INDICES;
-        let mut values = Vec::with_capacity(regs.len());
         for (d, run) in chunk.chunks_exact_mut(batch).enumerate() {
-            let i = i0 + d;
-            match (&mask, &labels) {
-                (Some(mask), Some(labels)) => {
-                    let v = labels.label(i);
-                    for ((z, &hit), &f) in run.iter_mut().zip(&mask[v * batch..]).zip(&factors) {
-                        if hit {
-                            *z *= f;
-                        }
-                    }
-                }
-                _ => {
-                    values_of(pack_by_list(&list, i), &mut values);
-                    for ((z, o), &f) in run.iter_mut().zip(oracles).zip(&factors) {
-                        if *z != C64::ZERO && (o.predicate)(&values) {
-                            *z *= f;
-                        }
-                    }
+            if run.iter().all(|&z| z == C64::ZERO) {
+                continue;
+            }
+            let v = label.get(i0 + d);
+            for ((z, &hit), &f) in run.iter_mut().zip(&mask[v * batch..]).zip(&factors) {
+                if hit {
+                    *z *= f;
                 }
             }
         }
@@ -518,30 +698,6 @@ fn build_permutation_table(regs: &[&ProgramRegister], map: &ClassicalMap, rows: 
             }
         });
     table
-}
-
-/// Writes the inverse of `table` into lane `j` of the interleaved
-/// `inverse` (`inverse[v·lanes + j]`), checking injectivity on the way:
-/// the first image label met twice, in label order, is the
-/// `NotReversible` collision.
-fn invert_into(
-    table: &[u32],
-    inverse: &mut [u32],
-    j: usize,
-    lanes: usize,
-    op: &str,
-) -> Result<(), EmuError> {
-    for (v, &image) in table.iter().enumerate() {
-        let slot = &mut inverse[image as usize * lanes + j];
-        if *slot != NO_SOURCE {
-            return Err(EmuError::NotReversible {
-                op: op.to_string(),
-                collision: image as u64,
-            });
-        }
-        *slot = v as u32;
-    }
-    Ok(())
 }
 
 #[inline]
@@ -914,6 +1070,118 @@ mod tests {
             GateLevelSimulator::new().run(&prog, StateVector::zero_state(3)),
             Err(EmuError::NoGateImplementation { .. })
         ));
+    }
+
+    /// The in-place chain pass against the definition `out[coset |
+    /// π_j(v)] = in[coset | v]`, member by member and bit for bit: a
+    /// 14-qubit state with the map's registers scattered and above qubit 0
+    /// (units of several indices, cosets that interleave), an in-place
+    /// bijection with cycles and fixed points and a zero-target map with
+    /// open chains, every member on one shared table or on its own,
+    /// B ∈ {1, 2, 3}, pools 1 and 2 (B ≥ 2 crosses the parallel
+    /// threshold).
+    #[test]
+    fn batch_map_matches_the_permutation_definition_per_member() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut pb = ProgramBuilder::new();
+        let _low = pb.register("low", 2);
+        let x = pb.register("x", 3);
+        let _mid = pb.register("mid", 2);
+        let y = pb.register("y", 3);
+        let z = pb.register("z", 3);
+        let _top = pb.register("top", 1);
+        let prog = pb.build().unwrap();
+        let n = prog.n_qubits();
+        let in_place = |c: u64| ClassicalMap {
+            name: format!("shift{c}"),
+            regs: vec![y, x],
+            f: Arc::new(move |v| {
+                v[0] = (v[0] + c * v[1]) % 8;
+                v[1] ^= c & 1;
+            }),
+            kind: MapKind::InPlaceBijection,
+            gate_impl: None,
+        };
+        let zero_target = |c: u64| ClassicalMap {
+            name: format!("scale{c}"),
+            regs: vec![x, z],
+            f: Arc::new(move |v| v[1] = (v[0] * (2 * c + 1)) % 8),
+            kind: MapKind::ZeroInitializedTargets { n_targets: 1 },
+            gate_impl: None,
+        };
+        let mut rng = StdRng::seed_from_u64(0xc0de);
+        for (make, zero_z) in [
+            (&in_place as &dyn Fn(u64) -> ClassicalMap, false),
+            (&zero_target, true),
+        ] {
+            for consts in [[2u64, 2, 2], [0, 3, 1]] {
+                for batch in 1..=3 {
+                    let maps: Vec<ClassicalMap> =
+                        consts[..batch].iter().map(|&c| make(c)).collect();
+                    let members: Vec<Vec<C64>> = (0..batch)
+                        .map(|_| {
+                            (0..1usize << n)
+                                .map(|i| match zero_z && prog.register(z).value_of(i) != 0 {
+                                    true => C64::ZERO,
+                                    false => {
+                                        C64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
+                                    }
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let expected: Vec<Vec<C64>> = members
+                        .iter()
+                        .zip(&maps)
+                        .map(|(amps, map)| {
+                            let regs: Vec<&ProgramRegister> =
+                                map.regs.iter().map(|&r| prog.register(r)).collect();
+                            let mask = regs
+                                .iter()
+                                .fold(0, |m, r| m | (r.mask() << r.offset) as usize);
+                            let mut out = vec![C64::ZERO; amps.len()];
+                            let mut values = Vec::new();
+                            for (i, &a) in amps.iter().enumerate() {
+                                values.clear();
+                                values.extend(regs.iter().map(|r| r.value_of(i)));
+                                (map.f)(&mut values);
+                                let image = regs
+                                    .iter()
+                                    .zip(&values)
+                                    .fold(i & !mask, |j, (r, &v)| j | (v as usize) << r.offset);
+                                if !zero_z || regs[1].value_of(i) == 0 {
+                                    out[image] = a;
+                                }
+                            }
+                            out
+                        })
+                        .collect();
+                    for threads in [1, 2] {
+                        let pool = rayon::ThreadPoolBuilder::new()
+                            .num_threads(threads)
+                            .build()
+                            .unwrap();
+                        let input: Vec<C64> = (0..batch << n)
+                            .map(|e| members[e % batch][e / batch])
+                            .collect();
+                        let mut state = BatchStateVector::from_amplitudes(input, batch);
+                        let refs: Vec<&ClassicalMap> = maps.iter().collect();
+                        pool.install(|| apply_classical_map_batch(&mut state, &prog, &refs))
+                            .unwrap();
+                        for (j, want) in expected.iter().enumerate() {
+                            for (i, &w) in want.iter().enumerate() {
+                                assert_eq!(
+                                    state.amplitude(i, j),
+                                    w,
+                                    "{} B = {batch} member {j} index {i} pool {threads}",
+                                    maps[j].name
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

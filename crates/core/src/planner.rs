@@ -864,15 +864,13 @@ impl PlanInterpreter {
     /// buffer**: simulated raw gate runs and register QFTs (bit-identical
     /// circuits under an equal structure hash), emulated register QFTs and
     /// IQFTs (one FFT whose columns span the members), and the emulated
-    /// closure-bearing ops — classical maps (one gather through each
-    /// member's own permutation table), phase oracles (one masked pass
-    /// over each member's own predicate table) and rotations (one pair
-    /// sweep over each member's own angles). A classical map writes into
-    /// one scratch buffer the run allocates on first use and swaps in, so
-    /// every later map reuses it. Only the steps whose work itself differs
-    /// per member — QPE, and gate paths built from a member's closures —
-    /// run **member by member** between one de-interleave and one
-    /// re-interleave, which at one member are moves.
+    /// closure-bearing ops — classical maps (one in-place pass per coset
+    /// through each member's own permutation table), phase oracles (one
+    /// masked pass over each member's own predicate table) and rotations
+    /// (one pair sweep over each member's own angles). Only the steps
+    /// whose work itself differs per member — QPE, and gate paths built
+    /// from a member's closures — run **member by member** between one
+    /// de-interleave and one re-interleave, which at one member are moves.
     ///
     /// A step with ancillas runs on a state widened for it, and a leak
     /// fails the run with [`EmuError::AncillaNotClean`] naming the step.
@@ -923,13 +921,12 @@ impl PlanInterpreter {
         // with ancillas, which are checked right after it, and keeps that
         // width while the next step shares it.
         let mut state = initial;
-        let mut scratch = Vec::new();
         let mut steps = Vec::with_capacity(plan.steps.len());
         for (i, step) in plan.steps.iter().enumerate() {
             let t0 = Instant::now();
             state = with_width(state, n + step.n_ancilla);
             let shared;
-            (state, shared) = self.run_step(state, &members, step, &mut scratch)?;
+            (state, shared) = self.run_step(state, &members, step)?;
             if step.n_ancilla > 0 {
                 check_ancillas(&state, n, i)?;
             }
@@ -1015,14 +1012,12 @@ impl PlanInterpreter {
 
     /// Runs one plan step over the whole ensemble. Returns the state and
     /// whether the step took the shared route (one pass on the
-    /// batch-major buffer) rather than the per-member one. `scratch` is
-    /// the run's reusable out-of-place buffer.
+    /// batch-major buffer) rather than the per-member one.
     fn run_step(
         &self,
         mut state: BatchStateVector,
         members: &[&QuantumProgram],
         step: &PlanStep,
-        scratch: &mut Vec<C64>,
     ) -> Result<(BatchStateVector, bool), EmuError> {
         let first = members[0];
         let simulate = step.backend.is_simulate();
@@ -1073,7 +1068,7 @@ impl PlanInterpreter {
                         _ => unreachable!("structure hash guarantees matching op kinds"),
                     })
                     .collect();
-                apply_classical_map_batch(&mut state, first, &maps, scratch)?;
+                apply_classical_map_batch(&mut state, first, &maps)?;
             }
             HighLevelOp::Phase(_) if !simulate => {
                 let oracles: Vec<&PhaseOracle> = ops()
